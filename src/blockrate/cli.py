@@ -220,14 +220,14 @@ def _default_theta_grid() -> np.ndarray:
 def _sweep_policy_grid(cfg: RunConfig, grid, variable: bool):
     """Rows (m, x, value, std_error) over a per-m grid, gains shared via prefixes."""
     theta = cfg.theta_values[0]
-    master = SampleSet.draw(Rayleigh(), max(cfg.m_values), cfg.samples, cfg.seed)
+    base = SystemParams.from_db(cfg.snr_db, cfg.n, max(cfg.m_values), theta)
+    prefixes = SampleSet.draw(Rayleigh(), base.m, cfg.samples, cfg.seed).prefixes(
+        cfg.m_values, base)
     tasks = []
     for m in cfg.m_values:
-        params = SystemParams.from_db(cfg.snr_db, cfg.n, m, theta)
-        prefix = master.prefix(m)
-        prefix.stats(params)  # warm the cache before threads share it
+        params = base.with_m(m)
         for x in grid:
-            def task(x=float(x), prefix=prefix, params=params, m=m):
+            def task(x=float(x), prefix=prefixes[m], params=params, m=m):
                 if variable:
                     if params.theta == 0.0:
                         est = ergodic_rate_variable(x, prefix, params, clamp=cfg.clamp_rate)
@@ -418,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_parse_int_list, default=(1, 2, 5, 10),
                    help="blocks per codeword, list/range (default 1,2,5,10)")
     p.add_argument("--epsilon-grid", type=_parse_float_list, default=None,
-                   help="error-probability grid (default: 101 log+linear points "
-                        "spanning 1e-5..0.999)")
+                   help="error-probability grid (default: 120 log+linear points "
+                        "spanning 1e-7..0.999)")
 
     p = subs.add_parser("fig2", help="throughput vs m at fixed error target, per theta")
     _add_common(p, snr_db=0.0, n=50)

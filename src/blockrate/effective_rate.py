@@ -36,25 +36,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.special import roots_laguerre
 
 from .channel import FadingModel, SystemParams, draw_gain_matrix
 from .errors import ComputationError, DomainError
-from .fbl import error_probability_arrays, rate_stats_arrays
+from .fbl import block_terms, error_probability_arrays, rate_stats_arrays, reduce_terms
 from .special import q_inverse, q_inverse_deriv
 
 
 class SampleSet:
     """Common-random-numbers set of channel realizations.
 
-    `gains` is a (count, m) matrix, one realization per row.  Rate statistics
-    (mu, delta) are cached per (snr_linear, n), since optimizers re-evaluate
-    the same set at many epsilon/rate points.  `prefix(m)` returns a set that
-    shares the leading m blocks of each row — sweeps over m draw one master
+    `gains` is a read-only (count, m) matrix, one realization per row.  Rate
+    statistics (mu, delta) are cached per (snr_linear, n), since optimizers
+    re-evaluate the same set at many epsilon/rate points.  `prefix(m)` returns
+    a set whose gains are a read-only view of the leading m blocks of each
+    row, neither copied nor validated again.  Sweeps over m draw one master
     set at the largest m and compare prefixes, so per-realization gains are
-    common across the compared block counts.
+    common across the compared block counts; `prefixes` builds them with
+    their statistics, computing the per-block terms once on the master.
     """
 
     def __init__(self, gains: np.ndarray, seed: int | None = None):
@@ -64,6 +67,9 @@ class SampleSet:
         if not np.all(np.isfinite(gains) & (gains >= 0)):
             raise DomainError("gains must be finite and >= 0")
         gains.setflags(write=False)
+        self._init(gains, seed)
+
+    def _init(self, gains: np.ndarray, seed: int | None) -> None:
         self.gains = gains
         self.seed = seed
         self._stats_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -86,7 +92,27 @@ class SampleSet:
             raise DomainError(f"prefix length {m} outside 1..{self.m}")
         if m == self.m:
             return self
-        return SampleSet(self.gains[:, :m], seed=self.seed)
+        sub = object.__new__(SampleSet)
+        sub._init(self.gains[:, :m], self.seed)  # a view of validated, read-only gains
+        return sub
+
+    def prefixes(self, m_values: Sequence[int],
+                 params: SystemParams) -> dict[int, "SampleSet"]:
+        """prefix(m) for each distinct m, with stats cached at params' (snr, n).
+
+        The per-block terms are computed once, over the widest prefix needed,
+        and each prefix reduces its leading columns of them, exactly as
+        `stats` would on that prefix alone.  The terms are dropped on return.
+        """
+        subs = {m: self.prefix(m) for m in sorted(set(m_values))}
+        key = (params.snr_linear, params.n)
+        todo = [sub for sub in subs.values() if key not in sub._stats_cache]
+        if todo:
+            log_terms, frac_terms = block_terms(self.gains[:, :todo[-1].m], params.snr_linear)
+            for sub in todo:
+                sub._stats_cache[key] = reduce_terms(
+                    log_terms[:, :sub.m], frac_terms[:, :sub.m], params.n)
+        return subs
 
     def stats(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
         """(mu, delta) arrays for every realization, cached."""
@@ -211,14 +237,6 @@ def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemPa
     return EffectiveRateEstimate(value, rel / scale, u.size)
 
 
-def _fixed_rate_means(rate: float, eps_z: np.ndarray) -> tuple[float, float, float]:
-    """(mean eps, mean (1-eps), sample std of eps) for the fixed-rate summand."""
-    a = float(np.mean(eps_z))
-    b = float(np.mean(1.0 - eps_z))
-    sd = float(np.std(eps_z, ddof=1)) if eps_z.size > 1 else 0.0
-    return a, b, sd
-
-
 def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
     """Inner expectation E[eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R)].
 
@@ -240,8 +258,7 @@ def phi_complement(rate: float, samples: SampleSet, params: SystemParams) -> flo
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     decay = -math.expm1(-params.theta * params.nm * rate)
-    _, b, _ = _fixed_rate_means(rate, eps_z)
-    return decay * b
+    return decay * float(np.mean(1.0 - eps_z))
 
 
 def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -257,7 +274,9 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
     eps_z = error_probability_arrays(mu, delta, rate)
     t = params.theta * params.nm * rate
     decay = -math.expm1(-t)
-    a, b, sd = _fixed_rate_means(rate, eps_z)
+    a = float(np.mean(eps_z))
+    b = float(np.mean(1.0 - eps_z))
+    sd = float(np.std(eps_z, ddof=1)) if eps_z.size > 1 else 0.0
     comp = decay * b
     if comp < 0.9:
         log_phi = math.log1p(-comp)

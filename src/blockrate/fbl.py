@@ -92,16 +92,32 @@ def _check_realization(z: np.ndarray, params: SystemParams) -> np.ndarray:
     return z
 
 
+def block_terms(gains: np.ndarray, snr_linear: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block terms (log1p(s), s/(1+s)) with s = snr_linear * gains."""
+    s = snr_linear * gains
+    return np.log1p(s), s / (1.0 + s)
+
+
+def reduce_terms(log_terms: np.ndarray, frac_terms: np.ndarray,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, delta) from the block terms of a (count, m) gain matrix.
+
+    The terms may be a column view of a wider matrix's terms: each row is
+    reduced over its own m entries, so the leading m columns of a master's
+    terms give that prefix's statistics bit for bit.
+    """
+    m = log_terms.shape[1]
+    mu = LOG2E * np.mean(log_terms, axis=1)
+    delta = LOG2E * np.sqrt(frac_terms.sum(axis=1) * (2.0 / (n * m * m)))
+    return mu, delta
+
+
 def rate_stats_arrays(gains: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (mu, delta) for a (count, m) gain matrix."""
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2 or gains.shape[1] != params.m:
         raise DomainError(f"gain matrix width {gains.shape} does not match m={params.m}")
-    s = params.snr_linear * gains
-    mu = LOG2E * np.mean(np.log1p(s), axis=1)
-    frac = s / (1.0 + s)
-    delta = LOG2E * np.sqrt(frac.sum(axis=1) * (2.0 / (params.n * params.m * params.m)))
-    return mu, delta
+    return reduce_terms(*block_terms(gains, params.snr_linear), params.n)
 
 
 def rate_stats(z: np.ndarray, params: SystemParams) -> RateStats:

@@ -8,9 +8,10 @@ not the production path: inverse-Q derivatives explode near eps in {0, 1}
 and the searches must stay robust there.
 
 Sweeps over m reuse one master gain set drawn at the largest m; each smaller
-m evaluates the leading blocks of the same rows (SampleSet.prefix).  With
-gains common across block counts, the m-comparison — the central tradeoff
-here — is not polluted by independent sampling noise.
+m evaluates the leading blocks of the same rows (SampleSet.prefixes: views of
+the master, whose per-block rate terms are computed once and reduced per m).
+With gains common across block counts, the m-comparison — the central
+tradeoff here — is not polluted by independent sampling noise.
 
 Sweep rows are independent and may run on a thread pool; results are
 collected in input order and each row's sample set derives deterministically
@@ -242,10 +243,7 @@ def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
         raise DomainError("m_values must be nonempty")
     if min(m_values) < 1:
         raise DomainError(f"m values must be >= 1, got {min(m_values)}")
-    master = SampleSet.draw(model, max(m_values), count, seed)
-    prefixes = {m: master.prefix(m) for m in sorted(set(m_values))}
-    for m, sub in prefixes.items():  # warm the stats caches serially
-        sub.stats(params.with_m(m))
+    prefixes = SampleSet.draw(model, max(m_values), count, seed).prefixes(m_values, params)
     tasks = [
         (lambda m=m: _evaluate_policy(prefixes[m], params.with_m(m), policy))
         for m in m_values
@@ -272,11 +270,7 @@ def sweep_theta(params: SystemParams, theta_grid: Sequence[float],
     m_values = [int(m) for m in m_values]
     if not m_values:
         raise DomainError("m_values must be nonempty")
-    master = SampleSet.draw(model, max(m_values), count, seed)
-    prefixes = {m: master.prefix(m) for m in sorted(set(m_values))}
-    base = params.with_m(1)
-    for m, sub in prefixes.items():
-        sub.stats(base.with_m(m))
+    prefixes = SampleSet.draw(model, max(m_values), count, seed).prefixes(m_values, params)
     tasks = []
     for m in m_values:
         for theta in theta_grid:

@@ -31,7 +31,7 @@ from blockrate.effective_rate import (
     psi_derivative,
 )
 from blockrate.errors import ComputationError, DomainError
-from blockrate.fbl import LOG2E, rate_stats
+from blockrate.fbl import LOG2E, rate_stats, rate_stats_arrays
 from blockrate.special import q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
@@ -60,6 +60,27 @@ class TestSampleSet:
         sub = ss.prefix(2)
         np.testing.assert_array_equal(sub.gains, ss.gains[:, :2])
         assert ss.prefix(4) is ss
+
+    def test_prefix_is_read_only_view(self):
+        ss = SampleSet.draw(Rayleigh(), 4, 50, seed=5)
+        sub = ss.prefix(2)
+        assert np.shares_memory(sub.gains, ss.gains)
+        assert not sub.gains.flags.writeable
+
+    def test_prefixes_stats_match_contiguous_copies(self, monkeypatch):
+        ss = SampleSet.draw(Rayleigh(), 50, 2_000, seed=6)
+        p = SystemParams(2.0, 50, 50, 0.01)
+        ms = [*range(1, 21), 50]
+        subs = ss.prefixes(ms, p)
+        assert sorted(subs) == ms and subs[50] is ss
+        expected = {m: rate_stats_arrays(np.ascontiguousarray(ss.gains[:, :m]), p.with_m(m))
+                    for m in ms}
+        # the stats must come from the cache that prefixes() filled
+        monkeypatch.setattr("blockrate.effective_rate.rate_stats_arrays", None)
+        for m in ms:
+            mu, delta = subs[m].stats(p.with_m(m))
+            assert np.array_equal(mu, expected[m][0]), m
+            assert np.array_equal(delta, expected[m][1]), m
 
     def test_prefix_bounds(self):
         ss = SampleSet.draw(Rayleigh(), 2, 10, seed=0)

@@ -21,6 +21,7 @@ from blockrate.fbl import (
     RateStats,
     VariableRate,
     _laplace_from_uniform,
+    block_terms,
     error_probability,
     error_probability_arrays,
     mi_density_sample_exact,
@@ -28,6 +29,7 @@ from blockrate.fbl import (
     rate_lower_bound,
     rate_stats,
     rate_stats_arrays,
+    reduce_terms,
 )
 
 P200 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
@@ -52,6 +54,16 @@ class TestRateStats:
         for i in range(3):
             one = rate_stats(gains[i], P50X2)
             assert mu[i] == one.mu and delta[i] == one.delta
+
+    def test_reduced_column_views_match_contiguous_prefixes(self):
+        # widths 1..20 and 50 cross the 8-lane blocks of numpy's pairwise sum
+        gains = np.random.default_rng(3).exponential(size=(500, 50))
+        log_terms, frac_terms = block_terms(gains, P50X2.snr_linear)
+        for m in [*range(1, 21), 50]:
+            mu, delta = reduce_terms(log_terms[:, :m], frac_terms[:, :m], P50X2.n)
+            ref_mu, ref_delta = rate_stats_arrays(np.ascontiguousarray(gains[:, :m]),
+                                                  P50X2.with_m(m))
+            assert np.array_equal(mu, ref_mu) and np.array_equal(delta, ref_delta), m
 
     def test_snr_to_infinity_dispersion_limit(self):
         # s/(1+s) -> 1 per block, so delta -> log2(e)*sqrt(2/(n m))

@@ -21,6 +21,7 @@ from blockrate.optimize import (
     EPSILON_BRACKET,
     Optimum,
     SweepRow,
+    _evaluate_policy,
     golden_section,
     optimal_epsilon,
     optimal_rate,
@@ -152,6 +153,15 @@ class TestSweepM:
         rows_b, _ = sweep_m(P1, [1, 2, 2], VariableRate(epsilon=0.01),
                             count=4_000, seed=4)
         assert rows_a[0] == rows_b[0] and rows_a[1] == rows_b[1]
+
+    @pytest.mark.parametrize("policy", [VariableRate(), FixedRate(rate=0.4)])
+    def test_rows_match_contiguous_prefix_copies(self, policy):
+        ms = list(range(1, 13))
+        rows, _ = sweep_m(P1, ms, policy, count=2_000, seed=12)
+        master = SampleSet.draw(Rayleigh(), 12, 2_000, 12)
+        for m, row in zip(ms, rows):
+            copy = SampleSet(np.ascontiguousarray(master.gains[:, :m]), seed=12)
+            assert row == _evaluate_policy(copy, P1.with_m(m), policy), m
 
     def test_theta_zero_requires_explicit_target(self):
         p0 = SystemParams(1.0, 50, 1, 0.0)
