@@ -39,7 +39,6 @@ from .fbl import (
 from .optimize import (
     Optimum,
     SweepRow,
-    golden_section,
     optimal_epsilon,
     optimal_rate,
     sweep_m,
@@ -87,7 +86,6 @@ __all__ = [
     "ergodic_rate_variable_quadrature",
     "error_probability",
     "estimate_decay_rate",
-    "golden_section",
     "log_psi",
     "mi_density_sample_exact",
     "mi_density_samples_exact",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, substream, uniform_windows
+from .channel import SystemParams, uniform_windows
 from .errors import DomainError
 from .special import q_function, q_inverse
 
@@ -162,8 +162,10 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
     """Vectorized error probability from precomputed (mu, delta) arrays."""
     if math.isinf(rate):
         return np.ones_like(mu)
-    eps = np.empty_like(mu)
     pos = delta > 0.0
+    if pos.all():  # no degenerate row: skip the gather and scatter
+        return q_function((mu - rate) / delta)
+    eps = np.empty_like(mu)
     if pos.any():
         eps[pos] = q_function((mu[pos] - rate) / delta[pos])
     deg = ~pos
@@ -211,7 +213,3 @@ def mi_density_sample_exact(z: np.ndarray, params: SystemParams,
     w = _laplace_from_uniform(rng.random(params.nm)).reshape(params.m, params.n)
     return float(st.mu + (LOG2E / params.nm) * (w.sum(axis=1) @ weights))
 
-
-def mi_sampler_stream(seed: int, index: int, params: SystemParams) -> np.random.Generator:
-    """Substream handle whose window matches mi_density_samples_exact."""
-    return substream(seed, index, params.nm)

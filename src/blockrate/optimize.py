@@ -1,11 +1,17 @@
 """Scalar optimizers and sweep drivers for the throughput tradeoffs.
 
 Both inner objectives are unimodal in their argument — psi(eps) is strictly
-convex and phi(R) has a unique interior minimizer — so a derivative-free
-golden-section search converges unconditionally.  The analytic psi
-derivative exists (see effective_rate.psi_derivative) but is deliberately
-not the production path: inverse-Q derivatives explode near eps in {0, 1}
-and the searches must stay robust there.
+convex and phi(R) has a unique interior minimizer — so Brent's
+derivative-free search (golden-section steps safeguarding parabolic ones)
+converges unconditionally, and superlinearly on these smooth objectives.
+The error target is searched in x = Q^{-1}(eps), where the rate bound is
+affine and a fixed tolerance is relative in eps.  An optimum is flagged
+at_boundary only when it lies within the search's own terminal tolerance,
+3*(tol + sqrt(eps_mach)*|edge|), of a bracket edge; that edge is then
+reported as the argument.  The analytic psi derivative exists (see
+effective_rate.psi_derivative) but is deliberately not the production path:
+inverse-Q derivatives explode near eps in {0, 1} and the searches must stay
+robust there.
 
 Sweeps over m reuse one master gain set drawn at the largest m; each smaller
 m evaluates the leading blocks of the same rows (SampleSet.prefixes: views of
@@ -41,11 +47,12 @@ from .effective_rate import (
 )
 from .errors import DomainError
 from .fbl import FixedRate, RatePolicy, VariableRate
+from .special import q_function, q_inverse
 
 _T = TypeVar("_T")
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
 
@@ -55,9 +62,11 @@ class Optimum:
     """Result of a scalar throughput optimization.
 
     argument is eps* or R*; value is the maximized effective rate (bits per
-    channel use) with its Monte Carlo standard error.  at_boundary signals
-    that the search converged onto a bracket endpoint, i.e. the
-    interior-optimum assumption failed numerically for this configuration.
+    channel use) with its Monte Carlo standard error, and iterations counts
+    objective evaluations.  at_boundary is True exactly when the search
+    converged to within its terminal tolerance 3*(tol + sqrt(eps_mach)*|edge|)
+    of an edge of bracket (in x = Q^{-1}(eps) for eps*); argument is then that
+    edge itself, and the true optimum may lie beyond it.
     """
 
     argument: float
@@ -80,58 +89,108 @@ class SweepRow:
     argument: float | None = None  # eps or R actually used, if applicable
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-8) -> tuple[float, int]:
-    """Minimize a unimodal f on [lo, hi]; stop when the bracket is < tol wide.
+def brent_minimize(f: Callable[[float], float], lo: float, hi: float,
+                   tol: float = 1e-8) -> tuple[float, int, bool]:
+    """Minimize a unimodal f on [lo, hi] by Brent's method.
 
-    Returns (argmin estimate, number of function evaluations).
+    Golden-section steps are combined with parabolic interpolation through
+    the three best points, in the form of Forsythe, Malcolm and Moler's fmin.
+    The search stops once the argmin is pinned to within
+    2*(sqrt(eps_mach)*|x| + tol/3).  Returns (argmin, number of function
+    evaluations, at_edge).  at_edge is True when the argmin lies within the
+    search's terminal tolerance 3*(tol + sqrt(eps_mach)*|edge|) of lo or hi;
+    that edge is then returned as the argmin.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc = f(c)
-    fd = f(d)
-    evals = 2
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    evals = 1
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            # parabola through (v, fv), (w, fw), (x, fx); its vertex is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            # accept the vertex only if it lies inside (a, b) and the step is
+            # under half the step before last, so the bracket keeps shrinking
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+                golden = False
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
         evals += 1
-    return (c if fc < fd else d), evals
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    for edge in (lo, hi):
+        if abs(x - edge) <= 3.0 * (tol + _SQRT_EPS * abs(edge)):
+            return edge, evals, True
+    return x, evals, False
 
 
-def _near(x: float, edge: float, tol: float) -> bool:
-    return abs(x - edge) <= 10.0 * tol
+def _epsilon_at(x: float) -> float:
+    lo, hi = EPSILON_BRACKET
+    return min(max(q_function(x), lo), hi)
 
 
 def optimal_epsilon(samples: SampleSet, params: SystemParams,
                     clamp: bool = False, tol: float = 1e-8) -> Optimum:
     """Error target maximizing variable-rate throughput.
 
-    Minimizes ln(psi) over eps in [1e-10, 1 - 1e-10] by golden section
-    (valid by strict convexity of psi).
+    Minimizes ln(psi) (strictly convex in eps) by Brent's method over
+    x = Q^{-1}(eps), x in [Q^{-1}(1 - 1e-10), Q^{-1}(1e-10)].  The rate
+    bound mu - delta*x is affine in x, and a fixed tolerance on x is a
+    relative tolerance on eps, so optima near 1e-9 are resolved as finely as
+    those near 0.1.  An argmin on an edge of the x bracket is reported as
+    the matching edge of EPSILON_BRACKET, with at_boundary set.
     """
-    lo, hi = EPSILON_BRACKET
-    eps_star, evals = golden_section(
-        lambda e: log_psi(e, samples, params, clamp), lo, hi, tol)
+    eps_lo, eps_hi = EPSILON_BRACKET
+    x_lo, x_hi = q_inverse(eps_hi), q_inverse(eps_lo)
+    x, evals, at_edge = brent_minimize(
+        lambda x: log_psi(_epsilon_at(x), samples, params, clamp), x_lo, x_hi, tol)
+    if at_edge:
+        eps_star = eps_lo if x == x_hi else eps_hi
+    else:
+        eps_star = _epsilon_at(x)
     est = effective_rate_variable(eps_star, samples, params, clamp)
     return Optimum(
         argument=eps_star,
         value=est.value,
         std_error=est.std_error,
         iterations=evals,
-        bracket=(lo, hi),
-        at_boundary=_near(eps_star, lo, tol) or _near(eps_star, hi, tol),
+        bracket=EPSILON_BRACKET,
+        at_boundary=at_edge,
     )
 
 
@@ -140,9 +199,10 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
     """Coding rate maximizing fixed-rate throughput.
 
     Minimizes phi — equivalently maximizes its complement, which keeps
-    precision where phi is within rounding of 1 — over [0, R_hi] with
-    R_hi = max over the samples of (mu + 10*delta).  If the minimizer lands
-    on R_hi the bracket doubles and the search reruns.
+    precision where phi is within rounding of 1 — by Brent's method over
+    [0, R_hi] with R_hi = max over the samples of (mu + 10*delta).  If the
+    minimizer lands on R_hi the bracket doubles and the search reruns, at
+    most max_expansions times; bracket is the last one searched.
     """
     mu, delta = samples.stats(params)
     hi = float(np.max(mu + 10.0 * delta))
@@ -150,11 +210,11 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
         hi = 1.0
     lo = 0.0
     evals = 0
-    for _ in range(max_expansions + 1):
-        r_star, e = golden_section(
+    for expansion in range(max_expansions + 1):
+        r_star, e, at_edge = brent_minimize(
             lambda r: -phi_complement(r, samples, params), lo, hi, tol)
         evals += e
-        if not _near(r_star, hi, tol):
+        if not at_edge or r_star == lo or expansion == max_expansions:
             break
         hi *= 2.0
     est = effective_rate_fixed(r_star, samples, params)
@@ -164,7 +224,7 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
         std_error=est.std_error,
         iterations=evals,
         bracket=(lo, hi),
-        at_boundary=_near(r_star, lo, tol) or _near(r_star, hi, tol),
+        at_boundary=at_edge,
     )
 
 

@@ -1,9 +1,14 @@
 """Command-line surface: parsing, table formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockrate
 from blockrate.cli import (
     _parse_arrival,
     _parse_float_list,
@@ -264,3 +269,18 @@ class TestDeterminism:
         _, a = _run_to_file(tmp_path, "r1.csv", FAST_FIG1)
         _, b = _run_to_file(tmp_path, "r2.csv", FAST_FIG1)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestImportCost:
+    def test_cli_import_pulls_in_no_heavy_scipy_modules(self):
+        # the CLI starts in a fresh interpreter per run: these subpackages
+        # would add about 0.3 s and 20 MB to every start
+        heavy = ["scipy.optimize", "scipy.stats", "scipy.linalg"]
+        code = ("import sys, blockrate.cli; "
+                f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+        src = str(Path(blockrate.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

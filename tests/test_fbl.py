@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockrate.channel import SystemParams, substream
+from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix, substream
 from blockrate.errors import DomainError
 from blockrate.fbl import (
     LOG2E,
@@ -169,6 +169,16 @@ class TestErrorProbability:
         out = error_probability_arrays(mu, delta, 0.7)
         for i in range(3):
             assert out[i] == error_probability(gains[i], P200, 0.7)
+
+    def test_all_positive_delta_matches_mixed_path(self):
+        # rows without a degenerate entry skip the masked gather/scatter;
+        # appending one zero-gain row routes the same rows through it
+        gains = draw_gain_matrix(Rayleigh(), 2, 5_000, 4)
+        mu, delta = rate_stats_arrays(gains, P50X2)
+        assert (delta > 0).all()
+        mixed = error_probability_arrays(np.append(mu, 0.0), np.append(delta, 0.0), 0.6)
+        assert np.array_equal(error_probability_arrays(mu, delta, 0.6), mixed[:-1])
+        assert mixed[-1] == 1.0
 
 
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6),

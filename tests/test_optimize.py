@@ -1,4 +1,4 @@
-"""Golden-section search, the two scalar optimizers, and sweep drivers."""
+"""Brent search, the two scalar optimizers, and sweep drivers."""
 
 import math
 
@@ -22,7 +22,7 @@ from blockrate.optimize import (
     Optimum,
     SweepRow,
     _evaluate_policy,
-    golden_section,
+    brent_minimize,
     optimal_epsilon,
     optimal_rate,
     sweep_m,
@@ -37,26 +37,48 @@ def samples():
     return SampleSet.draw(Rayleigh(), 1, 20_000, seed=7)
 
 
-class TestGoldenSection:
+@pytest.fixture(scope="module")
+def samples10():
+    return SampleSet.draw(Rayleigh(), 10, 20_000, seed=7)
+
+
+class TestBrentMinimize:
     def test_quadratic(self):
-        x, evals = golden_section(lambda x: (x - 1.7) ** 2, 0.0, 5.0, tol=1e-10)
+        x, evals, at_edge = brent_minimize(lambda x: (x - 1.7) ** 2, 0.0, 5.0, tol=1e-10)
         assert x == pytest.approx(1.7, abs=1e-9)
-        assert evals > 10
+        assert not at_edge
+        # a parabola is fitted exactly once three points are known
+        assert evals < 10
 
     def test_asymmetric_objective(self):
-        # exp(x) - 2x has its minimum at ln 2
-        x, _ = golden_section(lambda x: math.exp(x) - 2 * x, 0.0, 2.0, tol=1e-10)
-        assert x == pytest.approx(math.log(2.0), abs=1e-8)
+        # exp(x) - 2x has its minimum at ln 2.  Within sqrt(eps_mach)*ln 2 of
+        # it, f differs from f(ln 2) by under one ulp, so no search on f
+        # values can place it closer than the stated 2*(sqrt(eps_mach)*|x| + tol/3)
+        x, _, at_edge = brent_minimize(lambda x: math.exp(x) - 2 * x, 0.0, 2.0, tol=1e-10)
+        sqrt_eps = math.sqrt(np.finfo(float).eps)
+        assert x == pytest.approx(math.log(2.0), abs=2 * (sqrt_eps * math.log(2.0) + 1e-10 / 3))
+        assert not at_edge
 
     def test_monotone_objective_lands_on_edge(self):
-        x, _ = golden_section(lambda x: x, 0.0, 1.0, tol=1e-9)
-        assert x == pytest.approx(0.0, abs=1e-8)
+        x, _, at_edge = brent_minimize(lambda x: x, 0.0, 1.0, tol=1e-9)
+        assert at_edge
+        assert x == 0.0
+        x, _, at_edge = brent_minimize(lambda x: -x, -3.0, 2.0, tol=1e-9)
+        assert at_edge
+        assert x == 2.0
+
+    def test_interior_minimum_near_edge_not_flagged(self):
+        # the edge test is the search's own resolution, not a fixed multiple
+        # of tol: a minimum 1e-6 inside the bracket is interior
+        x, _, at_edge = brent_minimize(lambda x: (x - 1e-6) ** 2, 0.0, 1.0, tol=1e-9)
+        assert x == pytest.approx(1e-6, abs=1e-8)
+        assert not at_edge
 
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
-            golden_section(lambda x: x * x, 1.0, 1.0)
+            brent_minimize(lambda x: x * x, 1.0, 1.0)
         with pytest.raises(DomainError):
-            golden_section(lambda x: x * x, 2.0, -1.0)
+            brent_minimize(lambda x: x * x, 2.0, -1.0)
 
 
 class TestOptimalEpsilon:
@@ -73,6 +95,25 @@ class TestOptimalEpsilon:
         # and the argmin is a stationary point of psi
         scale = abs(psi_derivative(0.5, samples, P1))
         assert abs(psi_derivative(opt.argument, samples, P1)) < 1e-5 * scale
+
+    def test_interior_optimum_takes_few_evaluations(self, samples):
+        assert optimal_epsilon(samples, P1).iterations <= 25
+
+    @pytest.mark.parametrize("theta, eps_near", [(0.03, 6.5e-9), (0.04, 6.2e-10)])
+    def test_rare_event_optimum_is_interior(self, samples10, theta, eps_near):
+        # eps* far below 1e-7 is still resolved and not flagged
+        p = SystemParams(1.0, 200, 10, theta)
+        opt = optimal_epsilon(samples10, p)
+        assert not opt.at_boundary
+        assert opt.argument == pytest.approx(eps_near, rel=0.01)
+        grid = np.geomspace(1e-10, 1e-6, 4001)
+        best = min(log_psi(e, samples10, p) for e in grid)
+        assert log_psi(opt.argument, samples10, p) <= best
+
+    def test_optimum_below_bracket_reports_edge(self, samples10):
+        opt = optimal_epsilon(samples10, SystemParams(1.0, 200, 10, 0.05))
+        assert opt.at_boundary
+        assert opt.argument == EPSILON_BRACKET[0]
 
     def test_value_consistent_with_reevaluation(self, samples):
         opt = optimal_epsilon(samples, P1)
@@ -99,7 +140,7 @@ class TestOptimalRate:
     def test_interior_optimum_matches_grid(self, samples):
         opt = optimal_rate(samples, P1)
         assert not opt.at_boundary
-        assert opt.iterations > 0
+        assert 0 < opt.iterations <= 25
         lo, hi = opt.bracket
         grid = np.linspace(lo, hi, 2000)
         vals = np.array([phi(r, samples, P1) for r in grid])
