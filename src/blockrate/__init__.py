@@ -49,7 +49,6 @@ from .queue_sim import (
     QueueResult,
     TailEstimate,
     estimate_decay_rate,
-    service_sample,
     simulate_queue,
 )
 from .special import q_function, q_inverse, q_inverse_deriv
@@ -100,7 +99,6 @@ __all__ = [
     "q_inverse_deriv",
     "rate_lower_bound",
     "rate_stats",
-    "service_sample",
     "simulate_queue",
     "sweep_m",
     "sweep_theta",

@@ -22,7 +22,8 @@ tradeoff here — is not polluted by independent sampling noise.
 Sweep rows are independent and may run on a thread pool; results are
 collected in input order and each row's sample set derives deterministically
 from (seed, largest m), so output is identical for any worker count.  The
-BLOCKRATE_THREADS environment variable caps the pool size.
+BLOCKRATE_THREADS environment variable caps the pool size; the same cap
+(_max_workers) sizes the queue simulator's frame-service workers.
 """
 
 from __future__ import annotations

@@ -14,22 +14,35 @@ operating point.  `estimate_decay_rate` fits the realized tail exponent.
 
 The trajectory itself is sequential, but within a chunk of frames the
 recursion has a closed scan form: with x_t = a - r_t and C the running sum
-of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks are
-processed in order with the final value carried, so the simulation is
-vectorized yet bit-identical to the scalar loop.  Frame t consumes the
-random-stream window of index t (gains then one decoding draw), making
-trajectories reproducible and extendable without replaying.
+of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks of
+2^19 frames are processed in order with the final value carried.  The scan
+is not bit-identical to the scalar loop, because the running sum rounds
+differently: over a full chunk of service or Gaussian steps under 15% of
+entries match exactly, and the largest error measured is 3e-11 times the
+largest step |a - r_t|.  The tests hold it below 1e-10 times that step.
+Frame t consumes the random-stream window of index t (gains then one
+decoding draw), making trajectories reproducible and extendable without
+replaying.
+
+A frame's service depends only on (seed, frame index), so worker threads
+compute it in sub-chunks of 2^17 frames, one chunk ahead of the scan: at
+most two chunks of service and one sub-chunk's temporaries per worker are
+alive however many frames run.  BLOCKRATE_THREADS caps the pool as it does
+for the sweeps in optimize.  The scan stays on the calling thread, in frame order
+and with unchanged chunk boundaries, so results are identical for any
+thread count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    Deterministic,
     FadingModel,
     Rayleigh,
     SystemParams,
@@ -41,14 +54,14 @@ from .fbl import (
     FixedRate,
     RatePolicy,
     VariableRate,
-    error_probability,
     error_probability_arrays,
-    rate_lower_bound,
     rate_stats_arrays,
 )
+from .optimize import _max_workers
 from .special import q_inverse
 
 _CHUNK_FRAMES = 1 << 19
+_SUB_FRAMES = 1 << 17  # frames per service task on the worker threads
 _TREND_POINTS = 2048
 
 
@@ -129,30 +142,17 @@ def _draws_per_frame(fading: FadingModel, m: int) -> int:
     return m + 1 if isinstance(fading, Rayleigh) else 1
 
 
-def service_sample(z: np.ndarray, policy: RatePolicy, params: SystemParams,
-                   rng: np.random.Generator) -> float:
-    """Bits served by one frame with gains z: zero on decoding failure.
+def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
+                  gain_mean: np.ndarray | None) -> None:
+    """Write the service bits of frames [start, start+len(service)) into
+    service, and their mean gains into gain_mean unless it is None.
 
-    Consumes exactly one uniform draw (failure iff u < error probability).
+    Every frame's service is per-row arithmetic on its own stream window, so
+    any split of a frame range into sub-ranges fills the same bits.
     """
-    u = rng.random()
-    if isinstance(policy, VariableRate):
-        if policy.epsilon is None:
-            raise DomainError("service_sample needs an explicit epsilon")
-        r = rate_lower_bound(z, params, policy.epsilon, clamp=policy.clamp_negative)
-        return params.nm * r if u >= policy.epsilon else 0.0
-    if isinstance(policy, FixedRate):
-        if policy.rate is None:
-            raise DomainError("service_sample needs an explicit rate")
-        eps = error_probability(z, params, policy.rate)
-        return params.nm * policy.rate if u >= eps else 0.0
-    raise DomainError(f"unknown rate policy: {policy!r}")
-
-
-def _chunk_service(config: QueueConfig, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(service bits, mean gain) for frames [start, start+count)."""
     params = config.params
     m = params.m
+    count = service.size
     dpf = _draws_per_frame(config.fading, m)
     u = uniform_windows(config.seed, start, count, dpf)
     if isinstance(config.fading, Rayleigh):
@@ -167,11 +167,58 @@ def _chunk_service(config: QueueConfig, start: int, count: int) -> tuple[np.ndar
         r = mu - delta * q_inverse(policy.epsilon)
         if policy.clamp_negative:
             r = np.maximum(r, 0.0)
-        service = np.where(u_dec >= policy.epsilon, params.nm * r, 0.0)
+        service[:] = np.where(u_dec >= policy.epsilon, params.nm * r, 0.0)
     else:
         eps = error_probability_arrays(mu, delta, policy.rate)
-        service = np.where(u_dec >= eps, params.nm * policy.rate, 0.0)
-    return service, gains.mean(axis=1)
+        service[:] = np.where(u_dec >= eps, params.nm * policy.rate, 0.0)
+    if gain_mean is not None:
+        gain_mean[:] = gains.mean(axis=1)
+
+
+class _Inline:
+    """Executor stand-in for one worker: runs each task when it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _service_chunks(config: QueueConfig, with_gain_mean: bool):
+    """Yield (start, service, gain_mean) for each Lindley chunk, in frame order.
+
+    A chunk's sub-chunks of _SUB_FRAMES frames are handed to up to
+    BLOCKRATE_THREADS worker threads one chunk ahead of the consumer, so at
+    most two chunks of results and one sub-chunk's temporaries per worker
+    are alive however many frames run.  With one worker each sub-chunk is
+    filled inline by the calling thread.
+    """
+    frames = config.frames
+    workers = _max_workers(-(-frames // _SUB_FRAMES))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext(_Inline()) as pool:
+        def submit(start: int):
+            count = min(_CHUNK_FRAMES, frames - start)
+            service = np.empty(count)
+            gain_mean = np.empty(count) if with_gain_mean else None
+            futures = [pool.submit(_fill_service, config, start + lo,
+                                   service[lo:lo + _SUB_FRAMES],
+                                   None if gain_mean is None else gain_mean[lo:lo + _SUB_FRAMES])
+                       for lo in range(0, count, _SUB_FRAMES)]
+            return start, service, gain_mean, futures
+
+        def finish(chunk):
+            start, service, gain_mean, futures = chunk
+            for future in futures:
+                future.result()
+            return start, service, gain_mean
+
+        ahead = None
+        for start in range(0, frames, _CHUNK_FRAMES):
+            submitted = submit(start)
+            if ahead is not None:
+                yield finish(ahead)
+            ahead = submitted
+        yield finish(ahead)
 
 
 def _lindley_chunk(q_prev: float, x: np.ndarray) -> np.ndarray:
@@ -198,9 +245,8 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     q_prev = 0.0
     service_sum = 0.0
     service_sumsq = 0.0
-    for start in range(0, frames, _CHUNK_FRAMES):
-        count = min(_CHUNK_FRAMES, frames - start)
-        service, gain_mean = _chunk_service(config, start, count)
+    for start, service, gain_mean in _service_chunks(config, trace_every > 0):
+        count = service.size
         service_sum += float(service.sum())
         service_sumsq += float(service @ service)
         q = _lindley_chunk(q_prev, a - service)
@@ -250,16 +296,18 @@ def estimate_decay_rate(samples: np.ndarray, p_lo: float = 1e-4,
         raise DomainError(f"need 0 < p_lo < p_hi < 1, got ({p_lo!r}, {p_hi!r})")
     if grid_points < 5:
         raise DomainError(f"grid_points must be >= 5, got {grid_points!r}")
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.asarray(samples, dtype=float)
     if s.size < 10:
         raise EstimationError(f"need at least 10 samples, got {s.size}")
-    q_lo = float(np.quantile(s, 1.0 - p_hi))
-    q_hi = float(np.quantile(s, 1.0 - p_lo))
+    q_lo, q_hi = (float(v) for v in np.quantile(s, [1.0 - p_hi, 1.0 - p_lo]))
     if not q_lo < q_hi:
         raise EstimationError(
             f"degenerate tail window [{q_lo!r}, {q_hi!r}]; queue barely moves")
+    # every grid point is >= q_lo, so the sorted tail above q_lo counts
+    # P(Q >= q) exactly as the whole sorted sample would
     grid = np.linspace(q_lo, q_hi, grid_points)
-    ccdf = (s.size - np.searchsorted(s, grid, side="left")) / s.size
+    tail = np.sort(s[s >= q_lo])
+    ccdf = (tail.size - np.searchsorted(tail, grid, side="left")) / s.size
     keep = (ccdf >= p_lo) & (ccdf <= p_hi)
     q_fit = grid[keep]
     p_fit = ccdf[keep]

@@ -265,6 +265,23 @@ class TestDeterminism:
         _, four = _run_to_file(tmp_path, "t4.csv", argv)
         assert one.read_bytes() == four.read_bytes()
 
+    def test_simulate_independent_of_thread_count(self, tmp_path, monkeypatch, capsys):
+        # three Lindley chunks, a burn-in that ends mid-chunk, and a trace
+        argv = ["simulate", "--theta", "0.05", "--n", "50", "--m", "2",
+                "--samples", "5000", "--frames", "1200000", "--burn-in", "123457",
+                "--seed", "6", "--trace-every", "997"]
+        outputs = []
+        for threads in ("1", "4", None):
+            if threads is None:
+                monkeypatch.delenv("BLOCKRATE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+            trace = tmp_path / f"trace{threads}.csv"
+            assert main(argv + ["--trace-output", str(trace)]) == 0
+            outputs.append((capsys.readouterr().out, trace.read_bytes()))
+        assert outputs[0][0] and outputs[0][1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_rerun_byte_identical(self, tmp_path):
         _, a = _run_to_file(tmp_path, "r1.csv", FAST_FIG1)
         _, b = _run_to_file(tmp_path, "r2.csv", FAST_FIG1)

@@ -1,6 +1,7 @@
 """Frame-level queue dynamics, stability diagnostics, and tail fitting."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from blockrate.effective_rate import SampleSet, log_psi
 from blockrate.errors import DomainError, EstimationError
 from blockrate.fbl import FixedRate, VariableRate, rate_lower_bound, rate_stats
 from blockrate.optimize import optimal_epsilon
+from blockrate import queue_sim
 from blockrate.queue_sim import (
+    _CHUNK_FRAMES,
+    _SUB_FRAMES,
     QueueConfig,
     QueueResult,
     TailEstimate,
+    _fill_service,
     _lindley_chunk,
+    _service_chunks,
     estimate_decay_rate,
-    service_sample,
     simulate_queue,
 )
 
@@ -55,43 +60,132 @@ class TestQueueConfig:
         assert _config(arrival_bits_per_frame=0.0).arrival_bits_per_frame == 0.0
 
 
+def _service(cfg, start=0, count=None, with_gain_mean=False):
+    count = cfg.frames if count is None else count
+    service = np.empty(count)
+    gain_mean = np.empty(count) if with_gain_mean else None
+    _fill_service(cfg, start, service, gain_mean)
+    return service if gain_mean is None else (service, gain_mean)
+
+
 class TestServiceSample:
+    """Per-frame service of the vector path: nm*R on success, zero on failure."""
+
     def test_sure_success_fixed_rate(self):
         # huge gain: failure probability underflows, every frame delivers n*m*R
-        z = np.array([1e6, 1e6])
-        for _ in range(5):
-            s = service_sample(z, FixedRate(rate=0.5), P2, np.random.default_rng(0))
-            assert s == P2.nm * 0.5
+        cfg = _config(fading=Deterministic(gains=(1e6, 1e6)), policy=FixedRate(rate=0.5))
+        assert np.all(_service(cfg, count=200) == P2.nm * 0.5)
 
     def test_sure_failure_fixed_rate(self):
-        z = np.array([0.01, 0.01])  # rate far above anything decodable
-        s = service_sample(z, FixedRate(rate=50.0), P2, np.random.default_rng(0))
-        assert s == 0.0
+        # rate far above anything decodable
+        cfg = _config(fading=Deterministic(gains=(0.01, 0.01)), policy=FixedRate(rate=50.0))
+        assert np.all(_service(cfg, count=200) == 0.0)
 
     def test_variable_rate_value_and_failure_fraction(self):
         z = np.array([0.8, 1.3])
-        pol = VariableRate(epsilon=0.3)
+        cfg = _config(fading=Deterministic(gains=tuple(z)),
+                      policy=VariableRate(epsilon=0.3))
         expect = P2.nm * rate_lower_bound(z, P2, 0.3)
-        rng = np.random.default_rng(42)
-        draws = np.array([service_sample(z, pol, P2, rng) for _ in range(10_000)])
+        draws = _service(cfg, count=10_000)
         assert set(np.unique(draws)) == {0.0, expect}
         failures = np.mean(draws == 0.0)
         assert abs(failures - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 10_000)
 
     def test_consumes_exactly_one_uniform(self):
-        z = np.array([1.0, 1.0])
-        rng = np.random.default_rng(5)
-        service_sample(z, VariableRate(epsilon=0.1), P2, rng)
-        ref = np.random.default_rng(5)
-        ref.random()
-        assert rng.random() == ref.random()
+        # a frame fails exactly when the decoding draw after its m gain
+        # draws falls below epsilon, and that draw decides nothing else
+        cfg = _config(policy=VariableRate(epsilon=0.3))
+        service = _service(cfg, start=40, count=2_000)
+        u = uniform_windows(cfg.seed, 40, 2_000, P2.m + 1)
+        z = _exponential_from_uniform(u[:, :P2.m], 1.0)
+        np.testing.assert_array_equal(service == 0.0, u[:, P2.m] < 0.3)
+        rates = [P2.nm * rate_lower_bound(row, P2, 0.3) for row in z[:20]]
+        ok = u[:20, P2.m] >= 0.3
+        np.testing.assert_array_equal(service[:20][ok], np.asarray(rates)[ok])
 
     def test_requires_explicit_target(self):
-        z = np.array([1.0, 1.0])
-        with pytest.raises(DomainError):
-            service_sample(z, VariableRate(), P2, np.random.default_rng(0))
-        with pytest.raises(DomainError):
-            service_sample(z, FixedRate(), P2, np.random.default_rng(0))
+        with pytest.raises(DomainError, match="explicit epsilon"):
+            _config(policy=VariableRate())
+        with pytest.raises(DomainError, match="explicit rate"):
+            _config(policy=FixedRate())
+
+
+class TestSubChunks:
+    """Service filled in sub-ranges equals service filled in one pass."""
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    @pytest.mark.parametrize("policy", [
+        VariableRate(epsilon=0.05),
+        VariableRate(epsilon=1e-4, clamp_negative=True),
+        VariableRate(epsilon=1e-4, clamp_negative=False),
+        FixedRate(rate=0.3),
+    ], ids=["variable", "variable-clamped", "variable-unclamped", "fixed"])
+    @pytest.mark.parametrize("fading", [Rayleigh(), Deterministic(gains=(0.4, 1.7))],
+                             ids=["rayleigh", "deterministic"])
+    def test_split_matches_whole(self, m, policy, fading):
+        if isinstance(fading, Deterministic):
+            fading = Deterministic(gains=tuple(np.resize(fading.gains, m)))
+        cfg = _config(params=P2.with_m(m), policy=policy, fading=fading,
+                      frames=6_000, burn_in_frames=0)
+        whole, whole_gain = _service(cfg, start=123, with_gain_mean=True)
+        parts = np.empty_like(whole)
+        parts_gain = np.empty_like(whole)
+        for lo, hi in [(0, 1), (1, 1_000), (1_000, 4_097), (4_097, 6_000)]:
+            _fill_service(cfg, 123 + lo, parts[lo:hi], parts_gain[lo:hi])
+        np.testing.assert_array_equal(parts, whole)
+        np.testing.assert_array_equal(parts_gain, whole_gain)
+
+    def test_chunks_split_into_sub_chunks_match_whole(self, monkeypatch):
+        cfg = _config(frames=_CHUNK_FRAMES + 5_000, burn_in_frames=0)
+        whole = _service(cfg)
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        got = np.concatenate([s for _, s, _ in _service_chunks(cfg, False)])
+        np.testing.assert_array_equal(got, whole)
+
+
+class TestServicePipeline:
+    def _recording(self, monkeypatch):
+        calls = []
+        real = queue_sim._fill_service
+
+        def record(config, start, service, gain_mean):
+            calls.append((start, service.size, threading.get_ident()))
+            real(config, start, service, gain_mean)
+        monkeypatch.setattr(queue_sim, "_fill_service", record)
+        return calls
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_fills_at_most_one_chunk_ahead(self, monkeypatch, threads):
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        calls = self._recording(monkeypatch)
+        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0)
+        starts = []
+        for start, service, gain_mean in _service_chunks(cfg, False):
+            assert gain_mean is None
+            assert max(c[0] for c in calls) < start + 2 * _CHUNK_FRAMES
+            starts.append(start)
+        assert starts == [0, _CHUNK_FRAMES, 2 * _CHUNK_FRAMES, 3 * _CHUNK_FRAMES]
+        assert sorted(c[0] for c in calls) == list(range(0, cfg.frames, _SUB_FRAMES))
+        assert all(size <= _SUB_FRAMES for _, size, _ in calls)
+
+    def test_service_runs_on_workers_only_when_threads_allow(self, monkeypatch):
+        cfg = _config(frames=4 * _SUB_FRAMES, burn_in_frames=0)
+        calls = self._recording(monkeypatch)
+        monkeypatch.setenv("BLOCKRATE_THREADS", "1")
+        simulate_queue(cfg)
+        assert {c[2] for c in calls} == {threading.get_ident()}
+        calls.clear()
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        simulate_queue(cfg)
+        assert threading.get_ident() not in {c[2] for c in calls}
+
+    def test_worker_error_propagates(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("service failed")
+        monkeypatch.setattr(queue_sim, "_fill_service", boom)
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        with pytest.raises(RuntimeError, match="service failed"):
+            simulate_queue(_config(frames=2 * _SUB_FRAMES, burn_in_frames=0))
 
 
 class TestLindley:
@@ -109,6 +203,26 @@ class TestLindley:
         x = rng.normal(0.0, 5.0, size=4_000)
         got = _lindley_chunk(3.5, x)
         np.testing.assert_allclose(got, self._loop(3.5, x), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("m, epsilon", [(2, 0.01), (10, 0.001)])
+    def test_full_chunk_error_bound_on_service_stream(self, m, epsilon):
+        # the closed form rounds its running sum differently from the
+        # stepwise max; over a whole chunk the error stays below 1e-10 of
+        # the largest step (3e-11 measured), as the module docstring states
+        cfg = _config(params=SystemParams.from_db(0.0, 50, m, 0.05),
+                      policy=VariableRate(epsilon=epsilon),
+                      frames=_CHUNK_FRAMES, burn_in_frames=0)
+        service = _service(cfg)
+        x = 0.97 * service.mean() - service
+        err = np.abs(_lindley_chunk(0.0, x) - self._loop(0.0, x)).max()
+        assert err <= 1e-10 * np.abs(x).max()
+
+    @pytest.mark.parametrize("scale", [5.0, 1e5])
+    def test_full_chunk_error_bound_on_gaussian_steps(self, scale):
+        rng = np.random.default_rng(11)
+        x = rng.normal(-0.04 * scale, scale, size=_CHUNK_FRAMES)
+        err = np.abs(_lindley_chunk(2.0 * scale, x) - self._loop(2.0 * scale, x)).max()
+        assert err <= 1e-10 * np.abs(x).max()
 
     def test_chunk_boundary_carry(self):
         rng = np.random.default_rng(9)
@@ -242,6 +356,25 @@ class TestEstimateDecayRate:
         assert est.fit_r2 > 0.999
         assert est.q_lo < est.q_hi
         assert 1e-4 <= est.overflow_fraction_at_q_hi <= 1e-1 + 1e-12
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_matches_full_sort_reference(self, decimals):
+        # counting the ccdf on the sorted tail above q_lo gives the same
+        # fit as counting it on the whole sorted sample, ties at q_lo included
+        rng = np.random.default_rng(23)
+        s = rng.exponential(4.0, size=300_000) * (rng.random(300_000) < 0.6)
+        if decimals is not None:
+            s = np.round(s, decimals)
+        ref = np.sort(s)
+        q_lo, q_hi = np.quantile(ref, 0.9), np.quantile(ref, 0.9999)
+        grid = np.linspace(q_lo, q_hi, 50)
+        ccdf = (ref.size - np.searchsorted(ref, grid, side="left")) / ref.size
+        keep = (ccdf >= 1e-4) & (ccdf <= 1e-1)
+        slope = np.polyfit(grid[keep], np.log(ccdf[keep]), 1)[0]
+        est = estimate_decay_rate(s)
+        assert (est.q_lo, est.q_hi) == (q_lo, q_hi)
+        assert est.overflow_fraction_at_q_hi == ccdf[-1]
+        assert est.theta_hat == -slope
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)
