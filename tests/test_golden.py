@@ -1,0 +1,76 @@
+"""Every command's output pinned byte for byte at reduced sizes.
+
+Each case runs `cli.main` in-process and compares the sha256 of its stdout
+to a hash recorded from the same command.  A refactor that keeps the
+arithmetic order must keep these hashes.  The hashes depend on the rounding
+of numpy's and scipy's kernels (log1p, erfc, pairwise sums), so they hold
+only for the versions recorded below; under other versions the test is
+skipped with a message naming both.
+"""
+
+import hashlib
+
+import numpy
+import pytest
+import scipy
+
+from blockrate.cli import main
+
+RECORDED_NUMPY = "2.4.6"
+RECORDED_SCIPY = "1.17.1"
+
+_S = ["--samples", "3000"]
+
+GOLDEN = {
+    "fig1": (["fig1", "--m", "1,2,5", "--seed", "3"] + _S,
+             "47170dbcb5275ac6f7fb4b0b58896713a6fd3e4d433af5fa4dcdf7d53b43d745"),
+    "fig1_theta0_clamp_json": (
+        ["fig1", "--theta", "0", "--m", "1,3", "--epsilon-grid", "0.001,0.01,0.3",
+         "--clamp-rate", "--format", "json"] + _S,
+        "5218a0f84104847becf9a65647534b0059848187a8e7c37d84b74965623a8cae"),
+    "fig2": (["fig2", "--m", "1..12", "--seed", "4"] + _S,
+             "fa49cedd823bb6ba7a96a7fdf3b70a8aa2cd482d564a2a59a4e90314ac75d73d"),
+    "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
+             "6565f919cdb48b230e0dae2140992f6b575fed5d7fa3b6db0cfcbd0a399e01cd"),
+    "fig3_clamp": (["fig3", "--snr-db", "0", "--n", "200", "--m", "1,10",
+                    "--theta", "0.01,0.1", "--clamp-rate", "--seed", "12"] + _S,
+                   "1a5fc7f75de6f0f000ff6b84fe586d8fc80ca905b8aac74e46c24887cb733efa"),
+    "fig4": (["fig4", "--m", "1,2,5", "--seed", "6"] + _S,
+             "e3d5e72d25b0f15739b280af53f3695b7c466f68d4a884ba388328a74f09a9ee"),
+    "fig4_theta0_json": (["fig4", "--theta", "0", "--m", "1,2", "--rate-grid", "0,0.5,1",
+                          "--format", "json"] + _S,
+                         "950bdd2c4e51559540e6a9c35d8c26a5545d137e61dbc6fa561c3ca5911fa495"),
+    "optimize_epsilon": (["optimize-epsilon", "--m", "2", "--theta", "0.1", "--seed", "7"] + _S,
+                         "60b6300401b7e8b376ba7c743ea0dc77677f636c6374ea1af792fd657508414d"),
+    "optimize_rate": (["optimize-rate", "--m", "2", "--theta", "0.1", "--seed", "8"] + _S,
+                      "91d73934c5f30963ba328418d9b5ba59e5458dd7172ba15c34eed5a8b8846744"),
+    "sweep_m_rate": (["sweep-m", "--m", "1..8", "--rate", "0.5", "--seed", "9"] + _S,
+                     "39b6021e2add11644df2444e86276d598da2cdd110c4bcedc1b07af6ba15c67e"),
+    "sweep_m_optimized": (["sweep-m", "--m", "1..8", "--seed", "10"] + _S,
+                          "1ed267732226a0869ce00f7ecd3fcc5aaa506f1b36d86063b5499f1262f145d0"),
+    "sweep_m_theta0_clamp": (["sweep-m", "--m", "1..5", "--theta", "0", "--epsilon", "0.05",
+                              "--clamp-rate"] + _S,
+                             "53b85f5212ff345c16d0f7fe29631bf11f001c58f0dac73107f3e1c89b3ab54e"),
+    # about 6e5 frames: two Lindley chunks, with the trace written to stdout
+    # ahead of the table
+    "simulate_clamp_trace": (["simulate", "--m", "2", "--n", "50", "--theta", "0.05",
+                              "--clamp-rate", "--frames", "600000", "--burn-in", "20000",
+                              "--seed", "11", "--trace-output", "-",
+                              "--trace-every", "997"] + _S,
+                             "74472ae8f5b83ed9e15725f79abd9d2fb8160c9e1666bcca71366c79ee13e6f4"),
+    "simulate_rate": (["simulate", "--rate", "0.3", "--frames", "200000",
+                       "--burn-in", "5000", "--seed", "13"] + _S,
+                      "e52734d66e1d7c44a637865c9d7db3bf4ee9dea1a47615c5a302894d0d1b00d0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_recorded_hash(name, capsys):
+    if (numpy.__version__, scipy.__version__) != (RECORDED_NUMPY, RECORDED_SCIPY):
+        pytest.skip(f"hashes were recorded with numpy {RECORDED_NUMPY} and scipy "
+                    f"{RECORDED_SCIPY}; this is numpy {numpy.__version__} and scipy "
+                    f"{scipy.__version__}")
+    argv, digest = GOLDEN[name]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
