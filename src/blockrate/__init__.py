@@ -1,10 +1,11 @@
 """Throughput of short-blocklength coded transmission over block fading.
 
-Monte Carlo / quadrature estimators for the queueing-constrained effective
-rate of a link whose codewords span m coherence blocks, optimizers for the
-decoding error probability (variable-rate) and the coding rate (fixed-rate),
-sweeps over the number of blocks, and a frame-level queue simulator that
-checks the promised tail-decay exponent end to end.
+Monte Carlo estimators (also run on an m = 1 quadrature rule) for the
+queueing-constrained effective rate of a link whose codewords span m
+coherence blocks, optimizers for the decoding error probability
+(variable-rate) and the coding rate (fixed-rate), sweeps over the number of
+blocks, and a frame-level queue simulator that checks the promised
+tail-decay exponent end to end.
 """
 
 from .channel import Deterministic, FadingModel, Rayleigh, SystemParams, draw_gain_matrix
@@ -12,12 +13,9 @@ from .effective_rate import (
     EffectiveRateEstimate,
     SampleSet,
     effective_rate_fixed,
-    effective_rate_fixed_quadrature,
     effective_rate_variable,
-    effective_rate_variable_quadrature,
     ergodic_rate_fixed,
     ergodic_rate_variable,
-    ergodic_rate_variable_quadrature,
     log_psi,
     phi,
     phi_complement,
@@ -31,7 +29,6 @@ from .fbl import (
     RateStats,
     VariableRate,
     error_probability,
-    mi_density_sample_exact,
     mi_density_samples_exact,
     rate_lower_bound,
     rate_stats,
@@ -41,6 +38,7 @@ from .optimize import (
     SweepRow,
     optimal_epsilon,
     optimal_rate,
+    sweep,
     sweep_m,
     sweep_theta,
 )
@@ -77,16 +75,12 @@ __all__ = [
     "VariableRate",
     "draw_gain_matrix",
     "effective_rate_fixed",
-    "effective_rate_fixed_quadrature",
     "effective_rate_variable",
-    "effective_rate_variable_quadrature",
     "ergodic_rate_fixed",
     "ergodic_rate_variable",
-    "ergodic_rate_variable_quadrature",
     "error_probability",
     "estimate_decay_rate",
     "log_psi",
-    "mi_density_sample_exact",
     "mi_density_samples_exact",
     "optimal_epsilon",
     "optimal_rate",
@@ -100,6 +94,7 @@ __all__ = [
     "rate_lower_bound",
     "rate_stats",
     "simulate_queue",
+    "sweep",
     "sweep_m",
     "sweep_theta",
     "__version__",

@@ -109,24 +109,12 @@ def _exponential_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
     return -mean * np.log1p(-u)
 
 
-def sample_realization(model: FadingModel, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One channel realization: m fading power gains."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m!r}")
-    if isinstance(model, Rayleigh):
-        return _exponential_from_uniform(rng.random(m), model.mean_power)
-    if isinstance(model, Deterministic):
-        g = np.asarray(model.gains, dtype=float)
-        if g.size != m:
-            raise DomainError(f"Deterministic model has {g.size} gains, need m={m}")
-        return g.copy()
-    raise DomainError(f"unknown fading model {model!r}")
-
-
 def draw_gain_matrix(model: FadingModel, m: int, count: int, seed: int,
                      start: int = 0) -> np.ndarray:
     """(count, m) gains for sample indices [start, start+count), windowed as
     described in the module docstring."""
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     if isinstance(model, Deterministic):

@@ -19,26 +19,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .channel import Rayleigh, SystemParams
-from .effective_rate import (
-    SampleSet,
-    effective_rate_fixed,
-    effective_rate_variable,
-    ergodic_rate_fixed,
-    ergodic_rate_variable,
-)
+from .effective_rate import SampleSet
 from .errors import BlockrateError, ComputationError, DomainError, EstimationError
-from .fbl import FixedRate, VariableRate
-from .optimize import _run_rows, optimal_epsilon, optimal_rate, sweep_m, sweep_theta
+from .fbl import FixedRate, RatePolicy, VariableRate
+from .optimize import optimal_epsilon, optimal_rate, sweep, sweep_m, sweep_theta
 from .queue_sim import QueueConfig, estimate_decay_rate, simulate_queue
 
 _COMMANDS = ("fig1", "fig2", "fig3", "fig4", "optimize-epsilon", "optimize-rate",
              "sweep-m", "simulate")
+_FIXED_RATE_COMMANDS = ("fig4", "optimize-rate")
 
 
 @dataclass(frozen=True)
@@ -217,92 +212,63 @@ def _default_theta_grid() -> np.ndarray:
     return np.geomspace(1e-3, 1.0, 20)
 
 
-def _sweep_policy_grid(cfg: RunConfig, grid, variable: bool):
-    """Rows (m, x, value, std_error) over a per-m grid, gains shared via prefixes."""
-    theta = cfg.theta_values[0]
-    base = SystemParams.from_db(cfg.snr_db, cfg.n, max(cfg.m_values), theta)
-    prefixes = SampleSet.draw(Rayleigh(), base.m, cfg.samples, cfg.seed).prefixes(
-        cfg.m_values, base)
-    tasks = []
-    for m in cfg.m_values:
-        params = base.with_m(m)
-        for x in grid:
-            def task(x=float(x), prefix=prefixes[m], params=params, m=m):
-                if variable:
-                    if params.theta == 0.0:
-                        est = ergodic_rate_variable(x, prefix, params, clamp=cfg.clamp_rate)
-                    else:
-                        est = effective_rate_variable(x, prefix, params, clamp=cfg.clamp_rate)
-                else:
-                    if params.theta == 0.0:
-                        est = ergodic_rate_fixed(x, prefix, params)
-                    else:
-                        est = effective_rate_fixed(x, prefix, params)
-                return (m, x, est.value, est.std_error)
-            tasks.append(task)
-    return _run_rows(tasks)
+def _policy_from_flags(cfg: RunConfig) -> RatePolicy:
+    """The command's rate policy; its target is None where it is optimized
+    or taken from a grid.  Flags that conflict with the policy are rejected
+    here, for every command."""
+    if cfg.rate is not None and cfg.epsilon is not None:
+        raise DomainError("give --epsilon or --rate, not both")
+    if cfg.rate is not None or cfg.command in _FIXED_RATE_COMMANDS:
+        if cfg.clamp_rate:
+            raise DomainError("--clamp-rate applies to variable-rate policies only; "
+                              "a fixed rate is never negative")
+        return FixedRate(rate=cfg.rate)
+    return VariableRate(epsilon=cfg.epsilon, clamp_negative=cfg.clamp_rate)
 
 
-def _cmd_fig1(cfg: RunConfig):
-    grid = cfg.epsilon_grid if cfg.epsilon_grid is not None else _default_epsilon_grid()
-    rows = _sweep_policy_grid(cfg, grid, variable=True)
-    meta = _base_meta(cfg, epsilon_grid=tuple(float(x) for x in grid))
-    return meta, ["m", "epsilon", "effective_rate", "std_error"], rows
-
-
-def _cmd_fig4(cfg: RunConfig):
-    grid = cfg.rate_grid if cfg.rate_grid is not None else _default_rate_grid(cfg.snr_linear)
-    rows = _sweep_policy_grid(cfg, grid, variable=False)
-    meta = _base_meta(cfg, rate_grid=tuple(float(x) for x in grid))
-    return meta, ["m", "rate", "effective_rate", "std_error"], rows
-
-
-def _cmd_fig2(cfg: RunConfig):
-    policy = VariableRate(epsilon=cfg.epsilon, clamp_negative=cfg.clamp_rate)
+def _cmd_grid(cfg: RunConfig):
+    """fig1 / fig4: the policy at every target of a grid, per m (m outer)."""
+    if cfg.command == "fig1":
+        name = "epsilon"
+        grid = cfg.epsilon_grid if cfg.epsilon_grid is not None else _default_epsilon_grid()
+    else:
+        name = "rate"
+        grid = cfg.rate_grid if cfg.rate_grid is not None else _default_rate_grid(cfg.snr_linear)
+    grid = tuple(float(x) for x in grid)
+    policy = _policy_from_flags(cfg)
     base = SystemParams.from_db(cfg.snr_db, cfg.n, max(cfg.m_values), cfg.theta_values[0])
-    rows = sweep_theta(base, cfg.theta_values, cfg.m_values, policy,
-                       cfg.samples, cfg.seed)
-    rows = sorted(rows, key=lambda r: (r.theta, r.m))
-    meta = _base_meta(cfg, epsilon=cfg.epsilon)
-    return meta, ["theta", "m", "effective_rate", "std_error"], [
-        (r.theta, r.m, r.effective_rate, r.std_error) for r in rows]
+    rows = sweep(base, cfg.m_values, cfg.theta_values[:1],
+                 [replace(policy, **{name: x}) for x in grid], cfg.samples, cfg.seed)
+    meta = _base_meta(cfg, **{f"{name}_grid": grid})
+    return meta, ["m", name, "effective_rate", "std_error"], [
+        (r.m, r.argument, r.effective_rate, r.std_error) for r in rows]
 
 
-def _cmd_fig3(cfg: RunConfig):
-    policy = VariableRate(epsilon=None, clamp_negative=cfg.clamp_rate)
+def _cmd_theta(cfg: RunConfig):
+    """fig2 / fig3: the policy over theta, per m, sorted by (theta, m)."""
     base = SystemParams.from_db(cfg.snr_db, cfg.n, max(cfg.m_values), cfg.theta_values[0])
-    rows = sweep_theta(base, cfg.theta_values, cfg.m_values, policy,
-                       cfg.samples, cfg.seed)
-    rows = sorted(rows, key=lambda r: (r.theta, r.m))
-    meta = _base_meta(cfg)
-    return meta, ["theta", "m", "effective_rate", "std_error", "epsilon_star"], [
+    rows = sorted(sweep_theta(base, cfg.theta_values, cfg.m_values, _policy_from_flags(cfg),
+                              cfg.samples, cfg.seed), key=lambda r: (r.theta, r.m))
+    columns = ["theta", "m", "effective_rate", "std_error"]
+    if cfg.command == "fig2":
+        return _base_meta(cfg, epsilon=cfg.epsilon), columns, [
+            (r.theta, r.m, r.effective_rate, r.std_error) for r in rows]
+    return _base_meta(cfg), columns + ["epsilon_star"], [
         (r.theta, r.m, r.effective_rate, r.std_error, r.argument) for r in rows]
 
 
-def _cmd_optimize_epsilon(cfg: RunConfig):
+def _cmd_optimize(cfg: RunConfig):
+    """optimize-epsilon / optimize-rate: one optimum with its search record."""
+    policy = _policy_from_flags(cfg)
     params = SystemParams.from_db(cfg.snr_db, cfg.n, cfg.m_values[0], cfg.theta_values[0])
     samples = SampleSet.draw(Rayleigh(), params.m, cfg.samples, cfg.seed)
-    opt = optimal_epsilon(samples, params, clamp=cfg.clamp_rate)
+    if cfg.command == "optimize-rate":
+        opt, name = optimal_rate(samples, params), "rate_star"
+    else:
+        opt, name = optimal_epsilon(samples, params, clamp=policy.clamp_negative), "epsilon_star"
     meta = _base_meta(cfg)
-    return meta, ["epsilon_star", "effective_rate", "std_error", "iterations", "at_boundary"], [
+    return meta, [name, "effective_rate", "std_error", "iterations", "at_boundary"], [
         (opt.argument, opt.value, opt.std_error, opt.iterations, opt.at_boundary)]
-
-
-def _cmd_optimize_rate(cfg: RunConfig):
-    params = SystemParams.from_db(cfg.snr_db, cfg.n, cfg.m_values[0], cfg.theta_values[0])
-    samples = SampleSet.draw(Rayleigh(), params.m, cfg.samples, cfg.seed)
-    opt = optimal_rate(samples, params)
-    meta = _base_meta(cfg)
-    return meta, ["rate_star", "effective_rate", "std_error", "iterations", "at_boundary"], [
-        (opt.argument, opt.value, opt.std_error, opt.iterations, opt.at_boundary)]
-
-
-def _policy_from_flags(cfg: RunConfig):
-    if cfg.rate is not None and cfg.epsilon is not None:
-        raise DomainError("give --epsilon or --rate, not both")
-    if cfg.rate is not None:
-        return FixedRate(rate=cfg.rate)
-    return VariableRate(epsilon=cfg.epsilon, clamp_negative=cfg.clamp_rate)
 
 
 def _cmd_sweep_m(cfg: RunConfig):
@@ -323,23 +289,12 @@ def _cmd_simulate(cfg: RunConfig):
     params = SystemParams.from_db(cfg.snr_db, cfg.n, cfg.m_values[0], theta)
     if cfg.trace_every > 0 and cfg.trace_path is None:
         raise DomainError("--trace-every needs --trace-output")
-    gains = SampleSet.draw(Rayleigh(), params.m, cfg.samples, cfg.seed)
-    if cfg.rate is not None:
-        if cfg.epsilon is not None:
-            raise DomainError("give --epsilon or --rate, not both")
-        policy = FixedRate(rate=cfg.rate)
-        est = effective_rate_fixed(cfg.rate, gains, params)
-        target = cfg.rate
-    else:
-        if cfg.epsilon is None:
-            opt = optimal_epsilon(gains, params, clamp=cfg.clamp_rate)
-            eps, est = opt.argument, opt
-        else:
-            eps = cfg.epsilon
-            est = effective_rate_variable(eps, gains, params, clamp=cfg.clamp_rate)
-        policy = VariableRate(epsilon=eps, clamp_negative=cfg.clamp_rate)
-        target = eps
-    arrival = cfg.arrival if cfg.arrival is not None else est.value * params.nm
+    policy = _policy_from_flags(cfg)
+    # the target and the arrival rate are calibrated on --samples gains from --seed
+    (cal,), _ = sweep_m(params, [params.m], policy, cfg.samples, cfg.seed)
+    if cfg.rate is None:  # the queue runs at the calibrated error target
+        policy = replace(policy, epsilon=cal.argument)
+    arrival = cfg.arrival if cfg.arrival is not None else cal.effective_rate * params.nm
     queue_seed = cfg.seed + 1  # decouple the trajectory from the rate estimate
     qcfg = QueueConfig(arrival_bits_per_frame=arrival, frames=cfg.frames,
                        burn_in_frames=cfg.burn_in, seed=queue_seed,
@@ -367,18 +322,18 @@ def _cmd_simulate(cfg: RunConfig):
                "arrival_bits_per_frame", "policy_argument", "effective_rate",
                "mean_service_bits", "trend_slope", "unstable"]
     row = (tail.theta_hat, tail.fit_r2, tail.q_lo, tail.q_hi,
-           tail.overflow_fraction_at_q_hi, arrival, target, est.value,
+           tail.overflow_fraction_at_q_hi, arrival, cal.argument, cal.effective_rate,
            result.mean_service, result.trend_slope, result.unstable)
     return meta, columns, [row]
 
 
 _HANDLERS = {
-    "fig1": _cmd_fig1,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "optimize-epsilon": _cmd_optimize_epsilon,
-    "optimize-rate": _cmd_optimize_rate,
+    "fig1": _cmd_grid,
+    "fig2": _cmd_theta,
+    "fig3": _cmd_theta,
+    "fig4": _cmd_grid,
+    "optimize-epsilon": _cmd_optimize,
+    "optimize-rate": _cmd_optimize,
     "sweep-m": _cmd_sweep_m,
     "simulate": _cmd_simulate,
 }

@@ -20,31 +20,41 @@ full precision.
 
 Every expectation is reduced by a single deterministic pairwise summation
 over a fixed-layout array, so results are independent of how many worker
-threads drive the surrounding sweep.
+threads drive the surrounding sweep.  A set may instead carry row weights:
+then each expectation is the weighted sum over its rows, and the standard
+error is 0.
 
 theta = 0 is not evaluated through the formula above (it divides by theta);
 `ergodic_rate_variable` / `ergodic_rate_fixed` compute the limiting
 throughput E[(1-eps)*R] directly.
 
-For m = 1 under Rayleigh fading the expectation is also available by
-Gauss-Laguerre quadrature (the exponential weight matches the gain density),
-an independent 200-node oracle used to cross-check the Monte Carlo path.
+For m = 1 under Rayleigh fading, `SampleSet.laguerre` builds the 200-node
+Gauss-Laguerre rule as such a weighted set (the exponential weight matches
+the gain density), so the same estimators give a quadrature oracle that
+cross-checks the Monte Carlo path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .channel import FadingModel, SystemParams, draw_gain_matrix
+from .channel import FadingModel, Rayleigh, SystemParams, draw_gain_matrix
 from .errors import ComputationError, DomainError
-from .fbl import block_terms, error_probability_arrays, rate_stats_arrays, reduce_terms
-from .special import q_inverse, q_inverse_deriv
+from .fbl import (
+    block_terms,
+    error_probability_arrays,
+    rate_lower_bound_arrays,
+    rate_stats_arrays,
+    reduce_terms,
+)
+from .special import q_inverse_deriv
+
+_QUAD_NODES = 200
 
 
 class SampleSet:
@@ -58,6 +68,9 @@ class SampleSet:
     set at the largest m and compare prefixes, so per-realization gains are
     common across the compared block counts; `prefixes` builds them with
     their statistics, computing the per-block terms once on the master.
+
+    `weights` is None for a Monte Carlo set, whose rows are equally likely;
+    a quadrature set (`laguerre`) carries one weight per row instead.
     """
 
     def __init__(self, gains: np.ndarray, seed: int | None = None):
@@ -67,11 +80,13 @@ class SampleSet:
         if not np.all(np.isfinite(gains) & (gains >= 0)):
             raise DomainError("gains must be finite and >= 0")
         gains.setflags(write=False)
-        self._init(gains, seed)
+        self._init(gains, seed, None)
 
-    def _init(self, gains: np.ndarray, seed: int | None) -> None:
+    def _init(self, gains: np.ndarray, seed: int | None,
+              weights: np.ndarray | None) -> None:
         self.gains = gains
         self.seed = seed
+        self.weights = weights
         self._stats_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -86,6 +101,20 @@ class SampleSet:
     def draw(cls, model: FadingModel, m: int, count: int, seed: int) -> "SampleSet":
         return cls(draw_gain_matrix(model, m, count, seed), seed=seed)
 
+    @classmethod
+    def laguerre(cls, mean_power: float = 1.0) -> "SampleSet":
+        """The 200-node Gauss-Laguerre rule for m = 1 Rayleigh gains.
+
+        E_z f(z) for z ~ Exponential(mean_power) is sum_i w_i f(mean_power*x_i)
+        over the Laguerre nodes x_i and weights w_i (which sum to 1).
+        """
+        Rayleigh(mean_power)  # validates mean_power
+        x, w = roots_laguerre(_QUAD_NODES)
+        rule = cls((mean_power * x)[:, np.newaxis])
+        w.setflags(write=False)
+        rule.weights = w
+        return rule
+
     def prefix(self, m: int) -> "SampleSet":
         """Set built from the first m blocks of each realization."""
         if not 1 <= m <= self.m:
@@ -93,7 +122,7 @@ class SampleSet:
         if m == self.m:
             return self
         sub = object.__new__(SampleSet)
-        sub._init(self.gains[:, :m], self.seed)  # a view of validated, read-only gains
+        sub._init(self.gains[:, :m], self.seed, self.weights)  # a view of validated gains
         return sub
 
     def prefixes(self, m_values: Sequence[int],
@@ -128,11 +157,28 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EffectiveRateEstimate:
-    """Monte Carlo throughput estimate in bits per channel use."""
+    """Throughput estimate in bits per channel use.
+
+    std_error is the Monte Carlo standard error; it is 0 on a quadrature set,
+    which has no sampling error.  count is the number of rows averaged.
+    """
 
     value: float
     std_error: float
     count: int
+
+
+def _mean(samples: SampleSet, y: np.ndarray) -> float:
+    """E[y] over the set: the sample mean, or the weighted sum of a rule."""
+    w = samples.weights
+    return float(np.mean(y) if w is None else w @ y)
+
+
+def _spread(samples: SampleSet, y: np.ndarray) -> float:
+    """Sample standard deviation of y; 0 for a quadrature set or one row."""
+    if samples.weights is not None or y.size < 2:
+        return 0.0
+    return float(np.std(y, ddof=1))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -154,9 +200,7 @@ def _check_rate(rate: float) -> None:
 def _psi_summands(epsilon: float, mu: np.ndarray, delta: np.ndarray,
                   params: SystemParams, clamp: bool) -> tuple[np.ndarray, float]:
     """Shifted summands u and shift L with psi = exp(L) * mean(u)."""
-    r = mu - delta * q_inverse(epsilon)
-    if clamp:
-        r = np.maximum(r, 0.0)
+    r = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
     x = (-params.theta * params.nm) * r
     shift = max(float(x.max()), 0.0)
     u = epsilon * math.exp(-shift) + (1.0 - epsilon) * np.exp(x - shift)
@@ -175,7 +219,7 @@ def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
     u, shift = _psi_summands(epsilon, mu, delta, params, clamp)
-    return shift + math.log(float(np.mean(u)))
+    return shift + math.log(_mean(samples, u))
 
 
 def psi(epsilon: float, samples: SampleSet, params: SystemParams,
@@ -203,17 +247,13 @@ def psi_derivative(epsilon: float, samples: SampleSet, params: SystemParams,
     _check_epsilon(epsilon)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
-    r = mu - delta * q_inverse(epsilon)
+    r = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
     a = params.theta * params.nm * delta  # x = a*Qinv(eps) - theta*nm*mu
-    if clamp:
-        active = r > 0.0
-        r = np.maximum(r, 0.0)
-    else:
-        active = np.ones_like(r, dtype=bool)
     x = (-params.theta * params.nm) * r
     e = np.exp(x)
     term = 1.0 + ((1.0 - epsilon) * a * q_inverse_deriv(epsilon) - 1.0) * e
-    return float(np.mean(np.where(active, term, 0.0)))
+    # after the clamp, r > 0 is the same mask as before it
+    return _mean(samples, np.where(r > 0.0, term, 0.0) if clamp else term)
 
 
 def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,
@@ -227,13 +267,10 @@ def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemPa
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
     u, shift = _psi_summands(epsilon, mu, delta, params, clamp)
-    mean_u = float(np.mean(u))
+    mean_u = _mean(samples, u)
     scale = params.theta * params.nm
     value = -(shift + math.log(mean_u)) / scale
-    if u.size > 1:
-        rel = float(np.std(u, ddof=1)) / (math.sqrt(u.size) * mean_u)
-    else:
-        rel = 0.0
+    rel = _spread(samples, u) / (math.sqrt(u.size) * mean_u)
     return EffectiveRateEstimate(value, rel / scale, u.size)
 
 
@@ -258,7 +295,7 @@ def phi_complement(rate: float, samples: SampleSet, params: SystemParams) -> flo
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     decay = -math.expm1(-params.theta * params.nm * rate)
-    return decay * float(np.mean(1.0 - eps_z))
+    return decay * _mean(samples, 1.0 - eps_z)
 
 
 def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -274,9 +311,9 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
     eps_z = error_probability_arrays(mu, delta, rate)
     t = params.theta * params.nm * rate
     decay = -math.expm1(-t)
-    a = float(np.mean(eps_z))
-    b = float(np.mean(1.0 - eps_z))
-    sd = float(np.std(eps_z, ddof=1)) if eps_z.size > 1 else 0.0
+    a = _mean(samples, eps_z)
+    b = _mean(samples, 1.0 - eps_z)
+    sd = _spread(samples, eps_z)
     comp = decay * b
     if comp < 0.9:
         log_phi = math.log1p(-comp)
@@ -301,12 +338,9 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
     """
     _check_epsilon(epsilon)
     mu, delta = samples.stats(params)
-    r = mu - delta * q_inverse(epsilon)
-    if clamp:
-        r = np.maximum(r, 0.0)
-    y = (1.0 - epsilon) * r
-    se = float(np.std(y, ddof=1)) / math.sqrt(y.size) if y.size > 1 else 0.0
-    return EffectiveRateEstimate(float(np.mean(y)), se, y.size)
+    y = (1.0 - epsilon) * rate_lower_bound_arrays(mu, delta, epsilon, clamp)
+    se = _spread(samples, y) / math.sqrt(y.size)
+    return EffectiveRateEstimate(_mean(samples, y), se, y.size)
 
 
 def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -315,79 +349,6 @@ def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) ->
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     y = (1.0 - eps_z) * rate
-    se = float(np.std(y, ddof=1)) / math.sqrt(y.size) if y.size > 1 else 0.0
-    return EffectiveRateEstimate(float(np.mean(y)), se, y.size)
+    se = _spread(samples, y) / math.sqrt(y.size)
+    return EffectiveRateEstimate(_mean(samples, y), se, y.size)
 
-
-# ---------------------------------------------------------------------------
-# Gauss-Laguerre quadrature oracle (m = 1, Rayleigh fading only)
-# ---------------------------------------------------------------------------
-
-_QUAD_NODES = 200
-
-
-@lru_cache(maxsize=8)
-def _laguerre_rule(mean_power: float) -> tuple[np.ndarray, np.ndarray]:
-    # E_z f(z) for z ~ Exponential(mean_power) via sum_i w_i f(mean_power*x_i)
-    x, w = roots_laguerre(_QUAD_NODES)
-    z = mean_power * x
-    z.setflags(write=False)
-    w.setflags(write=False)
-    return z, w
-
-
-def _quad_stats(params: SystemParams, mean_power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if params.m != 1:
-        raise DomainError("quadrature oracle supports m = 1 only")
-    if mean_power <= 0:
-        raise DomainError(f"mean_power must be > 0, got {mean_power!r}")
-    z, w = _laguerre_rule(float(mean_power))
-    mu, delta = rate_stats_arrays(z[:, np.newaxis], params)
-    return mu, delta, w
-
-
-def effective_rate_variable_quadrature(epsilon: float, params: SystemParams,
-                                       mean_power: float = 1.0,
-                                       clamp: bool = False) -> float:
-    """Quadrature counterpart of effective_rate_variable (m = 1, Rayleigh)."""
-    _check_epsilon(epsilon)
-    _check_theta_positive(params)
-    mu, delta, w = _quad_stats(params, mean_power)
-    r = mu - delta * q_inverse(epsilon)
-    if clamp:
-        r = np.maximum(r, 0.0)
-    x = (-params.theta * params.nm) * r
-    shift = max(float(x.max()), 0.0)
-    u = epsilon * math.exp(-shift) + (1.0 - epsilon) * np.exp(x - shift)
-    return -(shift + math.log(float(w @ u))) / (params.theta * params.nm)
-
-
-def effective_rate_fixed_quadrature(rate: float, params: SystemParams,
-                                    mean_power: float = 1.0) -> float:
-    """Quadrature counterpart of effective_rate_fixed (m = 1, Rayleigh)."""
-    _check_rate(rate)
-    _check_theta_positive(params)
-    mu, delta, w = _quad_stats(params, mean_power)
-    eps_z = error_probability_arrays(mu, delta, rate)
-    t = params.theta * params.nm * rate
-    comp = -math.expm1(-t) * float(w @ (1.0 - eps_z))
-    if comp < 0.9:
-        log_phi = math.log1p(-comp)
-    else:
-        a = float(w @ eps_z)
-        b = float(w @ (1.0 - eps_z))
-        log_phi = float(np.logaddexp(math.log(a) if a > 0 else -math.inf,
-                                     (math.log(b) if b > 0 else -math.inf) - t))
-    return -log_phi / (params.theta * params.nm)
-
-
-def ergodic_rate_variable_quadrature(epsilon: float, params: SystemParams,
-                                     mean_power: float = 1.0,
-                                     clamp: bool = False) -> float:
-    """Quadrature counterpart of ergodic_rate_variable (m = 1, Rayleigh)."""
-    _check_epsilon(epsilon)
-    mu, delta, w = _quad_stats(params, mean_power)
-    r = mu - delta * q_inverse(epsilon)
-    if clamp:
-        r = np.maximum(r, 0.0)
-    return float(w @ ((1.0 - epsilon) * r))

@@ -174,6 +174,14 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
     return eps
 
 
+def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
+                            clamp: bool = False) -> np.ndarray:
+    """Vectorized rate lower bound mu - delta*Q^{-1}(epsilon) from (mu, delta)
+    arrays, floored at zero when clamp=True."""
+    r = mu - delta * q_inverse(epsilon)
+    return np.maximum(r, 0.0) if clamp else r
+
+
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
     # unit-scale Laplace (zero mean, variance 2) by inverse CDF; the clip
     # only guards the measure-zero u=0 corner of the [0,1) draw.
@@ -201,15 +209,4 @@ def mi_density_samples_exact(z: np.ndarray, params: SystemParams, count: int,
         w = _laplace_from_uniform(u).reshape(hi - lo, params.m, params.n)
         out[lo:hi] = st.mu + scale * (w.sum(axis=2) @ weights)
     return out
-
-
-def mi_density_sample_exact(z: np.ndarray, params: SystemParams,
-                            rng: np.random.Generator) -> float:
-    """One exact mutual-information-density sample drawn from rng."""
-    z = _check_realization(z, params)
-    st = rate_stats(z, params)
-    s = params.snr_linear * z
-    weights = np.sqrt(s / (1.0 + s))
-    w = _laplace_from_uniform(rng.random(params.nm)).reshape(params.m, params.n)
-    return float(st.mu + (LOG2E / params.nm) * (w.sum(axis=1) @ weights))
 

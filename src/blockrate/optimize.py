@@ -13,9 +13,10 @@ effective_rate.psi_derivative) but is deliberately not the production path:
 inverse-Q derivatives explode near eps in {0, 1} and the searches must stay
 robust there.
 
-Sweeps over m reuse one master gain set drawn at the largest m; each smaller
-m evaluates the leading blocks of the same rows (SampleSet.prefixes: views of
-the master, whose per-block rate terms are computed once and reduced per m).
+Sweeps over m (`sweep`, and `sweep_m` / `sweep_theta`, which call it) reuse
+one master gain set drawn at the largest m; each smaller m evaluates the
+leading blocks of the same rows (SampleSet.prefixes: views of the master,
+whose per-block rate terms are computed once and reduced per m).
 With gains common across block counts, the m-comparison — the central
 tradeoff here — is not polluted by independent sampling noise.
 
@@ -231,41 +232,33 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
 
 def _evaluate_policy(samples: SampleSet, params: SystemParams,
                      policy: RatePolicy) -> SweepRow:
-    """One sweep row: evaluate or optimize the policy on this sample set."""
+    """One sweep row: evaluate or optimize the policy on this sample set.
+
+    The one place a policy is routed: theta = 0 takes the ergodic limit at
+    the policy's target, a missing target is optimized, and a given target
+    is evaluated.
+    """
     if isinstance(policy, VariableRate):
-        clamp = policy.clamp_negative
-        if params.theta == 0.0:
-            if policy.epsilon is None:
-                raise DomainError(
-                    "theta = 0 rows need an explicit epsilon target "
-                    "(the ergodic limit is evaluated, not optimized)")
-            est = ergodic_rate_variable(policy.epsilon, samples, params, clamp)
-            arg = policy.epsilon
-            rate, se = est.value, est.std_error
-        elif policy.epsilon is None:
-            opt = optimal_epsilon(samples, params, clamp)
-            arg, rate, se = opt.argument, opt.value, opt.std_error
-        else:
-            est = effective_rate_variable(policy.epsilon, samples, params, clamp)
-            arg, rate, se = policy.epsilon, est.value, est.std_error
+        target, name, kw = policy.epsilon, "epsilon", {"clamp": policy.clamp_negative}
+        ergodic, evaluate, optimum = ergodic_rate_variable, effective_rate_variable, optimal_epsilon
     elif isinstance(policy, FixedRate):
-        if params.theta == 0.0:
-            if policy.rate is None:
-                raise DomainError(
-                    "theta = 0 rows need an explicit rate target "
-                    "(the ergodic limit is evaluated, not optimized)")
-            est = ergodic_rate_fixed(policy.rate, samples, params)
-            arg, rate, se = policy.rate, est.value, est.std_error
-        elif policy.rate is None:
-            opt = optimal_rate(samples, params)
-            arg, rate, se = opt.argument, opt.value, opt.std_error
-        else:
-            est = effective_rate_fixed(policy.rate, samples, params)
-            arg, rate, se = policy.rate, est.value, est.std_error
+        target, name, kw = policy.rate, "rate", {}
+        ergodic, evaluate, optimum = ergodic_rate_fixed, effective_rate_fixed, optimal_rate
     else:
         raise DomainError(f"unknown rate policy: {policy!r}")
+    if params.theta == 0.0:
+        if target is None:
+            raise DomainError(
+                f"theta = 0 rows need an explicit {name} target "
+                "(the ergodic limit is evaluated, not optimized)")
+        est = ergodic(target, samples, params, **kw)
+    elif target is None:
+        est = optimum(samples, params, **kw)
+        target = est.argument
+    else:
+        est = evaluate(target, samples, params, **kw)
     return SweepRow(m=params.m, theta=params.theta, policy=policy.describe(),
-                    effective_rate=rate, std_error=se, argument=arg)
+                    effective_rate=est.value, std_error=est.std_error, argument=target)
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -290,26 +283,48 @@ def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
         return list(pool.map(lambda t: t(), tasks))
 
 
-def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
-            count: int, seed: int,
-            model: FadingModel = Rayleigh()) -> tuple[list[SweepRow], int]:
-    """Throughput versus blocks-per-codeword, on gains common across m.
+def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[float],
+          policies: Sequence[RatePolicy], count: int, seed: int,
+          model: FadingModel = Rayleigh()) -> list[SweepRow]:
+    """Every policy at every (m, theta) point, on gains common to all of them.
 
     Draws one master set of max(m_values)-block realizations and evaluates
-    every m on its prefixes.  Returns the rows (in the given m order) and the
-    m attaining the highest effective rate (first hit on ties).
+    each m on its prefix; params supplies the SNR and n (its m and theta are
+    not used).  Rows come in m (outer), theta, policy (inner) order, each
+    in the order given.
     """
     m_values = [int(m) for m in m_values]
+    theta_grid = [float(t) for t in theta_grid]
+    policies = list(policies)
     if not m_values:
         raise DomainError("m_values must be nonempty")
     if min(m_values) < 1:
         raise DomainError(f"m values must be >= 1, got {min(m_values)}")
+    if not theta_grid:
+        raise DomainError("theta_grid must be nonempty")
+    if min(theta_grid) < 0.0:
+        raise DomainError(f"theta must be >= 0, got {min(theta_grid)}")
+    if not policies:
+        raise DomainError("policies must be nonempty")
     prefixes = SampleSet.draw(model, max(m_values), count, seed).prefixes(m_values, params)
     tasks = [
-        (lambda m=m: _evaluate_policy(prefixes[m], params.with_m(m), policy))
-        for m in m_values
+        (lambda sub=prefixes[m], p=SystemParams(params.snr_linear, params.n, m, theta),
+         policy=policy: _evaluate_policy(sub, p, policy))
+        for m in m_values for theta in theta_grid for policy in policies
     ]
-    rows = _run_rows(tasks)
+    return _run_rows(tasks)
+
+
+def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
+            count: int, seed: int,
+            model: FadingModel = Rayleigh()) -> tuple[list[SweepRow], int]:
+    """Throughput versus blocks-per-codeword at params.theta, on gains common
+    across m.
+
+    Returns the rows (in the given m order) and the m attaining the highest
+    effective rate (first hit on ties).
+    """
+    rows = sweep(params, m_values, [params.theta], [policy], count, seed, model)
     best = max(range(len(rows)), key=lambda i: (rows[i].effective_rate, -i))
     return rows, rows[best].m
 
@@ -323,19 +338,4 @@ def sweep_theta(params: SystemParams, theta_grid: Sequence[float],
     Rows are grouped by m (outer) with theta ascending as given (inner); all
     (theta, m) points with equal m share one prefix of the master gain set.
     """
-    theta_grid = [float(t) for t in theta_grid]
-    if not theta_grid:
-        raise DomainError("theta_grid must be nonempty")
-    if min(theta_grid) < 0.0:
-        raise DomainError(f"theta must be >= 0, got {min(theta_grid)}")
-    m_values = [int(m) for m in m_values]
-    if not m_values:
-        raise DomainError("m_values must be nonempty")
-    prefixes = SampleSet.draw(model, max(m_values), count, seed).prefixes(m_values, params)
-    tasks = []
-    for m in m_values:
-        for theta in theta_grid:
-            p = SystemParams(snr_linear=params.snr_linear, n=params.n,
-                             m=m, theta=theta)
-            tasks.append(lambda sub=prefixes[m], p=p: _evaluate_policy(sub, p, policy))
-    return _run_rows(tasks)
+    return sweep(params, m_values, theta_grid, [policy], count, seed, model)

@@ -55,10 +55,10 @@ from .fbl import (
     RatePolicy,
     VariableRate,
     error_probability_arrays,
+    rate_lower_bound_arrays,
     rate_stats_arrays,
 )
 from .optimize import _max_workers
-from .special import q_inverse
 
 _CHUNK_FRAMES = 1 << 19
 _SUB_FRAMES = 1 << 17  # frames per service task on the worker threads
@@ -164,9 +164,7 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
     mu, delta = rate_stats_arrays(gains, params)
     policy = config.policy
     if isinstance(policy, VariableRate):
-        r = mu - delta * q_inverse(policy.epsilon)
-        if policy.clamp_negative:
-            r = np.maximum(r, 0.0)
+        r = rate_lower_bound_arrays(mu, delta, policy.epsilon, policy.clamp_negative)
         service[:] = np.where(u_dec >= policy.epsilon, params.nm * r, 0.0)
     else:
         eps = error_probability_arrays(mu, delta, policy.rate)

@@ -22,11 +22,8 @@ from blockrate.cli import main
 from blockrate.effective_rate import (
     SampleSet,
     effective_rate_fixed,
-    effective_rate_fixed_quadrature,
     effective_rate_variable,
-    effective_rate_variable_quadrature,
     ergodic_rate_variable,
-    ergodic_rate_variable_quadrature,
     log_psi,
     phi,
 )
@@ -310,14 +307,15 @@ def test_criterion_10_monte_carlo_matches_quadrature(prefixes10):
     t0 = time.perf_counter()
     params = SystemParams(SNR_0DB, 200, 1, 0.01)
     ss = prefixes10[1]
+    rule = SampleSet.laguerre()
 
     checks = []
     est = effective_rate_variable(0.03, ss, params)
-    checks.append(("variable", est, effective_rate_variable_quadrature(0.03, params)))
+    checks.append(("variable", est, effective_rate_variable(0.03, rule, params).value))
     estf = effective_rate_fixed(0.5, ss, params)
-    checks.append(("fixed", estf, effective_rate_fixed_quadrature(0.5, params)))
+    checks.append(("fixed", estf, effective_rate_fixed(0.5, rule, params).value))
     este = ergodic_rate_variable(0.03, ss, params)
-    checks.append(("ergodic", este, ergodic_rate_variable_quadrature(0.03, params)))
+    checks.append(("ergodic", este, ergodic_rate_variable(0.03, rule, params).value))
 
     sigmas = {}
     for name, mc, quad in checks:

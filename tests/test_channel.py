@@ -9,7 +9,6 @@ from blockrate.channel import (
     SystemParams,
     _exponential_from_uniform,
     draw_gain_matrix,
-    sample_realization,
     substream,
     uniform_windows,
 )
@@ -87,7 +86,8 @@ class TestWindowedSampling:
     def test_matches_per_sample_substreams(self):
         batch = draw_gain_matrix(Rayleigh(), 3, 50, seed=42)
         for i in range(50):
-            row = sample_realization(Rayleigh(), 3, substream(42, i, 3))
+            # sample i's own substream, read and transformed independently
+            row = -np.log1p(-substream(42, i, 3).random(3))
             np.testing.assert_array_equal(batch[i], row)
 
     def test_start_offset_slicing(self):
@@ -130,9 +130,10 @@ class TestExponentialTransform:
         np.testing.assert_allclose(1.0 - np.exp(-z / 2.5), u, atol=1e-12)
 
 
-def test_sample_realization_validates_m():
-    with pytest.raises(DomainError):
-        sample_realization(Rayleigh(), 0, substream(0, 0, 1))
+def test_draw_gain_matrix_validates_m():
+    for model in (Rayleigh(), Deterministic(gains=(1.0,))):
+        with pytest.raises(DomainError):
+            draw_gain_matrix(model, 0, 1, seed=0)
 
 
 def test_draw_gain_matrix_validates_count():

@@ -82,6 +82,31 @@ class TestExitCodes:
         assert code == 1
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--m", "1", "--rate-grid", "0.5,inf"],
+        ["sweep-m", "--m", "1,2", "--rate", "inf"],
+        ["simulate", "--rate", "inf", "--frames", "1000", "--burn-in", "10"],
+    ])
+    def test_infinite_rate_rejected(self, argv, capsys):
+        assert main(argv + ["--samples", "500"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "rate must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--m", "1", "--rate-grid", "0.5"],
+        ["optimize-rate"],
+        ["sweep-m", "--m", "1,2", "--rate", "0.5"],
+        ["simulate", "--rate", "0.5", "--frames", "1000", "--burn-in", "10"],
+    ])
+    def test_clamp_rate_rejected_on_fixed_rate(self, argv, capsys):
+        # a fixed rate has no negative target to clamp; the flag would be
+        # ignored while the metadata reported clamp_rate = true
+        assert main(argv + ["--clamp-rate", "--samples", "500"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--clamp-rate" in err
+
     def test_fig3_cannot_optimize_at_theta_zero(self, capsys):
         code = main(["fig3", "--theta", "0", "--m", "1", "--samples", "500"])
         assert code == 1

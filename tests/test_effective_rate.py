@@ -18,12 +18,9 @@ from blockrate.effective_rate import (
     EffectiveRateEstimate,
     SampleSet,
     effective_rate_fixed,
-    effective_rate_fixed_quadrature,
     effective_rate_variable,
-    effective_rate_variable_quadrature,
     ergodic_rate_fixed,
     ergodic_rate_variable,
-    ergodic_rate_variable_quadrature,
     log_psi,
     phi,
     phi_complement,
@@ -42,6 +39,7 @@ REF_VALUE_VAR_003 = 0.44719971310018193    # -ln(psi)/(theta n)
 REF_PHI_R05 = 0.58395236011189887          # phi at R = 0.5
 REF_VALUE_FIX_05 = 0.26896793731610084
 REF_ERGODIC_003 = 0.67570831938964499      # E[(1-eps) R(z, 0.03)]
+REF_ERGODIC_FIX_05 = 0.32908883762546682   # E[(1-eps(z, 0.5))] * 0.5
 
 
 @pytest.fixture(scope="module")
@@ -277,36 +275,80 @@ class TestErgodic:
         assert cl > raw
 
 
+@pytest.fixture(scope="module")
+def rule():
+    return SampleSet.laguerre()
+
+
 class TestQuadratureOracle:
-    def test_variable_against_adaptive_quad(self):
-        got = effective_rate_variable_quadrature(0.03, P1)
-        assert got == pytest.approx(REF_VALUE_VAR_003, rel=1e-3)
+    """The ordinary estimators on the 200-node Gauss-Laguerre set."""
 
-    def test_fixed_against_adaptive_quad(self):
-        got = effective_rate_fixed_quadrature(0.5, P1)
-        assert got == pytest.approx(REF_VALUE_FIX_05, rel=1e-3)
+    def test_weights_sum_to_one(self, rule):
+        assert rule.count == 200 and rule.m == 1
+        assert abs(rule.weights.sum() - 1.0) <= 1e-12
 
-    def test_ergodic_against_adaptive_quad(self):
-        got = ergodic_rate_variable_quadrature(0.03, P1)
-        assert got == pytest.approx(REF_ERGODIC_003, rel=1e-3)
+    def test_variable_against_adaptive_quad(self, rule):
+        got = effective_rate_variable(0.03, rule, P1)
+        assert got.value == pytest.approx(REF_VALUE_VAR_003, rel=1e-3)
+        assert math.exp(log_psi(0.03, rule, P1)) == pytest.approx(REF_PSI_003, rel=1e-3)
 
-    def test_mc_within_three_standard_errors(self, samples):
+    def test_fixed_against_adaptive_quad(self, rule):
+        got = effective_rate_fixed(0.5, rule, P1)
+        assert got.value == pytest.approx(REF_VALUE_FIX_05, rel=1e-3)
+        assert phi(0.5, rule, P1) == pytest.approx(REF_PHI_R05, rel=1e-3)
+
+    def test_ergodic_against_adaptive_quad(self, rule):
+        got = ergodic_rate_variable(0.03, rule, P1)
+        assert got.value == pytest.approx(REF_ERGODIC_003, rel=1e-3)
+
+    def test_ergodic_fixed_against_adaptive_quad(self, rule):
+        got = ergodic_rate_fixed(0.5, rule, P1)
+        assert got.value == pytest.approx(REF_ERGODIC_FIX_05, rel=1e-3)
+
+    def test_no_sampling_error(self, rule):
+        p0 = SystemParams(1.0, 200, 1, 0.0)
+        estimates = [
+            effective_rate_variable(0.03, rule, P1),
+            effective_rate_variable(1e-6, rule, P1, clamp=True),
+            effective_rate_fixed(0.5, rule, P1),
+            ergodic_rate_variable(0.03, rule, p0),
+            ergodic_rate_variable(1e-6, rule, p0, clamp=True),
+            ergodic_rate_fixed(0.5, rule, p0),
+        ]
+        for est in estimates:
+            assert est.std_error == 0.0 and est.count == 200
+
+    def test_mc_within_three_standard_errors(self, samples, rule):
         est = effective_rate_variable(0.03, samples, P1)
-        assert abs(est.value - effective_rate_variable_quadrature(0.03, P1)) \
-            <= 3 * est.std_error
+        quad = effective_rate_variable(0.03, rule, P1).value
+        assert abs(est.value - quad) <= 3 * est.std_error
         estf = effective_rate_fixed(0.5, samples, P1)
-        assert abs(estf.value - effective_rate_fixed_quadrature(0.5, P1)) \
-            <= 3 * estf.std_error
+        quadf = effective_rate_fixed(0.5, rule, P1).value
+        assert abs(estf.value - quadf) <= 3 * estf.std_error
 
-    def test_mean_power_parameter(self):
+    def test_mean_power_parameter(self, rule):
         # doubling the mean gain must raise throughput
-        lo = effective_rate_variable_quadrature(0.03, P1, mean_power=1.0)
-        hi = effective_rate_variable_quadrature(0.03, P1, mean_power=2.0)
+        lo = effective_rate_variable(0.03, rule, P1).value
+        hi = effective_rate_variable(0.03, SampleSet.laguerre(mean_power=2.0), P1).value
         assert hi > lo
+        np.testing.assert_array_equal(SampleSet.laguerre(2.0).gains, 2.0 * rule.gains)
 
-    def test_m_restriction(self):
+    @pytest.mark.parametrize("mean_power", [0.0, -1.0, math.inf, math.nan])
+    def test_mean_power_validated(self, mean_power):
         with pytest.raises(DomainError):
-            effective_rate_variable_quadrature(0.03, SystemParams(1.0, 50, 2, 0.01))
+            SampleSet.laguerre(mean_power)
+
+    def test_m_restriction(self, rule):
+        p2 = SystemParams(1.0, 50, 2, 0.01)
+        with pytest.raises(DomainError):
+            effective_rate_variable(0.03, rule, p2)
+        with pytest.raises(DomainError):
+            effective_rate_fixed(0.5, rule, p2)
+        with pytest.raises(DomainError):
+            ergodic_rate_fixed(0.5, rule, p2)
+
+    def test_monte_carlo_sets_are_unweighted(self, samples):
+        assert samples.weights is None and samples.prefix(1).weights is None
 
 
 def test_deterministic_model_gives_zero_spread():

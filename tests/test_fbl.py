@@ -24,9 +24,9 @@ from blockrate.fbl import (
     block_terms,
     error_probability,
     error_probability_arrays,
-    mi_density_sample_exact,
     mi_density_samples_exact,
     rate_lower_bound,
+    rate_lower_bound_arrays,
     rate_stats,
     rate_stats_arrays,
     reduce_terms,
@@ -115,6 +115,19 @@ class TestRateLowerBound:
     def test_epsilon_above_half_exceeds_mu(self):
         z = np.array([1.0])
         assert rate_lower_bound(z, P200, 0.9) > 1.0
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_arrays_match_scalar_rows(self, clamp):
+        gains = np.vstack([draw_gain_matrix(Rayleigh(), 2, 200, seed=4), [[0.0, 0.0]]])
+        mu, delta = rate_stats_arrays(gains, P50X2)
+        for eps in (1e-6, 0.01, 0.7):
+            r = rate_lower_bound_arrays(mu, delta, eps, clamp)
+            expect = [rate_lower_bound(z, P50X2, eps, clamp) for z in gains]
+            np.testing.assert_array_equal(r, expect)
+            if clamp:
+                assert (r >= 0.0).all()
+        # the clamp has work to do: deep fades go negative at eps = 1e-6
+        assert (rate_lower_bound_arrays(mu, delta, 1e-6) < 0.0).any()
 
 
 class TestErrorProbability:
@@ -247,9 +260,14 @@ class TestExactDensitySampler:
     def test_single_draw_matches_batch(self):
         z = np.array([1.0, 0.5])
         batch = mi_density_samples_exact(z, P50X2, 10, seed=3)
+        st_ = rate_stats(z, P50X2)
+        s = P50X2.snr_linear * z
+        weights = np.sqrt(s / (1.0 + s))
         for i in range(10):
-            rng = substream(3, i, P50X2.nm)
-            assert mi_density_sample_exact(z, P50X2, rng) == batch[i]
+            # one draw made alone from sample i's own substream
+            u = substream(3, i, P50X2.nm).random(P50X2.nm)
+            w = _laplace_from_uniform(u).reshape(P50X2.m, P50X2.n)
+            assert st_.mu + (LOG2E / P50X2.nm) * (w.sum(axis=1) @ weights) == batch[i]
 
     def test_validation(self):
         with pytest.raises(DomainError):
