@@ -108,7 +108,7 @@ class SampleSet:
         E_z f(z) for z ~ Exponential(mean_power) is sum_i w_i f(mean_power*x_i)
         over the Laguerre nodes x_i and weights w_i (which sum to 1).
         """
-        Rayleigh(mean_power)  # validates mean_power
+        Rayleigh(mean_power)  # raises DomainError unless mean_power is finite and > 0
         x, w = roots_laguerre(_QUAD_NODES)
         rule = cls((mean_power * x)[:, np.newaxis])
         w.setflags(write=False)
