@@ -20,7 +20,6 @@ from .effective_rate import (
     phi,
     phi_complement,
     psi,
-    psi_derivative,
 )
 from .errors import BlockrateError, ComputationError, DomainError, EstimationError
 from .fbl import (
@@ -87,7 +86,6 @@ __all__ = [
     "phi",
     "phi_complement",
     "psi",
-    "psi_derivative",
     "q_function",
     "q_inverse",
     "q_inverse_deriv",

@@ -47,9 +47,6 @@ class SystemParams:
         """Codeword length in channel uses."""
         return self.n * self.m
 
-    def with_m(self, m: int) -> "SystemParams":
-        return SystemParams(self.snr_linear, self.n, int(m), self.theta)
-
     @classmethod
     def from_db(cls, snr_db: float, n: int, m: int, theta: float) -> "SystemParams":
         return cls(10.0 ** (snr_db / 10.0), n, m, theta)

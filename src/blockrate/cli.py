@@ -277,8 +277,12 @@ def _cmd_sweep_m(cfg: RunConfig):
     rows, m_star = sweep_m(base, cfg.m_values, policy, cfg.samples, cfg.seed)
     meta = _base_meta(cfg, epsilon=cfg.epsilon, rate=cfg.rate,
                       policy=policy.describe(), m_star=m_star)
-    return meta, ["m", "effective_rate", "std_error", "argument"], [
-        (r.m, r.effective_rate, r.std_error, r.argument) for r in rows]
+    columns = ["m", "effective_rate", "std_error", "argument"]
+    table = [(r.m, r.effective_rate, r.std_error, r.argument) for r in rows]
+    if cfg.epsilon is None and cfg.rate is None:  # each row's eps was searched
+        columns += ["iterations", "at_boundary"]
+        table = [t + (r.iterations, r.at_boundary) for t, r in zip(table, rows)]
+    return meta, columns, table
 
 
 def _cmd_simulate(cfg: RunConfig):

@@ -16,7 +16,9 @@ Exponents are accumulated in log space: psi summands are shifted by the
 largest exponent before exponentiation (negative-rate realizations can push
 theta*n*m*|R| past the overflow point), and phi is combined through its
 complement / logaddexp so both the R -> 0 and theta*n*m*R >> 1 regimes keep
-full precision.
+full precision.  `log_psi_slopes` and `log_phi_slopes` return ln(psi) and
+ln(phi) with their first two derivatives from the same single pass; the
+optimizers search on them.
 
 Every expectation is reduced by a single deterministic pairwise summation
 over a fixed-layout array, so results are independent of how many worker
@@ -52,7 +54,7 @@ from .fbl import (
     rate_stats_arrays,
     reduce_terms,
 )
-from .special import q_inverse_deriv
+from .special import SQRT_2PI, q_function
 
 _QUAD_NODES = 200
 
@@ -197,24 +199,30 @@ def _check_rate(rate: float) -> None:
         raise DomainError(f"rate must be >= 0, got {rate!r}")
 
 
+def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray, float]:
+    """exp(-theta*n*m*r - L) per row and the shift L >= 0 that keeps each <= 1."""
+    y = (-params.theta * params.nm) * r
+    shift = max(float(y.max()), 0.0)
+    e = np.exp(y - shift)
+    if not np.all(np.isfinite(e)):
+        bad = int(np.flatnonzero(~np.isfinite(e))[0])
+        raise ComputationError(f"non-finite throughput summand at realization {bad}")
+    return e, shift
+
+
 def _psi_summands(epsilon: float, mu: np.ndarray, delta: np.ndarray,
                   params: SystemParams, clamp: bool) -> tuple[np.ndarray, float]:
     """Shifted summands u and shift L with psi = exp(L) * mean(u)."""
-    r = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
-    x = (-params.theta * params.nm) * r
-    shift = max(float(x.max()), 0.0)
-    u = epsilon * math.exp(-shift) + (1.0 - epsilon) * np.exp(x - shift)
-    if not np.all(np.isfinite(u)):
-        bad = int(np.flatnonzero(~np.isfinite(u))[0])
-        raise ComputationError(f"non-finite throughput summand at realization {bad}")
-    return u, shift
+    e, shift = _rate_exponentials(rate_lower_bound_arrays(mu, delta, epsilon, clamp), params)
+    return epsilon * math.exp(-shift) + (1.0 - epsilon) * e, shift
 
 
 def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
             clamp: bool = False) -> float:
     """ln of the psi expectation, finite even where psi overflows a float.
 
-    The optimizer minimizes this (same argmin, monotone transform)."""
+    The optimizer minimizes it through `log_psi_slopes`, which also gives
+    its derivatives."""
     _check_epsilon(epsilon)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
@@ -234,26 +242,43 @@ def psi(epsilon: float, samples: SampleSet, params: SystemParams,
     return math.exp(lp) if lp < 709.0 else math.inf
 
 
-def psi_derivative(epsilon: float, samples: SampleSet, params: SystemParams,
-                   clamp: bool = False) -> float:
-    """Analytic d(psi)/d(epsilon); a diagnostic for stationarity checks.
+def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,
+                   clamp: bool = False) -> tuple[float, float, float]:
+    """ln psi at eps = Q(x), with its first and second derivatives in x.
 
-    Uses the chain rule through the rate lower bound and the inverse-Q
-    derivative.  Not used by the optimizers (they are derivative-free); kept
-    for verifying |psi'(eps*)| ~ 0 at reported optima.  Realizations pinned
-    at zero rate by clamping contribute a zero derivative (their summand is
-    constant in epsilon).
+    In x = Q^{-1}(eps) the rate bound R = mu - delta*x is affine, so one pass
+    over the rows gives all three.  With e = exp(-c*R), c = theta*n*m and
+    g = -d(eps)/dx = pdf(x):
+
+        psi   = eps + (1-eps)*E[e]
+        psi'  = -g*(1 - E[e]) + (1-eps)*c*E[delta*e]
+        psi'' = x*g*(1 - E[e]) + 2*g*c*E[delta*e] + (1-eps)*c^2*E[delta^2*e]
+
+    each taken times exp(-L), with the shift L of `log_psi`, so nothing
+    overflows.  Rows pinned at zero rate by clamping are constant in x and
+    add no slope.  1 - eps is Q(-x), exact even where eps is within rounding
+    of 1.
     """
-    _check_epsilon(epsilon)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
-    r = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
-    a = params.theta * params.nm * delta  # x = a*Qinv(eps) - theta*nm*mu
-    x = (-params.theta * params.nm) * r
-    e = np.exp(x)
-    term = 1.0 + ((1.0 - epsilon) * a * q_inverse_deriv(epsilon) - 1.0) * e
-    # after the clamp, r > 0 is the same mask as before it
-    return _mean(samples, np.where(r > 0.0, term, 0.0) if clamp else term)
+    r = mu - delta * x
+    if clamp:
+        r = np.maximum(r, 0.0)
+        delta = np.where(r > 0.0, delta, 0.0)
+    e, shift = _rate_exponentials(r, params)
+    w = delta * e
+    mean_e, mean_w, mean_ww = _mean(samples, e), _mean(samples, w), _mean(samples, delta * w)
+    c = params.theta * params.nm
+    eps, keep = q_function(x), q_function(-x)
+    g = math.exp(-0.5 * x * x) / SQRT_2PI
+    floor = math.exp(-shift)
+    lost = floor - mean_e  # (1 - E[e]) * exp(-shift)
+    psi_s = eps * floor + keep * mean_e
+    d1 = (keep * c * mean_w - g * lost) / psi_s
+    d2 = (x * g * lost + 2.0 * g * c * mean_w + keep * c * c * mean_ww) / psi_s - d1 * d1
+    return shift + math.log(psi_s), d1, d2
 
 
 def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,
@@ -298,12 +323,31 @@ def phi_complement(rate: float, samples: SampleSet, params: SystemParams) -> flo
     return decay * _mean(samples, 1.0 - eps_z)
 
 
+def _log_phi(a: float, b: float, t: float) -> float:
+    """ln(a + b*exp(-t)) for phi = E[eps] + E[1-eps]*exp(-t), t = theta*n*m*R.
+
+    Through the complement when phi is near 1 and through logaddexp of the
+    two mean terms otherwise, so R = 0 gives exactly 0 and huge t cannot
+    underflow to -inf.
+    """
+    comp = -math.expm1(-t) * b
+    if comp < 0.9:
+        return math.log1p(-comp)
+    log_a = math.log(a) if a > 0.0 else -math.inf
+    log_b = math.log(b) if b > 0.0 else -math.inf
+    return float(np.logaddexp(log_a, log_b - t))
+
+
+def _scaled(v: float, log_scale: float) -> float:
+    """v * exp(-log_scale), finite where exp(log_scale) alone would not be."""
+    return math.copysign(math.exp(math.log(abs(v)) - log_scale), v) if v else 0.0
+
+
 def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
     """Throughput of fixed-rate transmission at the given rate.
 
-    value = -ln(phi)/(theta*n*m).  ln(phi) is taken through the complement
-    when phi is near 1 and through logaddexp of the two mean terms otherwise,
-    so R = 0 gives exactly 0 and huge theta*n*m*R cannot underflow to -inf.
+    value = -ln(phi)/(theta*n*m), with ln(phi) kept finite and precise in
+    both regimes (see `_log_phi`).
     """
     _check_rate(rate)
     _check_theta_positive(params)
@@ -314,13 +358,7 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
     a = _mean(samples, eps_z)
     b = _mean(samples, 1.0 - eps_z)
     sd = _spread(samples, eps_z)
-    comp = decay * b
-    if comp < 0.9:
-        log_phi = math.log1p(-comp)
-    else:
-        log_a = math.log(a) if a > 0.0 else -math.inf
-        log_b = math.log(b) if b > 0.0 else -math.inf
-        log_phi = float(np.logaddexp(log_a, log_b - t))
+    log_phi = _log_phi(a, b, t)
     scale = params.theta * params.nm
     value = -log_phi / scale
     if sd == 0.0:
@@ -328,6 +366,49 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
     else:
         se = decay * sd / (math.sqrt(eps_z.size) * math.exp(log_phi) * scale)
     return EffectiveRateEstimate(value, se, eps_z.size)
+
+
+def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
+                   ) -> tuple[float, float, float]:
+    """ln phi at the given rate, with its first and second derivatives in R.
+
+    With z = (mu - R)/delta, each row's error probability Q(z) has
+    d(eps)/dR = p = pdf(z)/delta and d^2(eps)/dR^2 = z*p/delta, so with
+    c = theta*n*m, t = c*R and P, Z the means of p and z*p/delta:
+
+        phi   = E[eps] + E[1-eps]*exp(-t)
+        phi'  = P*(1 - exp(-t)) - c*E[1-eps]*exp(-t)
+        phi'' = Z*(1 - exp(-t)) + 2*c*P*exp(-t) + c^2*E[1-eps]*exp(-t)
+
+    Each is divided by phi in log space, so the slopes stay resolved where
+    phi is far below 1e-16 or underflows.  Rows with delta = 0 are steps in
+    R and add no slope.
+    """
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
+    _check_theta_positive(params)
+    mu, delta = samples.stats(params)
+    a = _mean(samples, error_probability_arrays(mu, delta, rate))
+    b = 1.0 - a
+    spread = np.where(delta > 0.0, delta, math.inf)
+    z = (mu - rate) / spread
+    y = z * z  # becomes sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta, in place
+    y *= -0.5
+    np.exp(y, out=y)
+    y /= spread
+    dens = _mean(samples, y) / SQRT_2PI
+    y *= z
+    y /= spread
+    curv = _mean(samples, y) / SQRT_2PI
+    c = params.theta * params.nm
+    t = c * rate
+    decay = -math.expm1(-t)
+    log_phi = _log_phi(a, b, t)
+    kept = _scaled(b, log_phi + t)  # E[1-eps]*exp(-t)/phi
+    d1 = decay * _scaled(dens, log_phi) - c * kept
+    d2 = (decay * _scaled(curv, log_phi) + 2.0 * c * _scaled(dens, log_phi + t)
+          + c * c * kept - d1 * d1)
+    return log_phi, d1, d2
 
 
 def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,

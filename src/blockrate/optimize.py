@@ -1,17 +1,18 @@
 """Scalar optimizers and sweep drivers for the throughput tradeoffs.
 
 Both inner objectives are unimodal in their argument — psi(eps) is strictly
-convex and phi(R) has a unique interior minimizer — so Brent's
-derivative-free search (golden-section steps safeguarding parabolic ones)
-converges unconditionally, and superlinearly on these smooth objectives.
+convex and phi(R) has a unique interior minimizer — so the slope of each
+log-objective changes sign once, from - to +, and its root is the optimum.
+`newton_minimize` finds that root by Newton's method on the slopes that
+effective_rate computes in the same pass as the value (`log_psi_slopes`,
+`log_phi_slopes`), inside a bracket shrunk on the slope's sign, with a
+bisection step wherever a Newton step leaves the bracket or stops halving.
 The error target is searched in x = Q^{-1}(eps), where the rate bound is
-affine and a fixed tolerance is relative in eps.  An optimum is flagged
-at_boundary only when it lies within the search's own terminal tolerance,
-3*(tol + sqrt(eps_mach)*|edge|), of a bracket edge; that edge is then
-reported as the argument.  The analytic psi derivative exists (see
-effective_rate.psi_derivative) but is deliberately not the production path:
-inverse-Q derivatives explode near eps in {0, 1} and the searches must stay
-robust there.
+affine and a fixed tolerance is relative in eps; the fixed rate is searched
+on ln(phi), which stays resolved where phi is far below 1e-16.  An edge is
+read only when the search heads for it, and an optimum is flagged
+at_boundary exactly when the slope at an edge shows the root at or beyond
+it; that edge is then reported as the argument.
 
 Sweeps over m (`sweep`, and `sweep_m` / `sweep_theta`, which call it) reuse
 one master gain set drawn at the largest m; each smaller m evaluates the
@@ -44,17 +45,18 @@ from .effective_rate import (
     effective_rate_variable,
     ergodic_rate_fixed,
     ergodic_rate_variable,
-    log_psi,
-    phi_complement,
+    log_phi_slopes,
+    log_psi_slopes,
 )
-from .errors import DomainError
+from .errors import ComputationError, DomainError
 from .fbl import FixedRate, RatePolicy, VariableRate
 from .special import q_function, q_inverse
 
 _T = TypeVar("_T")
 
-_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# where the searches start: eps = Q(1) ~ 0.16, and a tenth of the rate bracket
+_X_START = 1.0
+_R_START = 0.1
 
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
 
@@ -65,10 +67,11 @@ class Optimum:
 
     argument is eps* or R*; value is the maximized effective rate (bits per
     channel use) with its Monte Carlo standard error, and iterations counts
-    objective evaluations.  at_boundary is True exactly when the search
-    converged to within its terminal tolerance 3*(tol + sqrt(eps_mach)*|edge|)
-    of an edge of bracket (in x = Q^{-1}(eps) for eps*); argument is then that
-    edge itself, and the true optimum may lie beyond it.
+    objective evaluations (each gives the value and both slopes).  at_boundary
+    is True exactly when the slope at an edge of bracket (in x = Q^{-1}(eps)
+    for eps*) shows the objective still falling toward, or flat at, that
+    edge; argument is then that edge itself, and the true optimum may lie
+    beyond it.
     """
 
     argument: float
@@ -81,7 +84,11 @@ class Optimum:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (m, theta) point of a sweep."""
+    """One (m, theta) point of a sweep.
+
+    iterations and at_boundary are those of the row's Optimum when its
+    target was optimized, and 0 and False when the target was given.
+    """
 
     m: int
     theta: float
@@ -89,102 +96,82 @@ class SweepRow:
     effective_rate: float
     std_error: float
     argument: float | None = None  # eps or R actually used, if applicable
+    iterations: int = 0
+    at_boundary: bool = False
 
 
-def brent_minimize(f: Callable[[float], float], lo: float, hi: float,
-                   tol: float = 1e-8) -> tuple[float, int, bool]:
-    """Minimize a unimodal f on [lo, hi] by Brent's method.
+def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
+                    lo: float, hi: float, start: float,
+                    tol: float = 1e-8) -> tuple[float, int, bool]:
+    """Minimize a unimodal f on [lo, hi] by a safeguarded Newton search for
+    the root of its slope.
 
-    Golden-section steps are combined with parabolic interpolation through
-    the three best points, in the form of Forsythe, Malcolm and Moler's fmin.
-    The search stops once the argmin is pinned to within
-    2*(sqrt(eps_mach)*|x| + tol/3).  Returns (argmin, number of function
-    evaluations, at_edge).  at_edge is True when the argmin lies within the
-    search's terminal tolerance 3*(tol + sqrt(eps_mach)*|edge|) of lo or hi;
-    that edge is then returned as the argmin.
+    slopes(x) returns (f(x), f'(x), f''(x)); f' changes sign at most once,
+    from - to +.  The search starts at `start` and keeps a bracket [a, b]
+    around the root, shrunk on the sign of f'.  A Newton step that leaves the
+    bracket, or is over half the step before last, becomes a bisection step,
+    as in special.q_inverse.  The edges are read lazily: before the first
+    step toward an edge that is not a Newton step, the slope at that edge is
+    evaluated, and if it shows the root at or beyond the edge the search
+    stops there with at_edge set.  Otherwise the search stops once a step is
+    at most tol.  Returns (argmin, number of slope evaluations, at_edge).
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    if not lo <= start <= hi:
+        raise DomainError(f"start {start!r} outside [{lo!r}, {hi!r}]")
     a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    evals = 1
-    d = e = 0.0
+    unread = {lo, hi}  # edges whose slope sign is not known yet
+    x, evals = start, 0
+    step = before = hi - lo
     while True:
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            # parabola through (v, fv), (w, fw), (x, fx); its vertex is x + p/q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            # accept the vertex only if it lies inside (a, b) and the step is
-            # under half the step before last, so the bracket keeps shrinking
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                if x + d - a < tol2 or b - (x + d) < tol2:
-                    d = math.copysign(tol1, xm - x)
-                golden = False
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
+        _, d1, d2 = slopes(x)
         evals += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        if not (math.isfinite(d1) and math.isfinite(d2)):
+            raise ComputationError(f"non-finite slope ({d1!r}, {d2!r}) at {x!r}")
+        unread.discard(x)
+        if (x == lo and d1 >= 0.0) or (x == hi and d1 <= 0.0):
+            return x, evals, True
+        if d1 == 0.0:
+            return x, evals, False
+        if d1 < 0.0:
+            a = x
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    for edge in (lo, hi):
-        if abs(x - edge) <= 3.0 * (tol + _SQRT_EPS * abs(edge)):
-            return edge, evals, True
-    return x, evals, False
-
-
-def _epsilon_at(x: float) -> float:
-    lo, hi = EPSILON_BRACKET
-    return min(max(q_function(x), lo), hi)
+            b = x
+        # Newton's estimate of the root; where f'' <= 0 there is none, and the
+        # root is taken to lie beyond the bracket in the descent direction
+        guess = x - d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1)
+        newton = a <= guess <= b and abs(guess - x) <= 0.5 * abs(before)
+        edge = b if d1 < 0.0 else a
+        if edge in unread and not newton:
+            x = edge
+            continue
+        new = guess if newton else 0.5 * (a + b)
+        before, step = step, new - x
+        if abs(step) <= tol:
+            return new, evals, False
+        x = new
 
 
 def optimal_epsilon(samples: SampleSet, params: SystemParams,
                     clamp: bool = False, tol: float = 1e-8) -> Optimum:
     """Error target maximizing variable-rate throughput.
 
-    Minimizes ln(psi) (strictly convex in eps) by Brent's method over
-    x = Q^{-1}(eps), x in [Q^{-1}(1 - 1e-10), Q^{-1}(1e-10)].  The rate
-    bound mu - delta*x is affine in x, and a fixed tolerance on x is a
-    relative tolerance on eps, so optima near 1e-9 are resolved as finely as
-    those near 0.1.  An argmin on an edge of the x bracket is reported as
-    the matching edge of EPSILON_BRACKET, with at_boundary set.
+    Minimizes ln(psi) (strictly convex in eps) by `newton_minimize` over
+    x = Q^{-1}(eps), x in [Q^{-1}(1 - 1e-10), Q^{-1}(1e-10)], on the slopes
+    of `log_psi_slopes`.  A fixed tolerance on x is a relative tolerance on
+    eps, so optima near 1e-9 are resolved as finely as those near 0.1.  An
+    optimum on an edge of the x bracket is reported as the matching edge of
+    EPSILON_BRACKET, with at_boundary set.
     """
     eps_lo, eps_hi = EPSILON_BRACKET
     x_lo, x_hi = q_inverse(eps_hi), q_inverse(eps_lo)
-    x, evals, at_edge = brent_minimize(
-        lambda x: log_psi(_epsilon_at(x), samples, params, clamp), x_lo, x_hi, tol)
+    x, evals, at_edge = newton_minimize(
+        lambda x: log_psi_slopes(x, samples, params, clamp), x_lo, x_hi, _X_START, tol)
     if at_edge:
         eps_star = eps_lo if x == x_hi else eps_hi
     else:
-        eps_star = _epsilon_at(x)
+        eps_star = min(max(q_function(x), eps_lo), eps_hi)
     est = effective_rate_variable(eps_star, samples, params, clamp)
     return Optimum(
         argument=eps_star,
@@ -200,32 +187,32 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
                  tol: float = 1e-8, max_expansions: int = 8) -> Optimum:
     """Coding rate maximizing fixed-rate throughput.
 
-    Minimizes phi — equivalently maximizes its complement, which keeps
-    precision where phi is within rounding of 1 — by Brent's method over
-    [0, R_hi] with R_hi = max over the samples of (mu + 10*delta).  If the
-    minimizer lands on R_hi the bracket doubles and the search reruns, at
+    Minimizes ln(phi), which stays resolved where phi is far below 1e-16, by
+    `newton_minimize` over [0, R_hi] with R_hi = max over the samples of
+    (mu + 10*delta), on the slopes of `log_phi_slopes`.  If the optimum is
+    on R_hi the bracket doubles and the search resumes from the old edge, at
     most max_expansions times; bracket is the last one searched.
     """
     mu, delta = samples.stats(params)
     hi = float(np.max(mu + 10.0 * delta))
     if hi <= 0.0:  # all-zero gains: any rate gives zero throughput
         hi = 1.0
-    lo = 0.0
+    start = _R_START * hi
     evals = 0
     for expansion in range(max_expansions + 1):
-        r_star, e, at_edge = brent_minimize(
-            lambda r: -phi_complement(r, samples, params), lo, hi, tol)
+        r_star, e, at_edge = newton_minimize(
+            lambda r: log_phi_slopes(r, samples, params), 0.0, hi, start, tol)
         evals += e
-        if not at_edge or r_star == lo or expansion == max_expansions:
+        if not at_edge or r_star == 0.0 or expansion == max_expansions:
             break
-        hi *= 2.0
+        start, hi = hi, 2.0 * hi
     est = effective_rate_fixed(r_star, samples, params)
     return Optimum(
         argument=r_star,
         value=est.value,
         std_error=est.std_error,
         iterations=evals,
-        bracket=(lo, hi),
+        bracket=(0.0, hi),
         at_boundary=at_edge,
     )
 
@@ -246,6 +233,7 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
         ergodic, evaluate, optimum = ergodic_rate_fixed, effective_rate_fixed, optimal_rate
     else:
         raise DomainError(f"unknown rate policy: {policy!r}")
+    search = {}
     if params.theta == 0.0:
         if target is None:
             raise DomainError(
@@ -255,10 +243,12 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
     elif target is None:
         est = optimum(samples, params, **kw)
         target = est.argument
+        search = {"iterations": est.iterations, "at_boundary": est.at_boundary}
     else:
         est = evaluate(target, samples, params, **kw)
     return SweepRow(m=params.m, theta=params.theta, policy=policy.describe(),
-                    effective_rate=est.value, std_error=est.std_error, argument=target)
+                    effective_rate=est.value, std_error=est.std_error, argument=target,
+                    **search)
 
 
 def _max_workers(n_tasks: int) -> int:

@@ -19,10 +19,6 @@ class TestSystemParams:
     def test_nm(self):
         assert SystemParams(1.0, 50, 4, 0.01).nm == 200
 
-    def test_with_m(self):
-        p = SystemParams(2.0, 100, 1, 0.1).with_m(7)
-        assert (p.snr_linear, p.n, p.m, p.theta) == (2.0, 100, 7, 0.1)
-
     @pytest.mark.parametrize("db,linear", [(0.0, 1.0), (10.0, 10.0), (-10.0, 0.1),
                                            (3.0, 1.9952623149688795)])
     def test_from_db(self, db, linear):

@@ -220,6 +220,18 @@ class TestSweepCommands:
         assert meta["m_star"] == best[0]
         assert all(float(r[3]) == 0.01 for r in rows)
 
+    def test_optimized_sweep_m_reports_search_record(self, tmp_path):
+        code, out = _run_to_file(tmp_path, "smo.csv", [
+            "sweep-m", "--m", "1,10", "--theta", "0.1", "--n", "200", "--samples", "4000"])
+        assert code == 0
+        _, columns, rows = _read_csv(out)
+        assert columns == ["m", "effective_rate", "std_error", "argument",
+                           "iterations", "at_boundary"]
+        assert all(int(r[4]) > 0 for r in rows)
+        # eps* of m = 10 lies below the bracket: the row says so
+        assert [r[5] for r in rows] == ["false", "true"]
+        assert float(rows[1][3]) == 1e-10
+
     def test_fig2_includes_ergodic_row(self, tmp_path):
         code, out = _run_to_file(tmp_path, "f2.csv", [
             "fig2", "--theta", "0,0.01", "--m", "1,2", "--epsilon", "0.01",

@@ -24,8 +24,9 @@ from blockrate.effective_rate import (
     log_psi,
     phi,
     phi_complement,
+    log_phi_slopes,
+    log_psi_slopes,
     psi,
-    psi_derivative,
 )
 from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import LOG2E, rate_stats, rate_stats_arrays
@@ -40,6 +41,15 @@ REF_PHI_R05 = 0.58395236011189887          # phi at R = 0.5
 REF_VALUE_FIX_05 = 0.26896793731610084
 REF_ERGODIC_003 = 0.67570831938964499      # E[(1-eps) R(z, 0.03)]
 REF_ERGODIC_FIX_05 = 0.32908883762546682   # E[(1-eps(z, 0.5))] * 0.5
+
+
+def _assert_slopes_match_differences(slopes, x, h, rel=1e-5):
+    """The first and second derivatives slopes(x) returns agree with central
+    differences of its value and of its first derivative."""
+    _, d1, d2 = slopes(x)
+    lo, hi = slopes(x - h), slopes(x + h)
+    assert d1 == pytest.approx((hi[0] - lo[0]) / (2 * h), rel=rel)
+    assert d2 == pytest.approx((hi[1] - lo[1]) / (2 * h), rel=rel)
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +81,13 @@ class TestSampleSet:
         ms = [*range(1, 21), 50]
         subs = ss.prefixes(ms, p)
         assert sorted(subs) == ms and subs[50] is ss
-        expected = {m: rate_stats_arrays(np.ascontiguousarray(ss.gains[:, :m]), p.with_m(m))
+        expected = {m: rate_stats_arrays(np.ascontiguousarray(ss.gains[:, :m]),
+                                         SystemParams(2.0, 50, m, 0.01))
                     for m in ms}
         # the stats must come from the cache that prefixes() filled
         monkeypatch.setattr("blockrate.effective_rate.rate_stats_arrays", None)
         for m in ms:
-            mu, delta = subs[m].stats(p.with_m(m))
+            mu, delta = subs[m].stats(SystemParams(2.0, 50, m, 0.01))
             assert np.array_equal(mu, expected[m][0]), m
             assert np.array_equal(delta, expected[m][1]), m
 
@@ -140,20 +151,23 @@ class TestPsi:
         assert np.all(np.diff(vals, 2) > 0)
 
     def test_derivative_matches_finite_difference(self, samples):
-        for eps in (0.01, 0.1, 0.5):
-            h = 1e-6 * eps
-            fd = (psi(eps + h, samples, P1) - psi(eps - h, samples, P1)) / (2 * h)
-            assert psi_derivative(eps, samples, P1) == pytest.approx(fd, rel=1e-5)
+        for eps in (1e-6, 0.01, 0.1, 0.5):
+            x = q_inverse(eps)
+            value, d1, d2 = log_psi_slopes(x, samples, P1)
+            assert value == pytest.approx(log_psi(eps, samples, P1), rel=1e-12)
+            _assert_slopes_match_differences(lambda x: log_psi_slopes(x, samples, P1), x, 1e-4)
 
     def test_derivative_with_clamping(self):
         # deep-fade atoms go negative-rate at tiny eps; the clamped psi is
         # still differentiable except at the kink, and FD must agree off it
         ss = SampleSet(np.array([[0.02], [1.5]] * 32))
         p = SystemParams(1.0, 50, 1, 0.05)
-        eps = 0.001
-        h = 1e-7
-        fd = (psi(eps + h, ss, p, clamp=True) - psi(eps - h, ss, p, clamp=True)) / (2 * h)
-        assert psi_derivative(eps, ss, p, clamp=True) == pytest.approx(fd, rel=1e-4)
+        x = q_inverse(0.001)
+        clamped = log_psi_slopes(x, ss, p, clamp=True)
+        assert clamped[0] == pytest.approx(log_psi(0.001, ss, p, clamp=True), rel=1e-12)
+        assert clamped[1] != pytest.approx(log_psi_slopes(x, ss, p)[1], rel=1e-3)
+        _assert_slopes_match_differences(
+            lambda x: log_psi_slopes(x, ss, p, clamp=True), x, 1e-5)
 
     def test_overflowing_theta_raises(self, samples):
         huge = SystemParams(1.0, 200, 1, 1e308)
@@ -165,6 +179,9 @@ class TestPsi:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
                 psi(bad, samples, P1)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                log_psi_slopes(bad, samples, P1)
 
     def test_theta_zero_rejected(self, samples):
         p0 = SystemParams(1.0, 200, 1, 0.0)
@@ -174,6 +191,10 @@ class TestPsi:
             effective_rate_variable(0.03, samples, p0)
         with pytest.raises(DomainError):
             effective_rate_fixed(0.5, samples, p0)
+        with pytest.raises(DomainError):
+            log_psi_slopes(1.0, samples, p0)
+        with pytest.raises(DomainError):
+            log_phi_slopes(0.5, samples, p0)
 
 
 class TestEffectiveRateVariable:
@@ -210,6 +231,21 @@ class TestEffectiveRateVariable:
 
 
 class TestEffectiveRateFixed:
+    @pytest.mark.parametrize("case", ["complement", "logaddexp", "zero-gain row"])
+    def test_slopes_match_finite_differences(self, samples, case):
+        if case == "complement":  # phi near 0.58: ln phi = log1p(-(1 - phi))
+            ss, p, rate = samples, P1, 0.5
+        elif case == "logaddexp":  # phi near 1e-35, where 1 - phi rounds to 1
+            ss, rate = SampleSet.draw(Rayleigh(), 10, 20_000, 7), 0.04
+            p = SystemParams(1.0, 200, 10, 1.0)
+        else:  # a zero gain has delta = 0: its error probability is a step in R
+            ss, p, rate = SampleSet(np.array([[0.0], [0.4], [1.5]] * 20)), P1, 0.5
+        value = log_phi_slopes(rate, ss, p)[0]
+        est = effective_rate_fixed(rate, ss, p)
+        assert value == pytest.approx(-est.value * p.theta * p.nm, rel=1e-12)
+        assert (value < math.log(0.1)) == (case == "logaddexp")
+        _assert_slopes_match_differences(lambda r: log_phi_slopes(r, ss, p), rate, 1e-6)
+
     def test_phi_boundaries(self, samples):
         assert phi(0.0, samples, P1) == 1.0
         assert phi_complement(0.0, samples, P1) == 0.0
@@ -252,6 +288,9 @@ class TestEffectiveRateFixed:
     def test_rate_domain(self, samples):
         with pytest.raises(DomainError):
             effective_rate_fixed(-0.2, samples, P1)
+        for bad in (-0.2, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                log_phi_slopes(bad, samples, P1)
 
 
 class TestErgodic:

@@ -62,7 +62,7 @@ class TestRateStats:
         for m in [*range(1, 21), 50]:
             mu, delta = reduce_terms(log_terms[:, :m], frac_terms[:, :m], P50X2.n)
             ref_mu, ref_delta = rate_stats_arrays(np.ascontiguousarray(gains[:, :m]),
-                                                  P50X2.with_m(m))
+                                                  SystemParams(1.0, 50, m, 0.01))
             assert np.array_equal(mu, ref_mu) and np.array_equal(delta, ref_delta), m
 
     def test_snr_to_infinity_dispersion_limit(self):

@@ -31,23 +31,23 @@ GOLDEN = {
     "fig2": (["fig2", "--m", "1..12", "--seed", "4"] + _S,
              "fa49cedd823bb6ba7a96a7fdf3b70a8aa2cd482d564a2a59a4e90314ac75d73d"),
     "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
-             "6565f919cdb48b230e0dae2140992f6b575fed5d7fa3b6db0cfcbd0a399e01cd"),
+             "30bc2b9912da47b8208c3b1be2d40b76234348b2007d88d45aa941031c12c0a2"),
     "fig3_clamp": (["fig3", "--snr-db", "0", "--n", "200", "--m", "1,10",
                     "--theta", "0.01,0.1", "--clamp-rate", "--seed", "12"] + _S,
-                   "1a5fc7f75de6f0f000ff6b84fe586d8fc80ca905b8aac74e46c24887cb733efa"),
+                   "e36cf568a796722085cd81e0a28f70cc24acdfe99ad5fa4b977a980ce36751c5"),
     "fig4": (["fig4", "--m", "1,2,5", "--seed", "6"] + _S,
              "e3d5e72d25b0f15739b280af53f3695b7c466f68d4a884ba388328a74f09a9ee"),
     "fig4_theta0_json": (["fig4", "--theta", "0", "--m", "1,2", "--rate-grid", "0,0.5,1",
                           "--format", "json"] + _S,
                          "950bdd2c4e51559540e6a9c35d8c26a5545d137e61dbc6fa561c3ca5911fa495"),
     "optimize_epsilon": (["optimize-epsilon", "--m", "2", "--theta", "0.1", "--seed", "7"] + _S,
-                         "60b6300401b7e8b376ba7c743ea0dc77677f636c6374ea1af792fd657508414d"),
+                         "408a71afb920034a1f755ced55b2776de3c842394dd85966657e8230c36f0861"),
     "optimize_rate": (["optimize-rate", "--m", "2", "--theta", "0.1", "--seed", "8"] + _S,
-                      "91d73934c5f30963ba328418d9b5ba59e5458dd7172ba15c34eed5a8b8846744"),
+                      "86f0bdc4aac569553ef7199cd39e2d42ea4b7dd98cd31a7c66c572bd04e6e980"),
     "sweep_m_rate": (["sweep-m", "--m", "1..8", "--rate", "0.5", "--seed", "9"] + _S,
                      "39b6021e2add11644df2444e86276d598da2cdd110c4bcedc1b07af6ba15c67e"),
     "sweep_m_optimized": (["sweep-m", "--m", "1..8", "--seed", "10"] + _S,
-                          "1ed267732226a0869ce00f7ecd3fcc5aaa506f1b36d86063b5499f1262f145d0"),
+                          "cbdceab6e388ef3c498d9c8a79a4d4ae7f6c391a1925fa057e018a1265f9ea8d"),
     "sweep_m_theta0_clamp": (["sweep-m", "--m", "1..5", "--theta", "0", "--epsilon", "0.05",
                               "--clamp-rate"] + _S,
                              "53b85f5212ff345c16d0f7fe29631bf11f001c58f0dac73107f3e1c89b3ab54e"),
@@ -57,7 +57,7 @@ GOLDEN = {
                               "--clamp-rate", "--frames", "600000", "--burn-in", "20000",
                               "--seed", "11", "--trace-output", "-",
                               "--trace-every", "997"] + _S,
-                             "74472ae8f5b83ed9e15725f79abd9d2fb8160c9e1666bcca71366c79ee13e6f4"),
+                             "3b67927fe74371e9ed8e2d0fb0b38a1f23880e1a123f904e0685a3a6152d400b"),
     "simulate_rate": (["simulate", "--rate", "0.3", "--frames", "200000",
                        "--burn-in", "5000", "--seed", "13"] + _S,
                       "e52734d66e1d7c44a637865c9d7db3bf4ee9dea1a47615c5a302894d0d1b00d0"),
@@ -73,4 +73,8 @@ def test_stdout_matches_recorded_hash(name, capsys):
     argv, digest = GOLDEN[name]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    got = hashlib.sha256(out.encode()).hexdigest()
+    assert got == digest, (
+        f"stdout of case {name!r} (blockrate {' '.join(argv)}) changed:\n"
+        f"  recorded {digest}\n  now      {got}\n"
+        f"if the change is intended, record the new digest for {name!r} in GOLDEN")

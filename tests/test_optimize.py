@@ -1,4 +1,4 @@
-"""Brent search, the two scalar optimizers, and sweep drivers."""
+"""Newton search, the two scalar optimizers, and sweep drivers."""
 
 import math
 
@@ -13,16 +13,17 @@ from blockrate.effective_rate import (
     ergodic_rate_variable,
     log_psi,
     phi,
-    psi_derivative,
+    log_psi_slopes,
 )
-from blockrate.errors import DomainError
+from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import FixedRate, VariableRate
+from blockrate.special import q_inverse
 from blockrate.optimize import (
     EPSILON_BRACKET,
     Optimum,
     SweepRow,
     _evaluate_policy,
-    brent_minimize,
+    newton_minimize,
     optimal_epsilon,
     optimal_rate,
     sweep_m,
@@ -42,43 +43,60 @@ def samples10():
     return SampleSet.draw(Rayleigh(), 10, 20_000, seed=7)
 
 
-class TestBrentMinimize:
+def _quadratic(root):
+    return lambda x: ((x - root) ** 2, 2.0 * (x - root), 2.0)
+
+
+class TestNewtonMinimize:
     def test_quadratic(self):
-        x, evals, at_edge = brent_minimize(lambda x: (x - 1.7) ** 2, 0.0, 5.0, tol=1e-10)
-        assert x == pytest.approx(1.7, abs=1e-9)
+        x, evals, at_edge = newton_minimize(_quadratic(1.7), 0.0, 5.0, 4.0, tol=1e-10)
+        assert x == pytest.approx(1.7, abs=1e-12)
         assert not at_edge
-        # a parabola is fitted exactly once three points are known
-        assert evals < 10
+        # a Newton step lands on a quadratic's minimum
+        assert evals <= 2
 
     def test_asymmetric_objective(self):
-        # exp(x) - 2x has its minimum at ln 2.  Within sqrt(eps_mach)*ln 2 of
-        # it, f differs from f(ln 2) by under one ulp, so no search on f
-        # values can place it closer than the stated 2*(sqrt(eps_mach)*|x| + tol/3)
-        x, _, at_edge = brent_minimize(lambda x: math.exp(x) - 2 * x, 0.0, 2.0, tol=1e-10)
-        sqrt_eps = math.sqrt(np.finfo(float).eps)
-        assert x == pytest.approx(math.log(2.0), abs=2 * (sqrt_eps * math.log(2.0) + 1e-10 / 3))
+        # exp(x) - 2x has its minimum at ln 2, where the slope exp(x) - 2 is
+        # resolved to rounding, unlike the objective itself
+        x, evals, at_edge = newton_minimize(
+            lambda x: (math.exp(x) - 2 * x, math.exp(x) - 2.0, math.exp(x)), 0.0, 2.0, 1.5,
+            tol=1e-10)
+        assert x == pytest.approx(math.log(2.0), abs=1e-12)
         assert not at_edge
+        assert evals < 10
 
     def test_monotone_objective_lands_on_edge(self):
-        x, _, at_edge = brent_minimize(lambda x: x, 0.0, 1.0, tol=1e-9)
-        assert at_edge
-        assert x == 0.0
-        x, _, at_edge = brent_minimize(lambda x: -x, -3.0, 2.0, tol=1e-9)
-        assert at_edge
-        assert x == 2.0
+        # a linear objective has f'' = 0 and no Newton step: the edge in the
+        # descent direction is read at once
+        for slope, edge in ((1.0, 0.0), (-1.0, 2.0)):
+            x, evals, at_edge = newton_minimize(lambda x: (slope * x, slope, 0.0), 0.0, 2.0, 0.5)
+            assert at_edge and x == edge
+            assert evals == 2
 
     def test_interior_minimum_near_edge_not_flagged(self):
-        # the edge test is the search's own resolution, not a fixed multiple
-        # of tol: a minimum 1e-6 inside the bracket is interior
-        x, _, at_edge = brent_minimize(lambda x: (x - 1e-6) ** 2, 0.0, 1.0, tol=1e-9)
-        assert x == pytest.approx(1e-6, abs=1e-8)
-        assert not at_edge
+        for root in (1e-6, 2.0 - 1e-6):
+            x, _, at_edge = newton_minimize(_quadratic(root), 0.0, 2.0, 1.0, tol=1e-9)
+            assert x == pytest.approx(root, abs=1e-12)
+            assert not at_edge
+
+    def test_root_beyond_edge_with_convex_tail(self):
+        # f = exp(-x) is still falling at the upper edge; once its Newton
+        # steps of +1 stop halving, the edge is read and ends the search
+        x, evals, at_edge = newton_minimize(
+            lambda x: (math.exp(-x), -math.exp(-x), math.exp(-x)), 0.0, 10.0, 1.0)
+        assert at_edge and x == 10.0
+        assert evals <= 4
 
     def test_bad_bracket(self):
+        for lo, hi in ((1.0, 1.0), (2.0, -1.0)):
+            with pytest.raises(DomainError):
+                newton_minimize(_quadratic(0.0), lo, hi, lo)
         with pytest.raises(DomainError):
-            brent_minimize(lambda x: x * x, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            brent_minimize(lambda x: x * x, 2.0, -1.0)
+            newton_minimize(_quadratic(0.0), 0.0, 1.0, 1.5)
+
+    def test_non_finite_slope_raises(self):
+        with pytest.raises(ComputationError):
+            newton_minimize(lambda x: (0.0, math.nan, 1.0), 0.0, 1.0, 0.5)
 
 
 class TestOptimalEpsilon:
@@ -92,9 +110,9 @@ class TestOptimalEpsilon:
         k = int(np.argmin(vals))
         spacing = grid[min(k + 1, len(grid) - 1)] - grid[max(k - 1, 0)]
         assert abs(opt.argument - grid[k]) <= spacing
-        # and the argmin is a stationary point of psi
-        scale = abs(psi_derivative(0.5, samples, P1))
-        assert abs(psi_derivative(opt.argument, samples, P1)) < 1e-5 * scale
+        # and the argmin is a stationary point of ln psi
+        scale = abs(log_psi_slopes(0.0, samples, P1)[1])
+        assert abs(log_psi_slopes(q_inverse(opt.argument), samples, P1)[1]) < 1e-5 * scale
 
     def test_interior_optimum_takes_few_evaluations(self, samples):
         assert optimal_epsilon(samples, P1).iterations <= 25
@@ -153,17 +171,52 @@ class TestOptimalRate:
         est = effective_rate_fixed(opt.argument, samples, P1)
         assert opt.value == est.value
 
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_large_theta_optimum_beats_dense_grid(self, m):
+        # at theta*n*m = 2000, phi at the optimum is near 1e-35: searching
+        # -(1 - phi), which rounds to -1 there, stopped far from R*
+        ss = SampleSet.draw(Rayleigh(), m, 20_000, seed=7)
+        p = SystemParams(1.0, 200, m, 1.0)
+        opt = optimal_rate(ss, p)
+        assert not opt.at_boundary
+        grid = np.linspace(0.0, opt.bracket[1], 2001)[1:]
+        best = max(effective_rate_fixed(r, ss, p).value for r in grid)
+        assert opt.value >= best * (1.0 - 1e-12)
+
     def test_zero_gains_flat_objective(self):
         ss = SampleSet.draw(Deterministic(gains=(0.0,)), 1, 8, seed=0)
         opt = optimal_rate(ss, P1)
         assert opt.value == 0.0
 
 
+# 0 dB (n = 200) and -10 dB (n = 50), m in {1, 2, 5, 10}, theta from 0.001 to 1
+SEARCH_POINTS = ([(0.0, 200, m, t) for m in (1, 2, 5, 10) for t in (0.001, 0.01, 0.1, 1.0)]
+                 + [(-10.0, 50, m, t) for m in (1, 2, 5, 10) for t in (0.01, 0.1, 1.0)])
+
+
+@pytest.fixture(scope="module")
+def sets_1e5():
+    return {m: SampleSet.draw(Rayleigh(), m, 100_000, seed=1) for m in (1, 2, 5, 10)}
+
+
+@pytest.mark.parametrize("snr_db, n, m, theta", SEARCH_POINTS)
+def test_search_evaluation_caps(sets_1e5, snr_db, n, m, theta):
+    # Brent's method took 12-38 (eps) and 11-46 (rate) evaluations here
+    p = SystemParams.from_db(snr_db, n, m, theta)
+    eps = optimal_epsilon(sets_1e5[m], p)
+    assert optimal_rate(sets_1e5[m], p).iterations <= 15
+    assert eps.iterations <= 15
+    if (snr_db, m, theta) == (0.0, 10, 0.1):
+        # eps* lies below the bracket: the first step reads the edge
+        assert eps.at_boundary and eps.iterations <= 3
+
+
 def _direct_row_value(policy, m, count, seed, params):
     ss = SampleSet.draw(Rayleigh(), m, count, seed).prefix(m)
+    p = SystemParams(params.snr_linear, params.n, m, params.theta)
     if isinstance(policy, VariableRate):
-        return effective_rate_variable(policy.epsilon, ss, params.with_m(m)).value
-    return effective_rate_fixed(policy.rate, ss, params.with_m(m)).value
+        return effective_rate_variable(policy.epsilon, ss, p).value
+    return effective_rate_fixed(policy.rate, ss, p).value
 
 
 class TestSweepM:
@@ -202,7 +255,7 @@ class TestSweepM:
         master = SampleSet.draw(Rayleigh(), 12, 2_000, 12)
         for m, row in zip(ms, rows):
             copy = SampleSet(np.ascontiguousarray(master.gains[:, :m]), seed=12)
-            assert row == _evaluate_policy(copy, P1.with_m(m), policy), m
+            assert row == _evaluate_policy(copy, SystemParams(1.0, 200, m, 0.01), policy), m
 
     def test_theta_zero_requires_explicit_target(self):
         p0 = SystemParams(1.0, 50, 1, 0.0)

@@ -125,7 +125,7 @@ class TestSubChunks:
     def test_split_matches_whole(self, m, policy, fading):
         if isinstance(fading, Deterministic):
             fading = Deterministic(gains=tuple(np.resize(fading.gains, m)))
-        cfg = _config(params=P2.with_m(m), policy=policy, fading=fading,
+        cfg = _config(params=SystemParams(1.0, 50, m, 0.05), policy=policy, fading=fading,
                       frames=6_000, burn_in_frames=0)
         whole, whole_gain = _service(cfg, start=123, with_gain_mean=True)
         parts = np.empty_like(whole)
