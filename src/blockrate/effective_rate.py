@@ -255,7 +255,8 @@ def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,
         psi'' = x*g*(1 - E[e]) + 2*g*c*E[delta*e] + (1-eps)*c^2*E[delta^2*e]
 
     each taken times exp(-L), with the shift L of `log_psi`, so nothing
-    overflows.  Rows pinned at zero rate by clamping are constant in x and
+    overflows; ln psi has slopes psi'/psi and psi''/psi - (psi'/psi)^2.
+    Rows pinned at zero rate by clamping are constant in x and
     add no slope.  1 - eps is Q(-x), exact even where eps is within rounding
     of 1.
     """
@@ -380,8 +381,9 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
         phi'  = P*(1 - exp(-t)) - c*E[1-eps]*exp(-t)
         phi'' = Z*(1 - exp(-t)) + 2*c*P*exp(-t) + c^2*E[1-eps]*exp(-t)
 
-    Each is divided by phi in log space, so the slopes stay resolved where
-    phi is far below 1e-16 or underflows.  Rows with delta = 0 are steps in
+    ln phi has slopes phi'/phi and phi''/phi - (phi'/phi)^2.  Each term is
+    divided by phi in log space, so the slopes stay resolved where phi is
+    far below 1e-16 or underflows.  Rows with delta = 0 are steps in
     R and add no slope.
     """
     if not (math.isfinite(rate) and rate >= 0.0):

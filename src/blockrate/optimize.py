@@ -109,8 +109,8 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
     slopes(x) returns (f(x), f'(x), f''(x)); f' changes sign at most once,
     from - to +.  The search starts at `start` and keeps a bracket [a, b]
     around the root, shrunk on the sign of f'.  A Newton step that leaves the
-    bracket, or is over half the step before last, becomes a bisection step,
-    as in special.q_inverse.  The edges are read lazily: before the first
+    bracket (the safeguard of special.q_inverse), or is over half the step
+    before last, becomes a bisection step.  The edges are read lazily: before the first
     step toward an edge that is not a Newton step, the slope at that edge is
     evaluated, and if it shows the root at or beyond the edge the search
     stops there with at_edge set.  Otherwise the search stops once a step is

@@ -201,7 +201,6 @@ def sets_1e5():
 
 @pytest.mark.parametrize("snr_db, n, m, theta", SEARCH_POINTS)
 def test_search_evaluation_caps(sets_1e5, snr_db, n, m, theta):
-    # Brent's method took 12-38 (eps) and 11-46 (rate) evaluations here
     p = SystemParams.from_db(snr_db, n, m, theta)
     eps = optimal_epsilon(sets_1e5[m], p)
     assert optimal_rate(sets_1e5[m], p).iterations <= 15
