@@ -21,11 +21,11 @@ from blockrate.effective_rate import (
     effective_rate_variable,
     ergodic_rate_fixed,
     ergodic_rate_variable,
+    log_phi_slopes,
     log_psi,
+    log_psi_slopes,
     phi,
     phi_complement,
-    log_phi_slopes,
-    log_psi_slopes,
     psi,
 )
 from blockrate.errors import ComputationError, DomainError

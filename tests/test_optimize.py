@@ -12,12 +12,11 @@ from blockrate.effective_rate import (
     effective_rate_variable,
     ergodic_rate_variable,
     log_psi,
-    phi,
     log_psi_slopes,
+    phi,
 )
 from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import FixedRate, VariableRate
-from blockrate.special import q_inverse
 from blockrate.optimize import (
     EPSILON_BRACKET,
     Optimum,
@@ -29,6 +28,7 @@ from blockrate.optimize import (
     sweep_m,
     sweep_theta,
 )
+from blockrate.special import q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
 
@@ -173,8 +173,9 @@ class TestOptimalRate:
 
     @pytest.mark.parametrize("m", [5, 10])
     def test_large_theta_optimum_beats_dense_grid(self, m):
-        # at theta*n*m = 2000, phi at the optimum is near 1e-35: searching
-        # -(1 - phi), which rounds to -1 there, stopped far from R*
+        # theta*n*m is 1000 and 2000, and phi at R* near 1e-11 and 1e-35;
+        # searching -(1 - phi), which rounds to -1 below 1e-16, stopped far
+        # from R* at m = 10
         ss = SampleSet.draw(Rayleigh(), m, 20_000, seed=7)
         p = SystemParams(1.0, 200, m, 1.0)
         opt = optimal_rate(ss, p)
