@@ -48,11 +48,10 @@ from scipy.special import roots_laguerre
 from .channel import FadingModel, Rayleigh, SystemParams, draw_gain_matrix
 from .errors import ComputationError, DomainError
 from .fbl import (
-    block_terms,
     error_probability_arrays,
     rate_lower_bound_arrays,
     rate_stats_arrays,
-    reduce_terms,
+    rate_stats_widths,
 )
 from .special import SQRT_2PI, q_function
 
@@ -69,7 +68,7 @@ class SampleSet:
     row, neither copied nor validated again.  Sweeps over m draw one master
     set at the largest m and compare prefixes, so per-realization gains are
     common across the compared block counts; `prefixes` builds them with
-    their statistics, computing the per-block terms once on the master.
+    their statistics, all from one walk over the master's blocks.
 
     `weights` is None for a Monte Carlo set, whose rows are equally likely;
     a quadrature set (`laguerre`) carries one weight per row instead.
@@ -131,18 +130,17 @@ class SampleSet:
                  params: SystemParams) -> dict[int, "SampleSet"]:
         """prefix(m) for each distinct m, with stats cached at params' (snr, n).
 
-        The per-block terms are computed once, over the widest prefix needed,
-        and each prefix reduces its leading columns of them, exactly as
-        `stats` would on that prefix alone.  The terms are dropped on return.
+        One running sum over the master's blocks gives every prefix its
+        statistics, bit for bit those `stats` computes on that prefix alone,
+        and builds no (count, m) matrix of per-block terms.
         """
         subs = {m: self.prefix(m) for m in sorted(set(m_values))}
         key = (params.snr_linear, params.n)
-        todo = [sub for sub in subs.values() if key not in sub._stats_cache]
+        todo = [m for m, sub in subs.items() if key not in sub._stats_cache]
         if todo:
-            log_terms, frac_terms = block_terms(self.gains[:, :todo[-1].m], params.snr_linear)
-            for sub in todo:
-                sub._stats_cache[key] = reduce_terms(
-                    log_terms[:, :sub.m], frac_terms[:, :sub.m], params.n)
+            stats = rate_stats_widths(self.gains, todo, params.snr_linear, params.n)
+            for m in todo:
+                subs[m]._stats_cache[key] = stats[m]
         return subs
 
     def stats(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

@@ -6,12 +6,14 @@ mean and standard deviation
     mu    = (1/m) * sum_l log2(1 + SNR*z_l)
     delta = log2(e) * sqrt((1/m) * sum_l 2*SNR*z_l / (nm*(1 + SNR*z_l)))
 
-in bits per channel use.  A decoding error probability target epsilon buys
-the rate lower bound R = mu - delta*Q^{-1}(epsilon); conversely a fixed rate
-R fails with probability Q((mu - R)/delta).  The Gaussian model behind these
-formulas is validated here by an exact sampler: the centered density equals
-a weighted sum of nm i.i.d. Laplace variates (zero mean, variance 2), drawn
-by inverse CDF.
+in bits per channel use.  Both sums run over the blocks left to right
+(`rate_stats_widths`), so a matrix's leading m blocks give the statistics of
+their m-column copy bit for bit.  A decoding error probability target
+epsilon buys the rate lower bound R = mu - delta*Q^{-1}(epsilon);
+conversely a fixed rate R fails with probability Q((mu - R)/delta).  The
+Gaussian model behind these formulas is validated here by an exact sampler:
+the centered density equals a weighted sum of nm i.i.d. Laplace variates
+(zero mean, variance 2), drawn by inverse CDF.
 
 R can be negative for small epsilon and deep fades; the formula is evaluated
 as printed by default, and `clamp` floors it at zero (zero service).  The
@@ -92,24 +94,24 @@ def _check_realization(z: np.ndarray, params: SystemParams) -> np.ndarray:
     return z
 
 
-def block_terms(gains: np.ndarray, snr_linear: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block terms (log1p(s), s/(1+s)) with s = snr_linear * gains."""
-    s = snr_linear * gains
-    return np.log1p(s), s / (1.0 + s)
-
-
-def reduce_terms(log_terms: np.ndarray, frac_terms: np.ndarray,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, delta) from the block terms of a (count, m) gain matrix.
-
-    The terms may be a column view of a wider matrix's terms: each row is
-    reduced over its own m entries, so the leading m columns of a master's
-    terms give that prefix's statistics bit for bit.
-    """
-    m = log_terms.shape[1]
-    mu = LOG2E * np.mean(log_terms, axis=1)
-    delta = LOG2E * np.sqrt(frac_terms.sum(axis=1) * (2.0 / (n * m * m)))
-    return mu, delta
+def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float,
+                      n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(mu, delta) of each row's leading m blocks, for each m in widths, from
+    two running (count,) sums of log1p(s) and s/(1+s), s = snr_linear*gain,
+    taken over the gain columns left to right."""
+    count, blocks = gains.shape
+    if not widths or not all(1 <= m <= blocks for m in widths):
+        raise DomainError(f"widths {widths} must be nonempty and within 1..{blocks}")
+    s, term = np.empty(count), np.empty(count)
+    log_sum, frac_sum = np.zeros(count), np.zeros(count)
+    out = {}
+    for m in range(1, max(widths) + 1):
+        np.multiply(gains[:, m - 1], snr_linear, out=s)
+        log_sum += np.log1p(s, out=term)
+        frac_sum += np.divide(s, np.add(s, 1.0, out=term), out=term)
+        if m in widths:
+            out[m] = (LOG2E * (log_sum / m), LOG2E * np.sqrt(frac_sum * (2.0 / (n * m * m))))
+    return out
 
 
 def rate_stats_arrays(gains: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +119,7 @@ def rate_stats_arrays(gains: np.ndarray, params: SystemParams) -> tuple[np.ndarr
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2 or gains.shape[1] != params.m:
         raise DomainError(f"gain matrix width {gains.shape} does not match m={params.m}")
-    return reduce_terms(*block_terms(gains, params.snr_linear), params.n)
+    return rate_stats_widths(gains, [params.m], params.snr_linear, params.n)[params.m]
 
 
 def rate_stats(z: np.ndarray, params: SystemParams) -> RateStats:

@@ -17,7 +17,7 @@ it; that edge is then reported as the argument.
 Sweeps over m (`sweep`, and `sweep_m` / `sweep_theta`, which call it) reuse
 one master gain set drawn at the largest m; each smaller m evaluates the
 leading blocks of the same rows (SampleSet.prefixes: views of the master,
-whose per-block rate terms are computed once and reduced per m).
+whose statistics for every m come from one running sum over its blocks).
 With gains common across block counts, the m-comparison — the central
 tradeoff here — is not polluted by independent sampling noise.
 

@@ -9,6 +9,7 @@ convergence), and Monte Carlo agrees within sampling error.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,21 @@ class TestSampleSet:
             mu, delta = subs[m].stats(SystemParams(2.0, 50, m, 0.01))
             assert np.array_equal(mu, expected[m][0]), m
             assert np.array_equal(delta, expected[m][1]), m
+
+    def test_prefixes_allocate_no_term_matrix(self):
+        # beyond the 100 cached stats vectors, only a few (count,) working
+        # vectors may be alive at once: never a (count, m) matrix of terms
+        ss = SampleSet.draw(Rayleigh(), 50, 2_000, seed=6)
+        tracemalloc.start()
+        try:
+            subs = ss.prefixes(range(1, 51), SystemParams(2.0, 50, 50, 0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cached = sum(a.nbytes for sub in subs.values()
+                     for stats in sub._stats_cache.values() for a in stats)
+        assert cached == 100 * ss.count * 8
+        assert peak < cached + 10 * ss.count * 8
 
     def test_prefix_bounds(self):
         ss = SampleSet.draw(Rayleigh(), 2, 10, seed=0)

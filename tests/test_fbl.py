@@ -21,7 +21,6 @@ from blockrate.fbl import (
     RateStats,
     VariableRate,
     _laplace_from_uniform,
-    block_terms,
     error_probability,
     error_probability_arrays,
     mi_density_samples_exact,
@@ -29,7 +28,7 @@ from blockrate.fbl import (
     rate_lower_bound_arrays,
     rate_stats,
     rate_stats_arrays,
-    reduce_terms,
+    rate_stats_widths,
 )
 
 P200 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
@@ -58,12 +57,39 @@ class TestRateStats:
     def test_reduced_column_views_match_contiguous_prefixes(self):
         # widths 1..20 and 50 cross the 8-lane blocks of numpy's pairwise sum
         gains = np.random.default_rng(3).exponential(size=(500, 50))
-        log_terms, frac_terms = block_terms(gains, P50X2.snr_linear)
-        for m in [*range(1, 21), 50]:
-            mu, delta = reduce_terms(log_terms[:, :m], frac_terms[:, :m], P50X2.n)
-            ref_mu, ref_delta = rate_stats_arrays(np.ascontiguousarray(gains[:, :m]),
-                                                  SystemParams(1.0, 50, m, 0.01))
-            assert np.array_equal(mu, ref_mu) and np.array_equal(delta, ref_delta), m
+        widths = [*range(1, 21), 50]
+        stats = rate_stats_widths(gains, widths, P50X2.snr_linear, P50X2.n)
+        assert sorted(stats) == widths
+        s = P50X2.snr_linear * gains
+        log_terms, frac_terms = np.log1p(s), s / (1.0 + s)
+        # the plain left-to-right float loop, row by row
+        loop = {m: ([], []) for m in widths}
+        for lt, ft in zip(log_terms.tolist(), frac_terms.tolist()):
+            log_sum = frac_sum = 0.0
+            for m in range(1, 51):
+                log_sum += lt[m - 1]
+                frac_sum += ft[m - 1]
+                if m in loop:
+                    loop[m][0].append(LOG2E * (log_sum / m))
+                    loop[m][1].append(LOG2E * math.sqrt(frac_sum * (2.0 / (P50X2.n * m * m))))
+        for m in widths:
+            mu, delta = stats[m]
+            ref = rate_stats_arrays(np.ascontiguousarray(gains[:, :m]),
+                                    SystemParams(1.0, 50, m, 0.01))
+            assert np.array_equal(mu, ref[0]) and np.array_equal(delta, ref[1]), m
+            assert np.array_equal(mu, loop[m][0]) and np.array_equal(delta, loop[m][1]), m
+            # numpy's pairwise row sums differ only in rounding, by m ulps at most
+            rel = m * np.finfo(float).eps / 2
+            pairwise_mu = LOG2E * np.mean(log_terms[:, :m], axis=1)
+            pairwise_delta = LOG2E * np.sqrt(frac_terms[:, :m].sum(axis=1)
+                                             * (2.0 / (P50X2.n * m * m)))
+            np.testing.assert_allclose(mu, pairwise_mu, rtol=rel, atol=0)
+            np.testing.assert_allclose(delta, pairwise_delta, rtol=rel, atol=0)
+
+    @pytest.mark.parametrize("widths", [[], [0], [1, 4], [-1, 2]])
+    def test_widths_validation(self, widths):
+        with pytest.raises(DomainError):
+            rate_stats_widths(np.ones((3, 3)), widths, 1.0, 50)
 
     def test_snr_to_infinity_dispersion_limit(self):
         # s/(1+s) -> 1 per block, so delta -> log2(e)*sqrt(2/(n m))

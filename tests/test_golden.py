@@ -3,9 +3,10 @@
 Each case runs `cli.main` in-process and compares the sha256 of its stdout
 to a hash recorded from the same command.  A refactor that keeps the
 arithmetic order must keep these hashes.  The hashes depend on the rounding
-of numpy's and scipy's kernels (log1p, erfc, pairwise sums), so they hold
-only for the versions recorded below; under other versions the test is
-skipped with a message naming both.
+of numpy's and scipy's kernels (log1p, erfc, and the pairwise sums behind
+each expectation; the rate statistics sum their blocks left to right in
+`fbl`'s own order), so they hold only for the versions recorded below;
+under other versions the test is skipped with a message naming both.
 """
 
 import hashlib
@@ -29,12 +30,12 @@ GOLDEN = {
          "--clamp-rate", "--format", "json"] + _S,
         "5218a0f84104847becf9a65647534b0059848187a8e7c37d84b74965623a8cae"),
     "fig2": (["fig2", "--m", "1..12", "--seed", "4"] + _S,
-             "fa49cedd823bb6ba7a96a7fdf3b70a8aa2cd482d564a2a59a4e90314ac75d73d"),
+             "3ef91e68d1e763740631f97ba32edb1b3018d656416392620ac61ffebb75ee89"),
     "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
              "30bc2b9912da47b8208c3b1be2d40b76234348b2007d88d45aa941031c12c0a2"),
     "fig3_clamp": (["fig3", "--snr-db", "0", "--n", "200", "--m", "1,10",
                     "--theta", "0.01,0.1", "--clamp-rate", "--seed", "12"] + _S,
-                   "e36cf568a796722085cd81e0a28f70cc24acdfe99ad5fa4b977a980ce36751c5"),
+                   "8f7e385b4fc4f4203f6fbcc10fed554a6623878fa733269dcc84ad1c50e7967c"),
     "fig4": (["fig4", "--m", "1,2,5", "--seed", "6"] + _S,
              "e3d5e72d25b0f15739b280af53f3695b7c466f68d4a884ba388328a74f09a9ee"),
     "fig4_theta0_json": (["fig4", "--theta", "0", "--m", "1,2", "--rate-grid", "0,0.5,1",
