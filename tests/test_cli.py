@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,6 +66,47 @@ class TestParsers:
             _parse_arrival("fast")
 
 
+def _common(snr_db, n):
+    return {"--help": None, "--snr-db": snr_db, "--n": n, "--samples": "100000",
+            "--seed": "1", "--clamp-rate": None, "--format": "csv", "--output": ""}
+
+
+# long flag -> the text of its "(default ...)" note, None where help has none
+HELP_SURFACE = {
+    "fig1": {**_common("0.0", "200"), "--theta": "0.01", "--m": "1,2,5,10",
+             "--epsilon-grid": "120 log+linear points spanning 1e-7..0.999"},
+    "fig2": {**_common("0.0", "50"), "--epsilon": "0.01", "--theta": "0,0.001,0.01,0.1",
+             "--m": "1..50"},
+    "fig3": {**_common("-10.0", "50"), "--theta": "20 log-spaced points in 0.001..1",
+             "--m": "1,2,5,10"},
+    "fig4": {**_common("0.0", "200"), "--theta": "0.01", "--m": "1,2,5,10",
+             "--rate-grid": "101 points from 0 to max(2, 2*log2(1+SNR))"},
+    "optimize-epsilon": {**_common("0.0", "200"), "--theta": "0.01", "--m": "1"},
+    "optimize-rate": {**_common("0.0", "200"), "--theta": "0.01", "--m": "1"},
+    "sweep-m": {**_common("0.0", "50"), "--theta": "0.01", "--m": "1..50",
+                "--epsilon": None, "--rate": None},
+    "simulate": {**_common("0.0", "200"), "--theta": "0.01", "--m": "1", "--epsilon": None,
+                 "--rate": None, "--arrival": "auto", "--frames": "1000000",
+                 "--burn-in": "10000", "--trace-output": None,
+                 "--trace-every": "1000 when --trace-output is set"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SURFACE))
+def test_help_lists_same_flags_and_defaults(command, capsys, monkeypatch):
+    # wide enough that argparse wraps no help line; flag order and help
+    # wording are free to change, the flags and their defaults are not
+    monkeypatch.setenv("COLUMNS", "1000")
+    assert main([command, "--help"]) == 0
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    surface = {}
+    for entry in re.split(r"\n(?=  -)", options):
+        flag = re.search(r"--[a-z][a-z-]*", entry).group()
+        default = re.search(r"\(default:? ?(.*)\)$", " ".join(entry.split()))
+        surface[flag] = default and default.group(1)
+    assert surface == HELP_SURFACE[command]
+
+
 class TestExitCodes:
     def test_version_is_success(self, capsys):
         assert main(["--version"]) == 0
@@ -106,6 +148,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "--clamp-rate" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--samples", "1"],
+        ["optimize-epsilon", "--snr-db", "nan"],
+        ["simulate", "--snr-db", "inf"],
+    ])
+    def test_invalid_samples_or_snr_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be" in err
 
     def test_fig3_cannot_optimize_at_theta_zero(self, capsys):
         code = main(["fig3", "--theta", "0", "--m", "1", "--samples", "500"])

@@ -33,6 +33,9 @@ GOLDEN = {
              "3ef91e68d1e763740631f97ba32edb1b3018d656416392620ac61ffebb75ee89"),
     "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
              "30bc2b9912da47b8208c3b1be2d40b76234348b2007d88d45aa941031c12c0a2"),
+    # no --theta: the computed 20-point grid
+    "fig3_default_theta": (["fig3", "--m", "1,2,5", "--seed", "5"] + _S,
+                           "208060350b7cf8d38941bca45caa1146029763c3a164755d9245a32c33f56c39"),
     "fig3_clamp": (["fig3", "--snr-db", "0", "--n", "200", "--m", "1,10",
                     "--theta", "0.01,0.1", "--clamp-rate", "--seed", "12"] + _S,
                    "8f7e385b4fc4f4203f6fbcc10fed554a6623878fa733269dcc84ad1c50e7967c"),
@@ -43,6 +46,10 @@ GOLDEN = {
                          "950bdd2c4e51559540e6a9c35d8c26a5545d137e61dbc6fa561c3ca5911fa495"),
     "optimize_epsilon": (["optimize-epsilon", "--m", "2", "--theta", "0.1", "--seed", "7"] + _S,
                          "408a71afb920034a1f755ced55b2776de3c842394dd85966657e8230c36f0861"),
+    # single-value --m and --theta are printed as one-element lists
+    "optimize_epsilon_json": (["optimize-epsilon", "--m", "2", "--theta", "0.1", "--seed", "7",
+                               "--format", "json"] + _S,
+                              "46b74e1f46f1d7e538e2cf15957620ae6876d3d9521cb9de2c163ac6c555d4be"),
     "optimize_rate": (["optimize-rate", "--m", "2", "--theta", "0.1", "--seed", "8"] + _S,
                       "86f0bdc4aac569553ef7199cd39e2d42ea4b7dd98cd31a7c66c572bd04e6e980"),
     "sweep_m_rate": (["sweep-m", "--m", "1..8", "--rate", "0.5", "--seed", "9"] + _S,
@@ -62,6 +69,9 @@ GOLDEN = {
     "simulate_rate": (["simulate", "--rate", "0.3", "--frames", "200000",
                        "--burn-in", "5000", "--seed", "13"] + _S,
                       "e52734d66e1d7c44a637865c9d7db3bf4ee9dea1a47615c5a302894d0d1b00d0"),
+    "simulate_rate_json": (["simulate", "--rate", "0.3", "--frames", "200000",
+                            "--burn-in", "5000", "--seed", "13", "--format", "json"] + _S,
+                           "797c566958c8dbd1f574f000f042ea1ecb0d482d2f67f0c9d64f2024ffe07e05"),
 }
 
 
