@@ -87,6 +87,8 @@ def _blocks_per_sample(draws: int) -> int:
 
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     bg = np.random.Philox(seed)
     bg.advance(index * _blocks_per_sample(draws_per_sample))
     return np.random.Generator(bg)

@@ -109,6 +109,10 @@ class TestWindowedSampling:
         assert not np.array_equal(uniform_windows(1, 0, 8, 3),
                                   uniform_windows(2, 0, 8, 3))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            uniform_windows(-1, 0, 8, 3)
+
     def test_uniform_range(self):
         u = uniform_windows(13, 0, 10_000, 5)
         assert u.min() >= 0.0 and u.max() < 1.0

@@ -160,6 +160,16 @@ class TestExitCodes:
         assert out == ""
         assert "must be" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--m", "1"],
+        ["simulate", "--frames", "1000", "--burn-in", "10"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--seed", "-1", "--samples", "500"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     def test_fig3_cannot_optimize_at_theta_zero(self, capsys):
         code = main(["fig3", "--theta", "0", "--m", "1", "--samples", "500"])
         assert code == 1
