@@ -149,26 +149,19 @@ class TestExitCodes:
         assert out == ""
         assert "--clamp-rate" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["fig1", "--samples", "1"],
-        ["optimize-epsilon", "--snr-db", "nan"],
-        ["simulate", "--snr-db", "inf"],
+    @pytest.mark.parametrize("argv,message", [
+        (["fig1", "--samples", "1"], "--samples must be >= 2"),
+        (["optimize-epsilon", "--snr-db", "nan"], "--snr-db must be finite"),
+        (["simulate", "--snr-db", "inf"], "--snr-db must be finite"),
+        (["fig3", "--m", "1", "--seed", "-1", "--samples", "500"], "seed must be >= 0"),
+        (["simulate", "--frames", "1000", "--burn-in", "10", "--seed", "-1",
+          "--samples", "500"], "seed must be >= 0"),
     ])
-    def test_invalid_samples_or_snr_is_usage_error(self, argv, capsys):
+    def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert "must be" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["fig3", "--m", "1"],
-        ["simulate", "--frames", "1000", "--burn-in", "10"],
-    ])
-    def test_negative_seed_is_usage_error(self, argv, capsys):
-        assert main(argv + ["--seed", "-1", "--samples", "500"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "seed must be >= 0" in err
+        assert message in err
 
     def test_fig3_cannot_optimize_at_theta_zero(self, capsys):
         code = main(["fig3", "--theta", "0", "--m", "1", "--samples", "500"])
