@@ -291,10 +291,10 @@ def _cmd_simulate(args: argparse.Namespace):
     tail = estimate_decay_rate(result.samples)
     columns = ["theta_hat", "fit_r2", "q_lo", "q_hi", "overflow_fraction_at_q_hi",
                "arrival_bits_per_frame", "policy_argument", "effective_rate",
-               "mean_service_bits", "trend_slope", "unstable"]
+               "mean_service_bits", "trend_slope", "drift_z", "unstable"]
     row = (tail.theta_hat, tail.fit_r2, tail.q_lo, tail.q_hi,
            tail.overflow_fraction_at_q_hi, arrival, cal.argument, cal.effective_rate,
-           result.mean_service, result.trend_slope, result.unstable)
+           result.mean_service, result.trend_slope, result.drift_z, result.unstable)
     return meta, columns, [row]
 
 

@@ -59,6 +59,8 @@ _X_START = 1.0
 _R_START = 0.1
 
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
+# the same bracket in x = Q^{-1}(eps), which decreases in eps
+_X_BRACKET = (q_inverse(EPSILON_BRACKET[1]), q_inverse(EPSILON_BRACKET[0]))
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def optimal_epsilon(samples: SampleSet, params: SystemParams,
     EPSILON_BRACKET, with at_boundary set.
     """
     eps_lo, eps_hi = EPSILON_BRACKET
-    x_lo, x_hi = q_inverse(eps_hi), q_inverse(eps_lo)
+    x_lo, x_hi = _X_BRACKET
     x, evals, at_edge = newton_minimize(
         lambda x: log_psi_slopes(x, samples, params, clamp), x_lo, x_hi, _X_START, tol)
     if at_edge:

@@ -65,13 +65,13 @@ GOLDEN = {
                               "--clamp-rate", "--frames", "600000", "--burn-in", "20000",
                               "--seed", "11", "--trace-output", "-",
                               "--trace-every", "997"] + _S,
-                             "3b67927fe74371e9ed8e2d0fb0b38a1f23880e1a123f904e0685a3a6152d400b"),
+                             "16b84d6f3728dcbeb72e4325284f4106dd6ec82520a49c1b11b10a73a0816256"),
     "simulate_rate": (["simulate", "--rate", "0.3", "--frames", "200000",
                        "--burn-in", "5000", "--seed", "13"] + _S,
-                      "e52734d66e1d7c44a637865c9d7db3bf4ee9dea1a47615c5a302894d0d1b00d0"),
+                      "86d0d64a76c18b363cf85e5680cd8fad4fa7654834cf660a2c4fba3b32aee7a0"),
     "simulate_rate_json": (["simulate", "--rate", "0.3", "--frames", "200000",
                             "--burn-in", "5000", "--seed", "13", "--format", "json"] + _S,
-                           "797c566958c8dbd1f574f000f042ea1ecb0d482d2f67f0c9d64f2024ffe07e05"),
+                           "3755159c677441537888eb8f722dc4926753e259d9bcd03d17d25b1368f1037e"),
 }
 
 

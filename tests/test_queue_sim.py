@@ -1,7 +1,9 @@
 """Frame-level queue dynamics, stability diagnostics, and tail fitting."""
 
+import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from blockrate.queue_sim import (
     QueueConfig,
     QueueResult,
     TailEstimate,
+    TailHistogram,
     _fill_service,
     _lindley_chunk,
     _service_chunks,
@@ -51,6 +54,7 @@ class TestQueueConfig:
         dict(burn_in_frames=1_000),       # >= frames
         dict(policy=VariableRate()),      # no epsilon target
         dict(policy=FixedRate()),         # no rate target
+        dict(params=SystemParams(1.0, 50, 2, 0.0)),  # no tail scale
     ])
     def test_rejects(self, kw):
         with pytest.raises(DomainError):
@@ -188,6 +192,10 @@ class TestServicePipeline:
             simulate_queue(_config(frames=2 * _SUB_FRAMES, burn_in_frames=0))
 
 
+def _lindley(q0, x):
+    return _lindley_chunk(q0, x.copy(), np.empty_like(x))  # leaves x as it was
+
+
 class TestLindley:
     def _loop(self, q0, x):
         out = np.empty_like(x)
@@ -201,7 +209,7 @@ class TestLindley:
     def test_matches_scalar_recursion(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(0.0, 5.0, size=4_000)
-        got = _lindley_chunk(3.5, x)
+        got = _lindley(3.5, x)
         np.testing.assert_allclose(got, self._loop(3.5, x), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("m, epsilon", [(2, 0.01), (10, 0.001)])
@@ -214,28 +222,28 @@ class TestLindley:
                       frames=_CHUNK_FRAMES, burn_in_frames=0)
         service = _service(cfg)
         x = 0.97 * service.mean() - service
-        err = np.abs(_lindley_chunk(0.0, x) - self._loop(0.0, x)).max()
+        err = np.abs(_lindley(0.0, x) - self._loop(0.0, x)).max()
         assert err <= 1e-10 * np.abs(x).max()
 
     @pytest.mark.parametrize("scale", [5.0, 1e5])
     def test_full_chunk_error_bound_on_gaussian_steps(self, scale):
         rng = np.random.default_rng(11)
         x = rng.normal(-0.04 * scale, scale, size=_CHUNK_FRAMES)
-        err = np.abs(_lindley_chunk(2.0 * scale, x) - self._loop(2.0 * scale, x)).max()
+        err = np.abs(_lindley(2.0 * scale, x) - self._loop(2.0 * scale, x)).max()
         assert err <= 1e-10 * np.abs(x).max()
 
     def test_chunk_boundary_carry(self):
         rng = np.random.default_rng(9)
         x = rng.normal(-0.2, 3.0, size=1_000)
-        whole = _lindley_chunk(0.0, x)
-        first = _lindley_chunk(0.0, x[:337])
-        second = _lindley_chunk(float(first[-1]), x[337:])
+        whole = _lindley(0.0, x)
+        first = _lindley(0.0, x[:337])
+        second = _lindley(float(first[-1]), x[337:])
         np.testing.assert_allclose(
             np.concatenate([first, second]), whole, rtol=0, atol=1e-9)
 
     def test_never_negative_and_empty_start(self):
         x = np.array([-5.0, 2.0, -10.0, 1.0])
-        got = _lindley_chunk(0.0, x)
+        got = _lindley(0.0, x)
         np.testing.assert_array_equal(got, [0.0, 2.0, 0.0, 1.0])
 
 
@@ -244,7 +252,7 @@ class TestSimulateQueue:
         # recompute every frame's service straight from its uniform window
         # and run the scalar recursion; the chunked engine must agree
         cfg = _config(frames=400, burn_in_frames=0, arrival_bits_per_frame=30.0)
-        res = simulate_queue(cfg)
+        res = simulate_queue(cfg, trace_every=1)
         q = 0.0
         expect = np.empty(400)
         for t in range(400):
@@ -254,14 +262,14 @@ class TestSimulateQueue:
             s = cfg.params.nm * r if u[cfg.params.m] >= cfg.policy.epsilon else 0.0
             q = max(q + 30.0 - s, 0.0)
             expect[t] = q
-        np.testing.assert_allclose(res.samples, expect, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.trace[:, 3], expect, rtol=0, atol=1e-9)
 
     def test_deterministic_fading_consumes_one_draw(self):
         cfg = _config(frames=50, burn_in_frames=0,
                       fading=Deterministic(gains=(0.9, 1.1)),
                       policy=FixedRate(rate=0.4),
                       arrival_bits_per_frame=20.0)
-        res = simulate_queue(cfg)
+        res = simulate_queue(cfg, trace_every=1)
         from blockrate.fbl import error_probability
         eps = error_probability(np.array([0.9, 1.1]), cfg.params, 0.4)
         q = 0.0
@@ -271,20 +279,36 @@ class TestSimulateQueue:
             s = cfg.params.nm * 0.4 if u >= eps else 0.0
             q = max(q + 20.0 - s, 0.0)
             expect[t] = q
-        np.testing.assert_allclose(res.samples, expect, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.trace[:, 3], expect, rtol=0, atol=1e-9)
 
     def test_zero_arrival_clamped_stays_empty(self):
         cfg = _config(arrival_bits_per_frame=0.0,
                       policy=VariableRate(epsilon=0.01, clamp_negative=True))
-        res = simulate_queue(cfg)
-        assert np.all(res.samples == 0.0)
+        res = simulate_queue(cfg, trace_every=1)
+        assert np.all(res.trace[:, 3] == 0.0)
         assert not res.unstable
         assert res.trend_slope == 0.0
 
     def test_burn_in_dropped(self):
-        full = simulate_queue(_config(burn_in_frames=0))
-        cut = simulate_queue(_config(burn_in_frames=250))
-        np.testing.assert_array_equal(cut.samples, full.samples[250:])
+        full = simulate_queue(_config(burn_in_frames=0), trace_every=1)
+        cut = simulate_queue(_config(burn_in_frames=250), trace_every=1)
+        np.testing.assert_array_equal(cut.trace[:, 3], full.trace[250:, 3])
+        kept = _histogram(full.trace[250:, 3], P2.theta)
+        np.testing.assert_array_equal(cut.samples.counts, kept.counts)
+
+    def test_histogram_and_trend_match_per_frame_values(self):
+        # three chunks and a burn-in that ends mid-chunk: the histogram
+        # counts every kept frame once, and the trend is fitted on the same
+        # every-step-th kept frame as a fit on the whole kept trajectory
+        cfg = _config(frames=2 * _CHUNK_FRAMES + 4_321, burn_in_frames=_CHUNK_FRAMES - 77,
+                      arrival_bits_per_frame=40.0)
+        res = simulate_queue(cfg, trace_every=1)
+        kept = res.trace[:, 3]
+        assert kept.size == cfg.frames - cfg.burn_in_frames
+        np.testing.assert_array_equal(res.samples.counts, _histogram(kept, P2.theta).counts)
+        step = max(1, kept.size // 2048)
+        t = np.arange(kept[::step].size, dtype=float) * step
+        assert res.trend_slope == float(np.polyfit(t, kept[::step], 1)[0])
 
     def test_unstable_flag_fires_on_overload(self):
         fading = Deterministic(gains=(1.0, 1.0))
@@ -295,8 +319,10 @@ class TestSimulateQueue:
                        arrival_bits_per_frame=1.2 * service, frames=5_000)
         under = _config(fading=fading, policy=FixedRate(rate=0.5),
                         arrival_bits_per_frame=0.8 * service, frames=5_000)
-        assert simulate_queue(over).unstable
-        assert not simulate_queue(under).unstable
+        for cfg, unstable in ((over, True), (under, False)):
+            res = simulate_queue(cfg)
+            assert res.unstable is unstable
+            assert (res.drift_z > 3.0) is unstable
 
     def test_mean_service_deterministic_case(self):
         cfg = _config(fading=Deterministic(gains=(50.0, 50.0)),
@@ -304,6 +330,7 @@ class TestSimulateQueue:
                       burn_in_frames=0, arrival_bits_per_frame=0.0)
         res = simulate_queue(cfg)
         assert res.mean_service == pytest.approx(P2.nm * 0.5, rel=1e-12)
+        assert res.drift_z == -math.inf  # no service variance: the drift is sure
 
     def test_trace_decimation(self):
         cfg = _config(frames=1_000, burn_in_frames=100)
@@ -311,8 +338,10 @@ class TestSimulateQueue:
         assert res.trace is not None and res.trace.shape == (90, 4)
         frames = res.trace[:, 0]
         np.testing.assert_array_equal(frames, np.arange(100, 1_000, 10))
+        every = simulate_queue(cfg, trace_every=1).trace
+        np.testing.assert_array_equal(every[:, 0], np.arange(100, 1_000))
         idx = frames.astype(int) - 100
-        np.testing.assert_array_equal(res.trace[:, 3], res.samples[idx])
+        np.testing.assert_array_equal(res.trace, every[idx])
 
     def test_trace_off_by_default(self):
         assert simulate_queue(_config(frames=200, burn_in_frames=0)).trace is None
@@ -324,6 +353,33 @@ class TestSimulateQueue:
     def test_result_type(self):
         assert isinstance(simulate_queue(_config(frames=120, burn_in_frames=10)),
                           QueueResult)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_frames(self, monkeypatch):
+        # from the third chunk on, the pipeline holds the same arrays at
+        # its peak; a per-frame sample array would add 8 bytes per kept
+        # frame, 38 MB between these two runs
+        monkeypatch.setenv("BLOCKRATE_THREADS", "1")
+
+        def run(frames):
+            tracemalloc.start()
+            try:
+                res = simulate_queue(_config(frames=frames, burn_in_frames=1_000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, res
+
+        small, one = run(3 * _CHUNK_FRAMES)
+        large, four = run(12 * _CHUNK_FRAMES)
+        assert large - small <= 64 * 1024, (small, large)
+        for res in (one, four):
+            assert res.trace is None
+            assert not any(isinstance(getattr(res, f.name), np.ndarray)
+                           for f in dataclasses.fields(res))
+        assert four.samples.total == 4 * one.samples.total + 3_000
+        assert four.samples.nbytes == one.samples.nbytes <= 16 * 1024 + 16
 
 
 class TestArrivalCalibration:
@@ -345,70 +401,122 @@ class TestArrivalCalibration:
         assert glow == pytest.approx(1.0, rel=1e-12)
 
 
-class TestEstimateDecayRate:
-    def test_recovers_exponential_tail(self):
-        lam = 0.37
-        rng = np.random.default_rng(17)
-        s = rng.exponential(1.0 / lam, size=400_000)
-        est = estimate_decay_rate(s)
-        assert isinstance(est, TailEstimate)
-        assert est.theta_hat == pytest.approx(lam, rel=0.05)
-        assert est.fit_r2 > 0.999
-        assert est.q_lo < est.q_hi
-        assert 1e-4 <= est.overflow_fraction_at_q_hi <= 1e-1 + 1e-12
+def _histogram(values, theta):
+    values = np.array(values, dtype=float)  # a copy: add overwrites it
+    hist = TailHistogram(theta)
+    hist.add(values, np.empty(values.size, dtype=np.intp))
+    return hist
 
+
+class TestTailHistogram:
     @pytest.mark.parametrize("decimals", [None, 1])
-    def test_matches_full_sort_reference(self, decimals):
-        # counting the ccdf on the sorted tail above q_lo gives the same
-        # fit as counting it on the whole sorted sample, ties at q_lo included
+    def test_ccdf_at_every_edge_matches_sort(self, decimals):
+        # counts at and above each bin edge equal the number of values >=
+        # that edge in the sorted sample, ties on an edge included
         rng = np.random.default_rng(23)
         s = rng.exponential(4.0, size=300_000) * (rng.random(300_000) < 0.6)
         if decimals is not None:
             s = np.round(s, decimals)
         ref = np.sort(s)
-        q_lo, q_hi = np.quantile(ref, 0.9), np.quantile(ref, 0.9999)
-        grid = np.linspace(q_lo, q_hi, 50)
-        ccdf = (ref.size - np.searchsorted(ref, grid, side="left")) / ref.size
+        for theta in (0.05, 0.37, 1.0, 1.25):
+            hist = _histogram(s, theta)
+            at_or_above = s.size - np.searchsorted(ref, hist.edges, side="left")
+            np.testing.assert_array_equal(np.cumsum(hist.counts[::-1])[::-1], at_or_above)
+            assert hist.total == s.size
+            h = 1.0 / (8 * theta)
+            np.testing.assert_allclose(hist.edges, h * np.arange(hist.edges.size),
+                                       rtol=1e-15, atol=0)
+
+    def test_overflow_and_negative_values(self):
+        hist = _histogram([-3.0, -0.1, 0.0, 0.124, 0.125, 127.9, 128.0, 1e300], 1.0)
+        assert hist.counts[0] == 4 and hist.counts[1] == 1
+        assert hist.counts[-2] == 1 and hist.counts[-1] == 2
+        assert hist.edges[-1] == 128.0
+
+    def test_chunks_add_up(self):
+        rng = np.random.default_rng(5)
+        s = rng.exponential(10.0, size=10_000)
+        parts = TailHistogram(0.1)
+        index = np.empty(4_000, dtype=np.intp)
+        for lo in range(0, s.size, 4_000):
+            parts.add(s[lo:lo + 4_000].copy(), index)
+        np.testing.assert_array_equal(parts.counts, _histogram(s, 0.1).counts)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_theta(self, theta):
+        with pytest.raises(DomainError):
+            TailHistogram(theta)
+
+
+class TestEstimateDecayRate:
+    def test_recovers_exponential_tail(self):
+        lam = 0.37
+        rng = np.random.default_rng(17)
+        s = rng.exponential(1.0 / lam, size=400_000)
+        est = estimate_decay_rate(_histogram(s, lam))
+        assert isinstance(est, TailEstimate)
+        assert est.theta_hat == pytest.approx(lam, rel=0.05)
+        assert est.fit_r2 > 0.999
+        assert est.q_lo < est.q_hi
+        assert 1e-4 <= est.overflow_fraction_at_q_hi <= 1e-1
+
+    def test_fits_exact_counts_at_the_window_edges(self):
+        # the fit is the least-squares line through ln P(Q >= q) at exactly
+        # the edges whose sorted-sample count lies in [p_lo, p_hi]
+        rng = np.random.default_rng(23)
+        s = rng.exponential(4.0, size=300_000) * (rng.random(300_000) < 0.6)
+        hist = _histogram(s, 0.25)
+        ccdf = (s.size - np.searchsorted(np.sort(s), hist.edges, side="left")) / s.size
         keep = (ccdf >= 1e-4) & (ccdf <= 1e-1)
-        slope = np.polyfit(grid[keep], np.log(ccdf[keep]), 1)[0]
-        est = estimate_decay_rate(s)
-        assert (est.q_lo, est.q_hi) == (q_lo, q_hi)
-        assert est.overflow_fraction_at_q_hi == ccdf[-1]
+        slope = np.polyfit(hist.edges[keep], np.log(ccdf[keep]), 1)[0]
+        est = estimate_decay_rate(hist)
+        assert (est.q_lo, est.q_hi) == (hist.edges[keep][0], hist.edges[keep][-1])
+        assert est.overflow_fraction_at_q_hi == ccdf[keep][-1]
         assert est.theta_hat == -slope
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)
         s = rng.exponential(2.0, size=200_000)
-        a = estimate_decay_rate(s)
-        b = estimate_decay_rate(3.0 * s)
+        a = estimate_decay_rate(_histogram(s, 0.5))
+        b = estimate_decay_rate(_histogram(3.0 * s, 0.5 / 3.0))
         assert b.theta_hat == pytest.approx(a.theta_hat / 3.0, rel=1e-9)
 
     def test_too_few_samples(self):
         with pytest.raises(EstimationError):
-            estimate_decay_rate(np.arange(9.0))
+            estimate_decay_rate(_histogram(np.arange(9.0), 1.0))
 
     def test_degenerate_window(self):
         with pytest.raises(EstimationError, match="degenerate"):
-            estimate_decay_rate(np.ones(1_000))
+            estimate_decay_rate(_histogram(np.ones(1_000), 1.0))
 
     def test_flat_tail_rejected(self):
-        # two atoms: the tail probability is constant across the window
-        s = np.concatenate([np.zeros(96_000), np.full(4_000, 5.0)])
-        with pytest.raises(EstimationError, match="not decaying"):
-            estimate_decay_rate(s)
+        # two atoms: the tail probability is constant across the window.
+        # Over the 6 edges up to an atom at 0.75 the fitted slope of the
+        # constant rounds to -1.5e-15, so the slope's sign alone would pass
+        for atom in (5.0, 0.75):
+            s = np.concatenate([np.zeros(96_000), np.full(4_000, atom)])
+            with pytest.raises(EstimationError, match="not decaying"):
+                estimate_decay_rate(_histogram(s, 1.0))
 
     def test_sparse_window_rejected(self):
+        # bins of width 0.5: only the edges 0.5, 1, 1.5 and 2 lie in the window
         s = np.repeat([0.0, 1.0, 2.0], [96_000, 3_900, 100])
         with pytest.raises(EstimationError, match="run longer"):
-            estimate_decay_rate(s, grid_points=5)
+            estimate_decay_rate(_histogram(s, 0.25))
+
+    def test_window_reaching_overflow_rejected(self):
+        # decay ten times slower than theta: P(Q >= 128/theta) is about 0.28
+        rng = np.random.default_rng(8)
+        s = rng.exponential(100.0, size=100_000)
+        with pytest.raises(EstimationError, match="overflow"):
+            estimate_decay_rate(_histogram(s, 1.0))
 
     @pytest.mark.parametrize("kw", [
         dict(p_lo=0.0), dict(p_lo=0.2, p_hi=0.1), dict(p_hi=1.0),
-        dict(grid_points=4),
     ])
     def test_bad_arguments(self, kw):
         with pytest.raises(DomainError):
-            estimate_decay_rate(np.arange(100.0), **kw)
+            estimate_decay_rate(_histogram(np.arange(100.0), 1.0), **kw)
 
 
 class TestEndToEnd:
