@@ -50,6 +50,10 @@ GOLDEN = {
     "optimize_epsilon_json": (["optimize-epsilon", "--m", "2", "--theta", "0.1", "--seed", "7",
                                "--format", "json"] + _S,
                               "46b74e1f46f1d7e538e2cf15957620ae6876d3d9521cb9de2c163ac6c555d4be"),
+    # clamping moves eps* here (0.2514 unclamped), so --clamp-rate must reach the search
+    "optimize_epsilon_clamp": (["optimize-epsilon", "--snr-db", "-10", "--n", "50", "--m", "2",
+                                "--theta", "0.1", "--clamp-rate", "--seed", "14"] + _S,
+                               "93408a917ef5212cebac5db74e48e7bc6a38f42a6dc8fd5404320bb9f9617c2d"),
     "optimize_rate": (["optimize-rate", "--m", "2", "--theta", "0.1", "--seed", "8"] + _S,
                       "86f0bdc4aac569553ef7199cd39e2d42ea4b7dd98cd31a7c66c572bd04e6e980"),
     "sweep_m_rate": (["sweep-m", "--m", "1..8", "--rate", "0.5", "--seed", "9"] + _S,
