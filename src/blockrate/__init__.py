@@ -18,7 +18,6 @@ from .effective_rate import (
     ergodic_rate_variable,
     log_psi,
     phi,
-    phi_complement,
     psi,
 )
 from .errors import BlockrateError, ComputationError, DomainError, EstimationError
@@ -84,7 +83,6 @@ __all__ = [
     "optimal_epsilon",
     "optimal_rate",
     "phi",
-    "phi_complement",
     "psi",
     "q_function",
     "q_inverse",

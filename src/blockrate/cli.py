@@ -33,11 +33,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .channel import Rayleigh, SystemParams
-from .effective_rate import SampleSet
+from .channel import SystemParams
 from .errors import BlockrateError, ComputationError, DomainError, EstimationError
 from .fbl import FixedRate, RatePolicy, VariableRate
-from .optimize import optimal_epsilon, optimal_rate, sweep, sweep_m, sweep_theta
+from .optimize import sweep, sweep_m, sweep_theta
 from .queue_sim import QueueConfig, estimate_decay_rate, simulate_queue
 
 
@@ -226,16 +225,11 @@ def _cmd_theta(args: argparse.Namespace):
 
 def _cmd_optimize(args: argparse.Namespace):
     """optimize-epsilon / optimize-rate: one optimum with its search record."""
-    policy = _policy_from_flags(args)
     params = SystemParams.from_db(args.snr_db, args.n, args.m[0], args.theta[0])
-    samples = SampleSet.draw(Rayleigh(), params.m, args.samples, args.seed)
-    if args.command == "optimize-rate":
-        opt, name = optimal_rate(samples, params), "rate_star"
-    else:
-        opt, name = optimal_epsilon(samples, params, clamp=policy.clamp_negative), "epsilon_star"
-    meta = _base_meta(args)
-    return meta, [name, "effective_rate", "std_error", "iterations", "at_boundary"], [
-        (opt.argument, opt.value, opt.std_error, opt.iterations, opt.at_boundary)]
+    (row,), _ = sweep_m(params, [params.m], _policy_from_flags(args), args.samples, args.seed)
+    name = "rate_star" if args.command == "optimize-rate" else "epsilon_star"
+    return _base_meta(args), [name, "effective_rate", "std_error", "iterations", "at_boundary"], [
+        (row.argument, row.effective_rate, row.std_error, row.iterations, row.at_boundary)]
 
 
 def _cmd_sweep_m(args: argparse.Namespace):

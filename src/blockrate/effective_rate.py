@@ -48,6 +48,8 @@ from scipy.special import roots_laguerre
 from .channel import FadingModel, Rayleigh, SystemParams, draw_gain_matrix
 from .errors import ComputationError, DomainError
 from .fbl import (
+    _check_epsilon,
+    _check_rate,
     error_probability_arrays,
     rate_lower_bound_arrays,
     rate_stats_arrays,
@@ -74,19 +76,17 @@ class SampleSet:
     a quadrature set (`laguerre`) carries one weight per row instead.
     """
 
-    def __init__(self, gains: np.ndarray, seed: int | None = None):
+    def __init__(self, gains: np.ndarray):
         gains = np.ascontiguousarray(gains, dtype=float)
         if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] < 1:
             raise DomainError(f"gains must be a (count, m) matrix, got shape {gains.shape}")
         if not np.all(np.isfinite(gains) & (gains >= 0)):
             raise DomainError("gains must be finite and >= 0")
         gains.setflags(write=False)
-        self._init(gains, seed, None)
+        self._init(gains, None)
 
-    def _init(self, gains: np.ndarray, seed: int | None,
-              weights: np.ndarray | None) -> None:
+    def _init(self, gains: np.ndarray, weights: np.ndarray | None) -> None:
         self.gains = gains
-        self.seed = seed
         self.weights = weights
         self._stats_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -100,7 +100,7 @@ class SampleSet:
 
     @classmethod
     def draw(cls, model: FadingModel, m: int, count: int, seed: int) -> "SampleSet":
-        return cls(draw_gain_matrix(model, m, count, seed), seed=seed)
+        return cls(draw_gain_matrix(model, m, count, seed))
 
     @classmethod
     def laguerre(cls, mean_power: float = 1.0) -> "SampleSet":
@@ -123,7 +123,7 @@ class SampleSet:
         if m == self.m:
             return self
         sub = object.__new__(SampleSet)
-        sub._init(self.gains[:, :m], self.seed, self.weights)  # a view of validated gains
+        sub._init(self.gains[:, :m], self.weights)  # a view of validated gains
         return sub
 
     def prefixes(self, m_values: Sequence[int],
@@ -181,20 +181,10 @@ def _spread(samples: SampleSet, y: np.ndarray) -> float:
     return float(np.std(y, ddof=1))
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
-
-
 def _check_theta_positive(params: SystemParams) -> None:
     if params.theta <= 0.0:
         raise DomainError(
             "theta must be > 0 here; use ergodic_rate_* for the theta = 0 limit")
-
-
-def _check_rate(rate: float) -> None:
-    if math.isnan(rate) or rate < 0.0:
-        raise DomainError(f"rate must be >= 0, got {rate!r}")
 
 
 def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray, float]:
@@ -304,22 +294,12 @@ def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
     Equals 1 at R = 0 and tends to 1 as R -> inf; its unique interior
     minimizer is the optimal fixed rate.
     """
-    return 1.0 - phi_complement(rate, samples, params)
-
-
-def phi_complement(rate: float, samples: SampleSet, params: SystemParams) -> float:
-    """1 - phi(rate), computed directly.
-
-    The complement keeps full precision where phi is within rounding of 1
-    (R near 0 or very large), which matters when counting sign changes of
-    grid differences; maximizing it is equivalent to minimizing phi.
-    """
     _check_rate(rate)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     decay = -math.expm1(-params.theta * params.nm * rate)
-    return decay * _mean(samples, 1.0 - eps_z)
+    return 1.0 - decay * _mean(samples, 1.0 - eps_z)
 
 
 def _log_phi(a: float, b: float, t: float) -> float:
@@ -384,8 +364,7 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
     far below 1e-16 or underflows.  Rows with delta = 0 are steps in
     R and add no slope.
     """
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
+    _check_rate(rate)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
     a = _mean(samples, error_probability_arrays(mu, delta, rate))

@@ -35,6 +35,16 @@ from .special import q_function, q_inverse
 LOG2E = math.log2(math.e)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
+
+
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise DomainError(f"rate must be finite and >= 0, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class RateStats:
     """Mean rate and dispersion (both bits per channel use) of one realization."""
@@ -55,8 +65,8 @@ class VariableRate:
     clamp_negative: bool = False
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0,1), got {self.epsilon!r}")
+        if self.epsilon is not None:
+            _check_epsilon(self.epsilon)
 
     def describe(self) -> str:
         target = "optimized-epsilon" if self.epsilon is None else f"epsilon={self.epsilon!r}"
@@ -74,8 +84,8 @@ class FixedRate:
     rate: float | None = None
 
     def __post_init__(self):
-        if self.rate is not None and not (np.isfinite(self.rate) and self.rate >= 0):
-            raise DomainError(f"rate must be finite and >= 0, got {self.rate!r}")
+        if self.rate is not None:
+            _check_rate(self.rate)
 
     def describe(self) -> str:
         target = "optimized-rate" if self.rate is None else f"rate={self.rate!r}"
@@ -122,10 +132,14 @@ def rate_stats_arrays(gains: np.ndarray, params: SystemParams) -> tuple[np.ndarr
     return rate_stats_widths(gains, [params.m], params.snr_linear, params.n)[params.m]
 
 
+def _row_stats(z: np.ndarray, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, delta) of one realization z, as arrays of one element."""
+    return rate_stats_arrays(_check_realization(z, params)[np.newaxis, :], params)
+
+
 def rate_stats(z: np.ndarray, params: SystemParams) -> RateStats:
     """Mean rate and dispersion of the mutual-information density for gains z."""
-    z = _check_realization(z, params)
-    mu, delta = rate_stats_arrays(z[np.newaxis, :], params)
+    mu, delta = _row_stats(z, params)
     return RateStats(float(mu[0]), float(delta[0]))
 
 
@@ -133,35 +147,26 @@ def rate_lower_bound(z: np.ndarray, params: SystemParams, epsilon: float,
                      clamp: bool = False) -> float:
     """Rate (bits/use) decodable with error probability epsilon; may be
     negative unless clamp=True."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
-    st = rate_stats(z, params)
-    r = st.mu - st.delta * q_inverse(epsilon)
-    return max(r, 0.0) if clamp else r
+    _check_epsilon(epsilon)
+    mu, delta = _row_stats(z, params)
+    return float(rate_lower_bound_arrays(mu, delta, epsilon, clamp)[0])
 
 
 def error_probability(z: np.ndarray, params: SystemParams, rate: float) -> float:
-    """Decoding error probability Q((mu - rate)/delta) at a fixed rate.
-
-    Degenerate all-zero gains (delta = 0) use the limit convention
-    0 / 0.5 / 1 for rate below / at / above mu.
-    """
+    """Decoding error probability Q((mu - rate)/delta) at a fixed rate; 1 at
+    an infinite rate (see `error_probability_arrays`)."""
     if math.isnan(rate) or rate < 0:
         raise DomainError(f"rate must be >= 0, got {rate!r}")
-    st = rate_stats(z, params)
-    if st.delta == 0.0:
-        if rate < st.mu:
-            return 0.0
-        if rate > st.mu:
-            return 1.0
-        return 0.5
-    if math.isinf(rate):
-        return 1.0
-    return q_function((st.mu - rate) / st.delta)
+    mu, delta = _row_stats(z, params)
+    return float(error_probability_arrays(mu, delta, rate)[0])
 
 
 def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> np.ndarray:
-    """Vectorized error probability from precomputed (mu, delta) arrays."""
+    """Vectorized error probability from precomputed (mu, delta) arrays.
+
+    Degenerate rows (all-zero gains, delta = 0) use the limit convention
+    0 / 0.5 / 1 for rate below / at / above mu.
+    """
     if math.isinf(rate):
         return np.ones_like(mu)
     pos = delta > 0.0

@@ -23,22 +23,24 @@ tradeoff here — is not polluted by independent sampling noise.
 
 Sweep rows are independent and may run on a thread pool; results are
 collected in input order and each row's sample set derives deterministically
-from (seed, largest m), so output is identical for any worker count.  The
-BLOCKRATE_THREADS environment variable caps the pool size; the same cap
-(_max_workers) sizes the queue simulator's frame-service workers.
+from (seed, largest m), so output is identical for any worker count.
+`_executor` is the one choice between a pool and running inline: it gives a
+pool of at most BLOCKRATE_THREADS workers (default: the core count), or
+runs each task as it is submitted when one worker is allowed.  The sweeps
+and the queue simulator's frame service both submit to it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .channel import FadingModel, Rayleigh, SystemParams
+from .channel import Rayleigh, SystemParams
 from .effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -61,6 +63,8 @@ _R_START = 0.1
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
 # the same bracket in x = Q^{-1}(eps), which decreases in eps
 _X_BRACKET = (q_inverse(EPSILON_BRACKET[1]), q_inverse(EPSILON_BRACKET[0]))
+# times optimal_rate may double a rate bracket whose optimum sits on its top
+_MAX_EXPANSIONS = 8
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
 
 
 def optimal_epsilon(samples: SampleSet, params: SystemParams,
-                    clamp: bool = False, tol: float = 1e-8) -> Optimum:
+                    clamp: bool = False) -> Optimum:
     """Error target maximizing variable-rate throughput.
 
     Minimizes ln(psi) (strictly convex in eps) by `newton_minimize` over
@@ -169,7 +173,7 @@ def optimal_epsilon(samples: SampleSet, params: SystemParams,
     eps_lo, eps_hi = EPSILON_BRACKET
     x_lo, x_hi = _X_BRACKET
     x, evals, at_edge = newton_minimize(
-        lambda x: log_psi_slopes(x, samples, params, clamp), x_lo, x_hi, _X_START, tol)
+        lambda x: log_psi_slopes(x, samples, params, clamp), x_lo, x_hi, _X_START)
     if at_edge:
         eps_star = eps_lo if x == x_hi else eps_hi
     else:
@@ -185,15 +189,14 @@ def optimal_epsilon(samples: SampleSet, params: SystemParams,
     )
 
 
-def optimal_rate(samples: SampleSet, params: SystemParams,
-                 tol: float = 1e-8, max_expansions: int = 8) -> Optimum:
+def optimal_rate(samples: SampleSet, params: SystemParams) -> Optimum:
     """Coding rate maximizing fixed-rate throughput.
 
     Minimizes ln(phi), which stays resolved where phi is far below 1e-16, by
     `newton_minimize` over [0, R_hi] with R_hi = max over the samples of
     (mu + 10*delta), on the slopes of `log_phi_slopes`.  If the optimum is
     on R_hi the bracket doubles and the search resumes from the old edge, at
-    most max_expansions times; bracket is the last one searched.
+    most _MAX_EXPANSIONS times; bracket is the last one searched.
     """
     mu, delta = samples.stats(params)
     hi = float(np.max(mu + 10.0 * delta))
@@ -201,11 +204,11 @@ def optimal_rate(samples: SampleSet, params: SystemParams,
         hi = 1.0
     start = _R_START * hi
     evals = 0
-    for expansion in range(max_expansions + 1):
+    for expansion in range(_MAX_EXPANSIONS + 1):
         r_star, e, at_edge = newton_minimize(
-            lambda r: log_phi_slopes(r, samples, params), 0.0, hi, start, tol)
+            lambda r: log_phi_slopes(r, samples, params), 0.0, hi, start)
         evals += e
-        if not at_edge or r_star == 0.0 or expansion == max_expansions:
+        if not at_edge or r_star == 0.0 or expansion == _MAX_EXPANSIONS:
             break
         start, hi = hi, 2.0 * hi
     est = effective_rate_fixed(r_star, samples, params)
@@ -267,17 +270,29 @@ def _max_workers(n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+class _Inline(Executor):
+    """Executor for one worker: runs each task when it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _executor(n_tasks: int) -> Executor:
+    """A pool of _max_workers(n_tasks) threads, or _Inline when that is one."""
+    workers = _max_workers(n_tasks)
+    return ThreadPoolExecutor(workers) if workers > 1 else _Inline()
+
+
 def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    workers = _max_workers(len(tasks))
-    if workers == 1 or len(tasks) == 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
+    with _executor(len(tasks)) as pool:
+        futures = [pool.submit(t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[float],
-          policies: Sequence[RatePolicy], count: int, seed: int,
-          model: FadingModel = Rayleigh()) -> list[SweepRow]:
+          policies: Sequence[RatePolicy], count: int, seed: int) -> list[SweepRow]:
     """Every policy at every (m, theta) point, on gains common to all of them.
 
     Draws one master set of max(m_values)-block realizations and evaluates
@@ -298,7 +313,7 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
         raise DomainError(f"theta must be >= 0, got {min(theta_grid)}")
     if not policies:
         raise DomainError("policies must be nonempty")
-    prefixes = SampleSet.draw(model, max(m_values), count, seed).prefixes(m_values, params)
+    prefixes = SampleSet.draw(Rayleigh(), max(m_values), count, seed).prefixes(m_values, params)
     tasks = [
         (lambda sub=prefixes[m], p=SystemParams(params.snr_linear, params.n, m, theta),
          policy=policy: _evaluate_policy(sub, p, policy))
@@ -308,26 +323,24 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
 
 
 def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
-            count: int, seed: int,
-            model: FadingModel = Rayleigh()) -> tuple[list[SweepRow], int]:
+            count: int, seed: int) -> tuple[list[SweepRow], int]:
     """Throughput versus blocks-per-codeword at params.theta, on gains common
     across m.
 
     Returns the rows (in the given m order) and the m attaining the highest
     effective rate (first hit on ties).
     """
-    rows = sweep(params, m_values, [params.theta], [policy], count, seed, model)
+    rows = sweep(params, m_values, [params.theta], [policy], count, seed)
     best = max(range(len(rows)), key=lambda i: (rows[i].effective_rate, -i))
     return rows, rows[best].m
 
 
 def sweep_theta(params: SystemParams, theta_grid: Sequence[float],
                 m_values: Sequence[int], policy: RatePolicy,
-                count: int, seed: int,
-                model: FadingModel = Rayleigh()) -> list[SweepRow]:
+                count: int, seed: int) -> list[SweepRow]:
     """Optimized (or evaluated) throughput over a theta grid for several m.
 
     Rows are grouped by m (outer) with theta ascending as given (inner); all
     (theta, m) points with equal m share one prefix of the master gain set.
     """
-    return sweep(params, m_values, theta_grid, [policy], count, seed, model)
+    return sweep(params, m_values, theta_grid, [policy], count, seed)

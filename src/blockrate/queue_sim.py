@@ -36,17 +36,15 @@ values come only from a trace_every=1 trace.
 A frame's service depends only on (seed, frame index), so worker threads
 compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan: at
 most two chunks of service and one sub-chunk's temporaries per worker are
-alive however many frames run.  BLOCKRATE_THREADS caps the pool as it does
-for the sweeps in optimize.  The scan stays on the calling thread, in frame order
-and with unchanged chunk boundaries, so results are identical for any
-thread count.
+alive however many frames run.  The workers come from optimize._executor,
+as the sweeps' do, so BLOCKRATE_THREADS caps both.  The scan stays on the
+calling thread, in frame order and with unchanged chunk boundaries, so
+results are identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +65,7 @@ from .fbl import (
     rate_lower_bound_arrays,
     rate_stats_arrays,
 )
-from .optimize import _max_workers
+from .optimize import _executor
 
 _CHUNK_FRAMES = 1 << 19
 # frames per service task on the worker threads.  A task's temporaries
@@ -257,27 +255,17 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
         gain_mean[:] = gains.mean(axis=1)
 
 
-class _Inline:
-    """Executor stand-in for one worker: runs each task when it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def _service_chunks(config: QueueConfig, with_gain_mean: bool):
     """Yield (start, service, gain_mean) for each Lindley chunk, in frame order.
 
-    A chunk's sub-chunks of _SUB_FRAMES frames are handed to up to
-    BLOCKRATE_THREADS worker threads one chunk ahead of the consumer, so at
-    most two chunks of results and one sub-chunk's temporaries per worker
-    are alive however many frames run.  With one worker each sub-chunk is
-    filled inline by the calling thread.
+    A chunk's sub-chunks of _SUB_FRAMES frames are submitted to `_executor`
+    one chunk ahead of the consumer, so at most two chunks of results and
+    one sub-chunk's temporaries per worker are alive however many frames
+    run.  With one worker each sub-chunk is filled inline by the calling
+    thread.
     """
     frames = config.frames
-    workers = _max_workers(-(-frames // _SUB_FRAMES))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext(_Inline()) as pool:
+    with _executor(-(-frames // _SUB_FRAMES)) as pool:
         def submit(start: int):
             count = min(_CHUNK_FRAMES, frames - start)
             service = np.empty(count)

@@ -163,10 +163,11 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
-    def test_fig3_cannot_optimize_at_theta_zero(self, capsys):
-        code = main(["fig3", "--theta", "0", "--m", "1", "--samples", "500"])
+    @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
+    def test_cannot_optimize_at_theta_zero(self, command, capsys):
+        code = main([command, "--theta", "0", "--m", "1", "--samples", "500"])
         assert code == 1
-        assert "epsilon target" in capsys.readouterr().err
+        assert "target" in capsys.readouterr().err
 
     def test_simulate_rejects_theta_zero(self, capsys):
         code = main(["simulate", "--theta", "0", "--epsilon", "0.01",

@@ -26,7 +26,6 @@ from blockrate.effective_rate import (
     log_psi,
     log_psi_slopes,
     phi,
-    phi_complement,
     psi,
 )
 from blockrate.errors import ComputationError, DomainError
@@ -264,11 +263,10 @@ class TestEffectiveRateFixed:
 
     def test_phi_boundaries(self, samples):
         assert phi(0.0, samples, P1) == 1.0
-        assert phi_complement(0.0, samples, P1) == 0.0
         assert effective_rate_fixed(0.0, samples, P1).value == 0.0
 
     def test_phi_tends_to_one_at_huge_rate(self, samples):
-        assert phi_complement(1e3, samples, P1) == pytest.approx(0.0, abs=1e-12)
+        assert phi(1e3, samples, P1) == pytest.approx(1.0, abs=1e-12)
         assert effective_rate_fixed(1e3, samples, P1).value == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_quad_reference(self, samples):
@@ -302,11 +300,10 @@ class TestEffectiveRateFixed:
         assert est.value == pytest.approx(-math.log(eps) / (p.theta * p.nm), rel=1e-12)
 
     def test_rate_domain(self, samples):
-        with pytest.raises(DomainError):
-            effective_rate_fixed(-0.2, samples, P1)
         for bad in (-0.2, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                log_phi_slopes(bad, samples, P1)
+            for fn in (effective_rate_fixed, ergodic_rate_fixed, phi, log_phi_slopes):
+                with pytest.raises(DomainError, match="rate must be finite and >= 0"):
+                    fn(bad, samples, P1)
 
 
 class TestErgodic:

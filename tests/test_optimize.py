@@ -1,6 +1,8 @@
 """Newton search, the two scalar optimizers, and sweep drivers."""
 
+import functools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from blockrate.optimize import (
     Optimum,
     SweepRow,
     _evaluate_policy,
+    _run_rows,
     newton_minimize,
     optimal_epsilon,
     optimal_rate,
@@ -254,7 +257,7 @@ class TestSweepM:
         rows, _ = sweep_m(P1, ms, policy, count=2_000, seed=12)
         master = SampleSet.draw(Rayleigh(), 12, 2_000, 12)
         for m, row in zip(ms, rows):
-            copy = SampleSet(np.ascontiguousarray(master.gains[:, :m]), seed=12)
+            copy = SampleSet(np.ascontiguousarray(master.gains[:, :m]))
             assert row == _evaluate_policy(copy, SystemParams(1.0, 200, m, 0.01), policy), m
 
     def test_theta_zero_requires_explicit_target(self):
@@ -324,3 +327,31 @@ class TestThreading:
         monkeypatch.setenv("BLOCKRATE_THREADS", "4")
         threaded = run()
         assert serial == threaded
+
+    def test_run_rows_returns_rows_in_input_order(self, monkeypatch):
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        last_done = threading.Event()
+
+        def task(i):
+            if i == 0:  # finishes after every later task
+                assert last_done.wait(timeout=10)
+            if i == 5:
+                last_done.set()
+            return i
+        assert _run_rows([functools.partial(task, i) for i in range(6)]) == list(range(6))
+
+    def test_run_rows_uses_workers_only_when_threads_allow(self, monkeypatch):
+        tasks = [threading.get_ident] * 4
+        monkeypatch.setenv("BLOCKRATE_THREADS", "1")
+        assert set(_run_rows(tasks)) == {threading.get_ident()}
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        assert threading.get_ident() not in _run_rows(tasks)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_run_rows_task_error_propagates(self, monkeypatch, threads):
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+
+        def boom():
+            raise RuntimeError("row failed")
+        with pytest.raises(RuntimeError, match="row failed"):
+            _run_rows([lambda: 1, boom, lambda: 3])
