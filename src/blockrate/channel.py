@@ -9,15 +9,23 @@ Sampling is counter-based: sample index i owns a fixed window of a Philox
 stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
 in one vectorized batch -- or concurrently in any chunking -- reproduces a
 serial full pass bit for bit.
+
+`_executor` is the package's one choice between a pool of at most
+BLOCKRATE_THREADS workers (default: the core count) and running inline.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import DomainError
+
+_T = TypeVar("_T")
 
 _PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter increment
 
@@ -81,6 +89,41 @@ class Deterministic:
 FadingModel = Rayleigh | Deterministic
 
 
+def _max_workers(n_tasks: int) -> int:
+    raw = os.environ.get("BLOCKRATE_THREADS", "")
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise DomainError(f"BLOCKRATE_THREADS must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise DomainError(f"BLOCKRATE_THREADS must be >= 1, got {cap}")
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(cap, n_tasks))
+
+
+class _Inline(Executor):
+    """Executor for one worker: runs each task when it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _executor(n_tasks: int) -> Executor:
+    """A pool of _max_workers(n_tasks) threads, or _Inline when that is one."""
+    workers = _max_workers(n_tasks)
+    return ThreadPoolExecutor(workers) if workers > 1 else _Inline()
+
+
+def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
+    with _executor(len(tasks)) as pool:
+        futures = [pool.submit(t) for t in tasks]
+        return [f.result() for f in futures]
+
+
 def _blocks_per_sample(draws: int) -> int:
     return -(-draws // _PHILOX_BLOCK)
 
@@ -94,34 +137,59 @@ def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generat
     return np.random.Generator(bg)
 
 
-def uniform_windows(seed: int, start: int, count: int, draws_per_sample: int) -> np.ndarray:
+def uniform_windows(seed: int, start: int, count: int, draws_per_sample: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """(count, draws_per_sample) uniforms in [0,1); row i is the window of
-    sample start+i.  Identical to per-sample substream() draws."""
+    sample start+i.  Identical to per-sample substream() draws.
+
+    The padded windows are drawn into `out`, a C-contiguous (count, padded
+    width) array, or into a new one; the result is a view of it.
+    """
     width = _blocks_per_sample(draws_per_sample) * _PHILOX_BLOCK
-    g = substream(seed, start, draws_per_sample)
-    raw = g.random((count, width))
+    raw = np.empty((count, width)) if out is None else out
+    substream(seed, start, draws_per_sample).random(out=raw)
     return raw[:, :draws_per_sample]
 
 
-def _exponential_from_uniform(u: np.ndarray, mean: float) -> np.ndarray:
-    # inverse CDF with u mapped into (0, 1]: z = -mean*ln(u)
-    return -mean * np.log1p(-u)
+def _exponential_from_uniform(u: np.ndarray, mean: float,
+                              out: np.ndarray | None = None) -> np.ndarray:
+    # inverse CDF with u mapped into (0, 1]: z = -mean*ln(u); out may be u
+    z = np.log1p(np.negative(u, out=out), out=out)
+    return np.multiply(z, -mean, out=out)
+
+
+def _gain_buffer(m: int, count: int) -> np.ndarray:
+    """An unfilled (count, padded m) buffer for `_fill_gains`, once m and
+    count are checked."""
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m!r}")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count!r}")
+    return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
+
+
+def _fill_gains(model: FadingModel, m: int, seed: int, start: int, out: np.ndarray) -> None:
+    """Write the gains of sample indices [start, start+len(out)) into the
+    leading m columns of `out`, rows of a `_gain_buffer`, allocating no
+    temporary of its size; the padding columns are left unspecified."""
+    if isinstance(model, Deterministic):
+        g = np.asarray(model.gains, dtype=float)
+        if g.size != m:
+            raise DomainError(f"Deterministic model has {g.size} gains, need m={m}")
+        out[:, :m] = g
+    elif isinstance(model, Rayleigh):
+        # the whole padded rows: a contiguous pass beats a strided one, most
+        # of all at small m
+        uniform_windows(seed, start, out.shape[0], m, out=out)
+        _exponential_from_uniform(out, model.mean_power, out=out)
+    else:
+        raise DomainError(f"unknown fading model {model!r}")
 
 
 def draw_gain_matrix(model: FadingModel, m: int, count: int, seed: int,
                      start: int = 0) -> np.ndarray:
     """(count, m) gains for sample indices [start, start+count), windowed as
     described in the module docstring."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
-    if isinstance(model, Deterministic):
-        g = np.asarray(model.gains, dtype=float)
-        if g.size != m:
-            raise DomainError(f"Deterministic model has {g.size} gains, need m={m}")
-        return np.tile(g, (count, 1))
-    if isinstance(model, Rayleigh):
-        u = uniform_windows(seed, start, count, m)
-        return _exponential_from_uniform(u, model.mean_power)
-    raise DomainError(f"unknown fading model {model!r}")
+    buf = _gain_buffer(m, count)
+    _fill_gains(model, m, seed, start, buf)
+    return buf[:, :m]

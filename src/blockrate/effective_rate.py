@@ -38,26 +38,50 @@ cross-checks the Monte Carlo path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_laguerre
 
-from .channel import FadingModel, Rayleigh, SystemParams, draw_gain_matrix
+from .channel import (
+    FadingModel,
+    Rayleigh,
+    SystemParams,
+    _fill_gains,
+    _gain_buffer,
+    _run_rows,
+)
 from .errors import ComputationError, DomainError
 from .fbl import (
     _check_epsilon,
     _check_rate,
     error_probability_arrays,
     rate_lower_bound_arrays,
-    rate_stats_arrays,
     rate_stats_widths,
 )
 from .special import SQRT_2PI, q_function
 
 _QUAD_NODES = 200
+# rows per pooled draw or statistics task.  On fig2's (1e5, 50) master with
+# two workers, 8192 and 16384 timed alike; 4096, 32768 and one unsplit block
+# were 10-75% slower.
+_BLOCK_ROWS = 8192
+
+
+def _on_row_blocks(count: int, task: Callable[[int, int], None]) -> None:
+    """task(lo, hi) for each block of _BLOCK_ROWS rows of [0, count), on the
+    worker pool; each task writes only its own rows."""
+    _run_rows([functools.partial(task, lo, min(lo + _BLOCK_ROWS, count))
+               for lo in range(0, count, _BLOCK_ROWS)])
+
+
+def _check_gains(gains: np.ndarray) -> None:
+    # min is nan if any entry is, so two reductions check every entry
+    if not (gains.min() >= 0.0 and gains.max() < math.inf):
+        raise DomainError("gains must be finite and >= 0")
 
 
 class SampleSet:
@@ -72,6 +96,13 @@ class SampleSet:
     common across the compared block counts; `prefixes` builds them with
     their statistics, all from one walk over the master's blocks.
 
+    `draw` fills one padded (count, 4*ceil(m/4)) master, as `draw_gain_matrix`
+    would, and its gains are the [:, :m] view.  The draw and every statistics
+    walk run in blocks of _BLOCK_ROWS rows on the worker pool, each block in
+    place on its own rows; the draw is counter-based and the statistics are
+    per-row sums, so the bits are those of one serial pass at any thread
+    count.
+
     `weights` is None for a Monte Carlo set, whose rows are equally likely;
     a quadrature set (`laguerre`) carries one weight per row instead.
     """
@@ -80,12 +111,11 @@ class SampleSet:
         gains = np.ascontiguousarray(gains, dtype=float)
         if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] < 1:
             raise DomainError(f"gains must be a (count, m) matrix, got shape {gains.shape}")
-        if not np.all(np.isfinite(gains) & (gains >= 0)):
-            raise DomainError("gains must be finite and >= 0")
-        gains.setflags(write=False)
+        _check_gains(gains)
         self._init(gains, None)
 
     def _init(self, gains: np.ndarray, weights: np.ndarray | None) -> None:
+        gains.setflags(write=False)
         self.gains = gains
         self.weights = weights
         self._stats_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -100,7 +130,18 @@ class SampleSet:
 
     @classmethod
     def draw(cls, model: FadingModel, m: int, count: int, seed: int) -> "SampleSet":
-        return cls(draw_gain_matrix(model, m, count, seed))
+        """The gains `draw_gain_matrix` gives, drawn block by block into the
+        padded master."""
+        master = _gain_buffer(m, count)
+
+        def fill(lo: int, hi: int) -> None:
+            _fill_gains(model, m, seed, lo, master[lo:hi])
+            _check_gains(master[lo:hi, :m])
+
+        _on_row_blocks(count, fill)
+        drawn = object.__new__(cls)
+        drawn._init(master[:, :m], None)
+        return drawn
 
     @classmethod
     def laguerre(cls, mean_power: float = 1.0) -> "SampleSet":
@@ -138,7 +179,10 @@ class SampleSet:
         key = (params.snr_linear, params.n)
         todo = [m for m, sub in subs.items() if key not in sub._stats_cache]
         if todo:
-            stats = rate_stats_widths(self.gains, todo, params.snr_linear, params.n)
+            stats = {m: (np.empty(self.count), np.empty(self.count)) for m in todo}
+            _on_row_blocks(self.count, lambda lo, hi: rate_stats_widths(
+                self.gains[lo:hi], todo, params.snr_linear, params.n,
+                {m: (mu[lo:hi], delta[lo:hi]) for m, (mu, delta) in stats.items()}))
             for m in todo:
                 subs[m]._stats_cache[key] = stats[m]
         return subs
@@ -148,11 +192,9 @@ class SampleSet:
         if params.m != self.m:
             raise DomainError(f"params.m={params.m} does not match sample set m={self.m}")
         key = (params.snr_linear, params.n)
-        hit = self._stats_cache.get(key)
-        if hit is None:
-            hit = rate_stats_arrays(self.gains, params)
-            self._stats_cache[key] = hit
-        return hit
+        if key not in self._stats_cache:
+            self.prefixes([self.m], params)
+        return self._stats_cache[key]
 
 
 @dataclass(frozen=True)
@@ -189,9 +231,10 @@ def _check_theta_positive(params: SystemParams) -> None:
 
 def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray, float]:
     """exp(-theta*n*m*r - L) per row and the shift L >= 0 that keeps each <= 1."""
-    y = (-params.theta * params.nm) * r
+    y = np.multiply(r, -params.theta * params.nm)  # the one (count,) array, reused below
     shift = max(float(y.max()), 0.0)
-    e = np.exp(y - shift)
+    y -= shift
+    e = np.exp(y, out=y)
     if not np.all(np.isfinite(e)):
         bad = int(np.flatnonzero(~np.isfinite(e))[0])
         raise ComputationError(f"non-finite throughput summand at realization {bad}")
@@ -202,7 +245,9 @@ def _psi_summands(epsilon: float, mu: np.ndarray, delta: np.ndarray,
                   params: SystemParams, clamp: bool) -> tuple[np.ndarray, float]:
     """Shifted summands u and shift L with psi = exp(L) * mean(u)."""
     e, shift = _rate_exponentials(rate_lower_bound_arrays(mu, delta, epsilon, clamp), params)
-    return epsilon * math.exp(-shift) + (1.0 - epsilon) * e, shift
+    e *= 1.0 - epsilon
+    e += epsilon * math.exp(-shift)
+    return e, shift
 
 
 def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
@@ -367,10 +412,13 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
     _check_rate(rate)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
-    a = _mean(samples, error_probability_arrays(mu, delta, rate))
-    b = 1.0 - a
-    spread = np.where(delta > 0.0, delta, math.inf)
+    pos = delta > 0.0
+    spread = delta if pos.all() else np.where(pos, delta, math.inf)
     z = (mu - rate) / spread
+    # with no degenerate row, z is the argument error_probability_arrays takes Q of
+    eps = q_function(z) if spread is delta else error_probability_arrays(mu, delta, rate)
+    a = _mean(samples, eps)
+    b = 1.0 - a
     y = z * z  # becomes sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta, in place
     y *= -0.5
     np.exp(y, out=y)

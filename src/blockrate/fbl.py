@@ -104,23 +104,33 @@ def _check_realization(z: np.ndarray, params: SystemParams) -> np.ndarray:
     return z
 
 
-def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float,
-                      n: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float, n: int,
+                      out: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+                      ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """(mu, delta) of each row's leading m blocks, for each m in widths, from
     two running (count,) sums of log1p(s) and s/(1+s), s = snr_linear*gain,
-    taken over the gain columns left to right."""
+    taken over the gain columns left to right.
+
+    Each pair is written into out[m], two (count,) arrays (slices of larger
+    arrays, say), or into new arrays; out is returned.  Every row's sums are
+    its own, so any split of the rows into blocks gives the same bits.
+    """
     count, blocks = gains.shape
     if not widths or not all(1 <= m <= blocks for m in widths):
         raise DomainError(f"widths {widths} must be nonempty and within 1..{blocks}")
+    if out is None:
+        out = {m: (np.empty(count), np.empty(count)) for m in widths}
     s, term = np.empty(count), np.empty(count)
     log_sum, frac_sum = np.zeros(count), np.zeros(count)
-    out = {}
     for m in range(1, max(widths) + 1):
         np.multiply(gains[:, m - 1], snr_linear, out=s)
         log_sum += np.log1p(s, out=term)
         frac_sum += np.divide(s, np.add(s, 1.0, out=term), out=term)
         if m in widths:
-            out[m] = (LOG2E * (log_sum / m), LOG2E * np.sqrt(frac_sum * (2.0 / (n * m * m))))
+            mu, delta = out[m]
+            np.multiply(np.divide(log_sum, m, out=mu), LOG2E, out=mu)
+            np.multiply(frac_sum, 2.0 / (n * m * m), out=delta)
+            np.multiply(np.sqrt(delta, out=delta), LOG2E, out=delta)
     return out
 
 
@@ -185,8 +195,10 @@ def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
                             clamp: bool = False) -> np.ndarray:
     """Vectorized rate lower bound mu - delta*Q^{-1}(epsilon) from (mu, delta)
     arrays, floored at zero when clamp=True."""
-    r = mu - delta * q_inverse(epsilon)
-    return np.maximum(r, 0.0) if clamp else r
+    # mu + delta*(-q) is mu - delta*q exactly; in place, it needs no temporary
+    r = np.multiply(delta, -q_inverse(epsilon))
+    r += mu
+    return np.maximum(r, 0.0, out=r) if clamp else r
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:

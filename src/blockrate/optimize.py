@@ -24,23 +24,23 @@ tradeoff here — is not polluted by independent sampling noise.
 Sweep rows are independent and may run on a thread pool; results are
 collected in input order and each row's sample set derives deterministically
 from (seed, largest m), so output is identical for any worker count.
-`_executor` is the one choice between a pool and running inline: it gives a
-pool of at most BLOCKRATE_THREADS workers (default: the core count), or
-runs each task as it is submitted when one worker is allowed.  The sweeps
-and the queue simulator's frame service both submit to it.
+`channel._executor` is the one choice between a pool of at most
+BLOCKRATE_THREADS workers and running inline.  Three callers submit to it:
+`sweep`, whose rows go through `_run_rows`; `SampleSet.draw` and
+`SampleSet.prefixes`, whose row blocks also go through `_run_rows` (so a
+sweep's draw and statistics walk run on the pool before its rows do); and
+the queue simulator's frame service.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Rayleigh, SystemParams
+from .channel import Rayleigh, SystemParams, _run_rows
 from .effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -53,8 +53,6 @@ from .effective_rate import (
 from .errors import ComputationError, DomainError
 from .fbl import FixedRate, RatePolicy, VariableRate
 from .special import q_function, q_inverse
-
-_T = TypeVar("_T")
 
 # where the searches start: eps = Q(1) ~ 0.16, and a tenth of the rate bracket
 _X_START = 1.0
@@ -254,41 +252,6 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
     return SweepRow(m=params.m, theta=params.theta, policy=policy.describe(),
                     effective_rate=est.value, std_error=est.std_error, argument=target,
                     **search)
-
-
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get("BLOCKRATE_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DomainError(f"BLOCKRATE_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise DomainError(f"BLOCKRATE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-class _Inline(Executor):
-    """Executor for one worker: runs each task when it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
-def _executor(n_tasks: int) -> Executor:
-    """A pool of _max_workers(n_tasks) threads, or _Inline when that is one."""
-    workers = _max_workers(n_tasks)
-    return ThreadPoolExecutor(workers) if workers > 1 else _Inline()
-
-
-def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    with _executor(len(tasks)) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[float],

@@ -36,7 +36,7 @@ values come only from a trace_every=1 trace.
 A frame's service depends only on (seed, frame index), so worker threads
 compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan: at
 most two chunks of service and one sub-chunk's temporaries per worker are
-alive however many frames run.  The workers come from optimize._executor,
+alive however many frames run.  The workers come from channel._executor,
 as the sweeps' do, so BLOCKRATE_THREADS caps both.  The scan stays on the
 calling thread, in frame order and with unchanged chunk boundaries, so
 results are identical for any thread count.
@@ -53,6 +53,7 @@ from .channel import (
     FadingModel,
     Rayleigh,
     SystemParams,
+    _executor,
     _exponential_from_uniform,
     uniform_windows,
 )
@@ -65,7 +66,6 @@ from .fbl import (
     rate_lower_bound_arrays,
     rate_stats_arrays,
 )
-from .optimize import _executor
 
 _CHUNK_FRAMES = 1 << 19
 # frames per service task on the worker threads.  A task's temporaries

@@ -14,8 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockrate.channel import Deterministic, Rayleigh, SystemParams
+from blockrate.channel import Deterministic, Rayleigh, SystemParams, draw_gain_matrix
 from blockrate.effective_rate import (
+    _BLOCK_ROWS,
     EffectiveRateEstimate,
     SampleSet,
     effective_rate_fixed,
@@ -29,7 +30,7 @@ from blockrate.effective_rate import (
     psi,
 )
 from blockrate.errors import ComputationError, DomainError
-from blockrate.fbl import LOG2E, rate_stats, rate_stats_arrays
+from blockrate.fbl import LOG2E, rate_stats, rate_stats_arrays, rate_stats_widths
 from blockrate.special import q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
@@ -85,7 +86,7 @@ class TestSampleSet:
                                          SystemParams(2.0, 50, m, 0.01))
                     for m in ms}
         # the stats must come from the cache that prefixes() filled
-        monkeypatch.setattr("blockrate.effective_rate.rate_stats_arrays", None)
+        monkeypatch.setattr("blockrate.effective_rate.rate_stats_widths", None)
         for m in ms:
             mu, delta = subs[m].stats(SystemParams(2.0, 50, m, 0.01))
             assert np.array_equal(mu, expected[m][0]), m
@@ -105,6 +106,41 @@ class TestSampleSet:
                      for stats in sub._stats_cache.values() for a in stats)
         assert cached == 100 * ss.count * 8
         assert peak < cached + 10 * ss.count * 8
+
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])  # 4: more workers than cores
+    @pytest.mark.parametrize("m", [1, 3, 4, 50])  # 1, 3 and 50 pad their Philox windows
+    @pytest.mark.parametrize("count", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                       3 * _BLOCK_ROWS + 5])
+    def test_block_walk_matches_serial_reference(self, monkeypatch, count, m, threads):
+        # the draw and the statistics run in row blocks on the pool; one
+        # serial draw and one walk over the whole matrix must give the same bits
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        widths = sorted({1, (m + 1) // 2, m})
+        subs = SampleSet.draw(Rayleigh(), m, count, seed=8).prefixes(
+            widths, SystemParams(2.0, 50, m, 0.01))
+        gains = draw_gain_matrix(Rayleigh(), m, count, 8)
+        ref = rate_stats_widths(gains, widths, 2.0, 50)
+        assert np.array_equal(subs[m].gains, gains)
+        for w in widths:
+            mu, delta = subs[w]._stats_cache[(2.0, 50)]
+            assert np.array_equal(mu, ref[w][0]) and np.array_equal(delta, ref[w][1]), w
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_draw_allocates_only_the_master(self, monkeypatch, threads):
+        # each block is drawn, transformed and checked in place on its own
+        # rows of the padded master: no block-sized temporary, let alone a
+        # full-size one, is alive beside it
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        count, m = 3 * _BLOCK_ROWS + 5, 50
+        master_bytes = count * 52 * 8
+        tracemalloc.start()
+        try:
+            ss = SampleSet.draw(Rayleigh(), m, count, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ss.gains.base.nbytes == master_bytes
+        assert peak < master_bytes + _BLOCK_ROWS * 52 * 8
 
     def test_prefix_bounds(self):
         ss = SampleSet.draw(Rayleigh(), 2, 10, seed=0)
