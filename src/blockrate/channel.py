@@ -12,11 +12,17 @@ serial full pass bit for bit.
 
 `_executor` is the package's one choice between a pool of at most
 BLOCKRATE_THREADS workers (default: the core count) and running inline.
+The cap is read on every call, and each cap gets one pool that lives as
+long as the process, so no call starts or joins threads once its pool
+exists.  A call made on a worker of one of those pools runs inline: nested
+work (a sweep row whose statistics are not cached yet walks them through
+`_run_rows`) never waits on a worker that is waiting for it.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
@@ -89,7 +95,8 @@ class Deterministic:
 FadingModel = Rayleigh | Deterministic
 
 
-def _max_workers(n_tasks: int) -> int:
+def _thread_cap() -> int:
+    """BLOCKRATE_THREADS, or the core count when it is unset."""
     raw = os.environ.get("BLOCKRATE_THREADS", "")
     if raw:
         try:
@@ -98,9 +105,8 @@ def _max_workers(n_tasks: int) -> int:
             raise DomainError(f"BLOCKRATE_THREADS must be an integer, got {raw!r}") from None
         if cap < 1:
             raise DomainError(f"BLOCKRATE_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
+        return cap
+    return os.cpu_count() or 1
 
 
 class _Inline(Executor):
@@ -112,16 +118,34 @@ class _Inline(Executor):
         return future
 
 
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # by worker cap, never shut down
+_POOLS_LOCK = threading.Lock()
+_WORKER = threading.local()  # .pooled is True on the pools' own threads
+
+
+def _mark_worker() -> None:
+    _WORKER.pooled = True
+
+
 def _executor(n_tasks: int) -> Executor:
-    """A pool of _max_workers(n_tasks) threads, or _Inline when that is one."""
-    workers = _max_workers(n_tasks)
-    return ThreadPoolExecutor(workers) if workers > 1 else _Inline()
+    """The process's pool for the current BLOCKRATE_THREADS cap, or _Inline
+    when there is one task, the cap is one, or the caller is a pool worker.
+
+    The pool is shared and persistent: callers submit to it and wait on their
+    own futures, and never shut it down."""
+    cap = _thread_cap()
+    if min(cap, n_tasks) <= 1 or getattr(_WORKER, "pooled", False):
+        return _Inline()
+    with _POOLS_LOCK:
+        if cap not in _POOLS:
+            _POOLS[cap] = ThreadPoolExecutor(cap, initializer=_mark_worker)
+        return _POOLS[cap]
 
 
 def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    with _executor(len(tasks)) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
+    pool = _executor(len(tasks))
+    futures = [pool.submit(t) for t in tasks]
+    return [f.result() for f in futures]
 
 
 def _blocks_per_sample(draws: int) -> int:

@@ -22,9 +22,11 @@ optimizers search on them.
 
 Every expectation is reduced by a single deterministic pairwise summation
 over a fixed-layout array, so results are independent of how many worker
-threads drive the surrounding sweep.  A set may instead carry row weights:
-then each expectation is the weighted sum over its rows, and the standard
-error is 0.
+threads drive the surrounding sweep.  Each kernel computes in one or two
+fresh (count,) buffers, in place, with operand orders that keep the bits of
+the plain expressions; the cached statistics are read-only and never
+written.  A set may instead carry row weights: then each expectation is the
+weighted sum over its rows, and the standard error is 0.
 
 theta = 0 is not evaluated through the formula above (it divides by theta);
 `ergodic_rate_variable` / `ergodic_rate_fixed` compute the limiting
@@ -58,6 +60,7 @@ from .errors import ComputationError, DomainError
 from .fbl import (
     _check_epsilon,
     _check_rate,
+    _rate_at,
     error_probability_arrays,
     rate_lower_bound_arrays,
     rate_stats_widths,
@@ -173,7 +176,8 @@ class SampleSet:
 
         One running sum over the master's blocks gives every prefix its
         statistics, bit for bit those `stats` computes on that prefix alone,
-        and builds no (count, m) matrix of per-block terms.
+        and builds no (count, m) matrix of per-block terms.  The cached arrays
+        are read-only once filled: the kernels write only their own buffers.
         """
         subs = {m: self.prefix(m) for m in sorted(set(m_values))}
         key = (params.snr_linear, params.n)
@@ -184,6 +188,8 @@ class SampleSet:
                 self.gains[lo:hi], todo, params.snr_linear, params.n,
                 {m: (mu[lo:hi], delta[lo:hi]) for m, (mu, delta) in stats.items()}))
             for m in todo:
+                for a in stats[m]:
+                    a.setflags(write=False)
                 subs[m]._stats_cache[key] = stats[m]
         return subs
 
@@ -217,10 +223,16 @@ def _mean(samples: SampleSet, y: np.ndarray) -> float:
 
 
 def _spread(samples: SampleSet, y: np.ndarray) -> float:
-    """Sample standard deviation of y; 0 for a quadrature set or one row."""
+    """Sample standard deviation of y, bit for bit np.std(y, ddof=1), with y
+    overwritten by its squared deviations; 0 for a quadrature set or one row.
+
+    Call it after the last other read of y: it builds no temporary of y's size.
+    """
     if samples.weights is not None or y.size < 2:
         return 0.0
-    return float(np.std(y, ddof=1))
+    y -= np.mean(y)
+    y *= y
+    return math.sqrt(np.sum(y) / (y.size - 1))
 
 
 def _check_theta_positive(params: SystemParams) -> None:
@@ -230,8 +242,9 @@ def _check_theta_positive(params: SystemParams) -> None:
 
 
 def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray, float]:
-    """exp(-theta*n*m*r - L) per row and the shift L >= 0 that keeps each <= 1."""
-    y = np.multiply(r, -params.theta * params.nm)  # the one (count,) array, reused below
+    """exp(-theta*n*m*r - L) per row, written over r and returned, and the
+    shift L >= 0 that keeps each <= 1.  Pass a fresh array: r is consumed."""
+    y = np.multiply(r, -params.theta * params.nm, out=r)  # r's buffer, reused below
     shift = max(float(y.max()), 0.0)
     y -= shift
     e = np.exp(y, out=y)
@@ -292,18 +305,26 @@ def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,
     Rows pinned at zero rate by clamping are constant in x and
     add no slope.  1 - eps is Q(-x), exact even where eps is within rounding
     of 1.
+
+    One (count,) buffer holds R, then e, then delta*e, then delta*(delta*e),
+    each written in place with the bits of the expression it replaces.
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
-    r = mu - delta * x
+    r = _rate_at(mu, delta, x)
     if clamp:
-        r = np.maximum(r, 0.0)
-        delta = np.where(r > 0.0, delta, 0.0)
+        pinned = r <= 0.0
+        np.maximum(r, 0.0, out=r)
     e, shift = _rate_exponentials(r, params)
-    w = delta * e
-    mean_e, mean_w, mean_ww = _mean(samples, e), _mean(samples, w), _mean(samples, delta * w)
+    mean_e = _mean(samples, e)
+    if clamp:
+        e[pinned] = 0.0
+    e *= delta
+    mean_w = _mean(samples, e)
+    e *= delta
+    mean_ww = _mean(samples, e)
     c = params.theta * params.nm
     eps, keep = q_function(x), q_function(-x)
     g = math.exp(-0.5 * x * x) / SQRT_2PI
@@ -344,7 +365,7 @@ def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     decay = -math.expm1(-params.theta * params.nm * rate)
-    return 1.0 - decay * _mean(samples, 1.0 - eps_z)
+    return 1.0 - decay * _mean(samples, np.subtract(1.0, eps_z, out=eps_z))
 
 
 def _log_phi(a: float, b: float, t: float) -> float:
@@ -414,12 +435,14 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
     mu, delta = samples.stats(params)
     pos = delta > 0.0
     spread = delta if pos.all() else np.where(pos, delta, math.inf)
-    z = (mu - rate) / spread
+    z = np.subtract(mu, rate)
+    z /= spread
     # with no degenerate row, z is the argument error_probability_arrays takes Q of
     eps = q_function(z) if spread is delta else error_probability_arrays(mu, delta, rate)
     a = _mean(samples, eps)
     b = 1.0 - a
-    y = z * z  # becomes sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta, in place
+    # eps's buffer becomes z*z, sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta
+    y = np.multiply(z, z, out=eps)
     y *= -0.5
     np.exp(y, out=y)
     y /= spread
@@ -446,9 +469,11 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
     """
     _check_epsilon(epsilon)
     mu, delta = samples.stats(params)
-    y = (1.0 - epsilon) * rate_lower_bound_arrays(mu, delta, epsilon, clamp)
+    y = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
+    y *= 1.0 - epsilon
+    mean_y = _mean(samples, y)
     se = _spread(samples, y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(_mean(samples, y), se, y.size)
+    return EffectiveRateEstimate(mean_y, se, y.size)
 
 
 def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -456,7 +481,9 @@ def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) ->
     _check_rate(rate)
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
-    y = (1.0 - eps_z) * rate
+    y = np.subtract(1.0, eps_z, out=eps_z)
+    y *= rate
+    mean_y = _mean(samples, y)
     se = _spread(samples, y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(_mean(samples, y), se, y.size)
+    return EffectiveRateEstimate(mean_y, se, y.size)
 

@@ -181,7 +181,9 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
         return np.ones_like(mu)
     pos = delta > 0.0
     if pos.all():  # no degenerate row: skip the gather and scatter
-        return q_function((mu - rate) / delta)
+        z = np.subtract(mu, rate)
+        z /= delta
+        return q_function(z)
     eps = np.empty_like(mu)
     if pos.any():
         eps[pos] = q_function((mu[pos] - rate) / delta[pos])
@@ -191,13 +193,19 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
     return eps
 
 
+def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float) -> np.ndarray:
+    """mu - delta*x, bit for bit, in one new array."""
+    # mu + delta*(-x) is mu - delta*x exactly; in place, it needs no temporary
+    r = np.multiply(delta, -x)
+    r += mu
+    return r
+
+
 def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
                             clamp: bool = False) -> np.ndarray:
     """Vectorized rate lower bound mu - delta*Q^{-1}(epsilon) from (mu, delta)
     arrays, floored at zero when clamp=True."""
-    # mu + delta*(-q) is mu - delta*q exactly; in place, it needs no temporary
-    r = np.multiply(delta, -q_inverse(epsilon))
-    r += mu
+    r = _rate_at(mu, delta, q_inverse(epsilon))
     return np.maximum(r, 0.0, out=r) if clamp else r
 
 

@@ -29,7 +29,11 @@ BLOCKRATE_THREADS workers and running inline.  Three callers submit to it:
 `sweep`, whose rows go through `_run_rows`; `SampleSet.draw` and
 `SampleSet.prefixes`, whose row blocks also go through `_run_rows` (so a
 sweep's draw and statistics walk run on the pool before its rows do); and
-the queue simulator's frame service.
+the queue simulator's frame service.  All of them share one pool per
+BLOCKRATE_THREADS value, started on first use and kept for the life of the
+process.  Work submitted from one of its workers runs inline on that worker:
+a row whose prefix statistics are not cached walks them itself rather than
+waiting on the pool it occupies.
 """
 
 from __future__ import annotations

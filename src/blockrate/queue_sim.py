@@ -36,10 +36,10 @@ values come only from a trace_every=1 trace.
 A frame's service depends only on (seed, frame index), so worker threads
 compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan: at
 most two chunks of service and one sub-chunk's temporaries per worker are
-alive however many frames run.  The workers come from channel._executor,
-as the sweeps' do, so BLOCKRATE_THREADS caps both.  The scan stays on the
-calling thread, in frame order and with unchanged chunk boundaries, so
-results are identical for any thread count.
+alive however many frames run.  The workers are channel._executor's
+persistent pool, the one the sweeps use, so BLOCKRATE_THREADS caps both.
+The scan stays on the calling thread, in frame order and with unchanged
+chunk boundaries, so results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -265,30 +265,31 @@ def _service_chunks(config: QueueConfig, with_gain_mean: bool):
     thread.
     """
     frames = config.frames
-    with _executor(-(-frames // _SUB_FRAMES)) as pool:
-        def submit(start: int):
-            count = min(_CHUNK_FRAMES, frames - start)
-            service = np.empty(count)
-            gain_mean = np.empty(count) if with_gain_mean else None
-            futures = [pool.submit(_fill_service, config, start + lo,
-                                   service[lo:lo + _SUB_FRAMES],
-                                   None if gain_mean is None else gain_mean[lo:lo + _SUB_FRAMES])
-                       for lo in range(0, count, _SUB_FRAMES)]
-            return start, service, gain_mean, futures
+    pool = _executor(-(-frames // _SUB_FRAMES))
 
-        def finish(chunk):
-            start, service, gain_mean, futures = chunk
-            for future in futures:
-                future.result()
-            return start, service, gain_mean
+    def submit(start: int):
+        count = min(_CHUNK_FRAMES, frames - start)
+        service = np.empty(count)
+        gain_mean = np.empty(count) if with_gain_mean else None
+        futures = [pool.submit(_fill_service, config, start + lo,
+                               service[lo:lo + _SUB_FRAMES],
+                               None if gain_mean is None else gain_mean[lo:lo + _SUB_FRAMES])
+                   for lo in range(0, count, _SUB_FRAMES)]
+        return start, service, gain_mean, futures
 
-        ahead = None
-        for start in range(0, frames, _CHUNK_FRAMES):
-            submitted = submit(start)
-            if ahead is not None:
-                yield finish(ahead)
-            ahead = submitted
-        yield finish(ahead)
+    def finish(chunk):
+        start, service, gain_mean, futures = chunk
+        for future in futures:
+            future.result()
+        return start, service, gain_mean
+
+    ahead = None
+    for start in range(0, frames, _CHUNK_FRAMES):
+        submitted = submit(start)
+        if ahead is not None:
+            yield finish(ahead)
+        ahead = submitted
+    yield finish(ahead)
 
 
 def _lindley_chunk(q_prev: float, x: np.ndarray, work: np.ndarray) -> np.ndarray:

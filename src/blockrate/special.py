@@ -39,14 +39,17 @@ _ACKLAM_SPLIT = 0.02425
 def q_function(x):
     """Upper-tail probability Q(x) of the standard normal distribution.
 
-    Accepts a scalar or array; raises DomainError on non-finite input.
+    Accepts a scalar or array; raises DomainError on non-finite input.  An
+    array input is left untouched: the result is computed in one new array.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("q_function requires finite input")
-    out = 0.5 * erfc(arr / _SQRT2)
     if arr.ndim == 0:
-        return float(out)
+        return float(0.5 * erfc(arr / _SQRT2))
+    out = np.divide(arr, _SQRT2)
+    erfc(out, out=out)
+    out *= 0.5
     return out
 
 

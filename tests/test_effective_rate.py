@@ -17,6 +17,11 @@ import pytest
 from blockrate.channel import Deterministic, Rayleigh, SystemParams, draw_gain_matrix
 from blockrate.effective_rate import (
     _BLOCK_ROWS,
+    _log_phi,
+    _mean,
+    _rate_exponentials,
+    _scaled,
+    _spread,
     EffectiveRateEstimate,
     SampleSet,
     effective_rate_fixed,
@@ -30,8 +35,14 @@ from blockrate.effective_rate import (
     psi,
 )
 from blockrate.errors import ComputationError, DomainError
-from blockrate.fbl import LOG2E, rate_stats, rate_stats_arrays, rate_stats_widths
-from blockrate.special import q_inverse
+from blockrate.fbl import (
+    LOG2E,
+    error_probability_arrays,
+    rate_stats,
+    rate_stats_arrays,
+    rate_stats_widths,
+)
+from blockrate.special import SQRT_2PI, q_function, q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
 
@@ -163,6 +174,153 @@ class TestSampleSet:
     def test_validation(self, gains):
         with pytest.raises(DomainError):
             SampleSet(gains)
+
+
+def _set_with_dead_row(m: int = 2, count: int = 5_000) -> SampleSet:
+    """Monte Carlo gains plus one all-zero-gain row (delta = 0)."""
+    gains = draw_gain_matrix(Rayleigh(), m, count, seed=3)
+    return SampleSet(np.vstack([gains, np.zeros((1, m))]))
+
+
+class TestFrozenStats:
+    def test_cached_stats_read_only_and_untouched_by_kernels(self):
+        ss = _set_with_dead_row()
+        p = SystemParams(1.0, 50, 2, 0.05)
+        mu, delta = ss.stats(p)
+        assert not mu.flags.writeable and not delta.flags.writeable
+        before = mu.copy(), delta.copy()
+        for x in (-2.0, 1.0, 4.0, 7.0):
+            log_psi_slopes(x, ss, p)
+            log_psi_slopes(x, ss, p, clamp=True)
+        for rate in (0.0, 0.3, 2.0):
+            log_phi_slopes(rate, ss, p)
+            phi(rate, ss, p)
+            effective_rate_fixed(rate, ss, p)
+            ergodic_rate_fixed(rate, ss, p)
+        for eps in (1e-6, 0.01, 0.3):
+            for clamp in (False, True):
+                effective_rate_variable(eps, ss, p, clamp)
+                ergodic_rate_variable(eps, ss, p, clamp)
+        assert ss.stats(p)[0] is mu and ss.stats(p)[1] is delta
+        assert np.array_equal(mu, before[0]) and np.array_equal(delta, before[1])
+        with pytest.raises(ValueError):
+            mu += 1.0
+
+    def test_prefixes_cache_read_only_stats(self):
+        ss = SampleSet.draw(Rayleigh(), 4, 300, seed=2)
+        p = SystemParams(1.0, 50, 4, 0.05)
+        for m, sub in ss.prefixes([1, 3, 4], p).items():
+            for a in sub.stats(SystemParams(1.0, 50, m, 0.05)):
+                assert not a.flags.writeable
+
+
+# The kernels as written before they moved to one in-place buffer, with the
+# literal expressions mu - delta*x, delta*(delta*e), (mu - rate)/delta and
+# 1 - eps; the in-place kernels must return the same bits.
+def _literal_log_psi_slopes(x, samples, params, clamp=False):
+    mu, delta = samples.stats(params)
+    r = mu - delta * x
+    if clamp:
+        r = np.maximum(r, 0.0)
+        delta = np.where(r > 0.0, delta, 0.0)
+    e, shift = _rate_exponentials(r, params)
+    w = delta * e
+    mean_e, mean_w, mean_ww = _mean(samples, e), _mean(samples, w), _mean(samples, delta * w)
+    c = params.theta * params.nm
+    eps, keep = q_function(x), q_function(-x)
+    g = math.exp(-0.5 * x * x) / SQRT_2PI
+    floor = math.exp(-shift)
+    lost = floor - mean_e
+    psi_s = eps * floor + keep * mean_e
+    d1 = (keep * c * mean_w - g * lost) / psi_s
+    d2 = (x * g * lost + 2.0 * g * c * mean_w + keep * c * c * mean_ww) / psi_s - d1 * d1
+    return shift + math.log(psi_s), d1, d2
+
+
+def _literal_log_phi_slopes(rate, samples, params):
+    mu, delta = samples.stats(params)
+    pos = delta > 0.0
+    spread = delta if pos.all() else np.where(pos, delta, math.inf)
+    z = (mu - rate) / spread
+    eps = q_function(z) if spread is delta else error_probability_arrays(mu, delta, rate)
+    a = _mean(samples, eps)
+    b = 1.0 - a
+    p = np.exp(-0.5 * (z * z)) / spread
+    dens = _mean(samples, p) / SQRT_2PI
+    curv = _mean(samples, p * z / spread) / SQRT_2PI
+    c = params.theta * params.nm
+    t = c * rate
+    decay = -math.expm1(-t)
+    log_phi = _log_phi(a, b, t)
+    kept = _scaled(b, log_phi + t)
+    d1 = decay * _scaled(dens, log_phi) - c * kept
+    d2 = (decay * _scaled(curv, log_phi) + 2.0 * c * _scaled(dens, log_phi + t)
+          + c * c * kept - d1 * d1)
+    return log_phi, d1, d2
+
+
+def _literal_fixed(rate, samples, params):
+    mu, delta = samples.stats(params)
+    eps_z = error_probability_arrays(mu, delta, rate)
+    t = params.theta * params.nm * rate
+    phi_value = 1.0 - (-math.expm1(-t)) * _mean(samples, 1.0 - eps_z)
+    log_phi = _log_phi(_mean(samples, eps_z), _mean(samples, 1.0 - eps_z), t)
+    ergodic = _mean(samples, (1.0 - eps_z) * rate)
+    return phi_value, log_phi, _literal_spread(samples, eps_z), ergodic
+
+
+def _literal_spread(samples, y):
+    return 0.0 if samples.weights is not None else float(np.std(y, ddof=1))
+
+
+@pytest.fixture(scope="module", params=["monte-carlo", "dead-row", "laguerre"])
+def kernel_set(request):
+    if request.param == "laguerre":
+        return SampleSet.laguerre(), SystemParams(1.0, 200, 1, 0.01)
+    ss = (SampleSet.draw(Rayleigh(), 3, 20_000, seed=8) if request.param == "monte-carlo"
+          else _set_with_dead_row(3))
+    return ss, SystemParams(10 ** -0.5, 50, 3, 0.05)
+
+
+class TestInPlaceKernelsKeepBits:
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_log_psi_slopes(self, kernel_set, clamp):
+        ss, p = kernel_set
+        for x in (-6.0, -1.3, 0.0, 1.0, 2.3263478740408408, 5.2, 6.3613409):
+            assert log_psi_slopes(x, ss, p, clamp) == _literal_log_psi_slopes(x, ss, p, clamp)
+
+    def test_phi_kernels(self, kernel_set):
+        ss, p = kernel_set
+        for rate in (0.0, 1e-3, 0.05, 0.3, 1.1, 4.0):
+            assert log_phi_slopes(rate, ss, p) == _literal_log_phi_slopes(rate, ss, p)
+            phi_value, log_phi, sd, ergodic = _literal_fixed(rate, ss, p)
+            assert phi(rate, ss, p) == phi_value
+            est = effective_rate_fixed(rate, ss, p)
+            assert est.value == -log_phi / (p.theta * p.nm)
+            if sd:
+                assert est.std_error == (-math.expm1(-p.theta * p.nm * rate) * sd
+                                         / (math.sqrt(ss.count) * math.exp(log_phi)
+                                            * p.theta * p.nm))
+            assert ergodic_rate_fixed(rate, ss, p).value == ergodic
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_ergodic_variable(self, kernel_set, clamp):
+        ss, p = kernel_set
+        mu, delta = ss.stats(p)
+        for eps in (1e-8, 0.01, 0.4):
+            r = mu - delta * q_inverse(eps)
+            if clamp:
+                r = np.maximum(r, 0.0)
+            y = (1.0 - eps) * r
+            est = ergodic_rate_variable(eps, ss, p, clamp)
+            se = _literal_spread(ss, y) / math.sqrt(y.size)
+            assert (est.value, est.std_error) == (_mean(ss, y), se)
+
+    @pytest.mark.parametrize("shape", [(1_000_000,), (2,)])
+    def test_spread_is_numpy_std(self, shape):
+        y = np.random.default_rng(5).normal(0.0, 20.0, size=shape)
+        expected = float(np.std(y, ddof=1))
+        assert _spread(SampleSet(np.ones((1, 1))), y) == expected
 
 
 def _atom_samples(z0: float, count: int = 64) -> SampleSet:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix, substream
 from blockrate.errors import DomainError
@@ -21,6 +22,7 @@ from blockrate.fbl import (
     RateStats,
     VariableRate,
     _laplace_from_uniform,
+    _rate_at,
     error_probability,
     error_probability_arrays,
     mi_density_samples_exact,
@@ -154,6 +156,37 @@ class TestRateLowerBound:
                 assert (r >= 0.0).all()
         # the clamp has work to do: deep fades go negative at eps = 1e-6
         assert (rate_lower_bound_arrays(mu, delta, 1e-6) < 0.0).any()
+
+
+@pytest.fixture(scope="module")
+def wide_draws():
+    """1e6 N(0, 20^2) draws for mu and |draws| for delta, far past both Q
+    saturation points; delta is kept above 0 so every row takes the Q path."""
+    rng = np.random.default_rng(11)
+    mu = rng.normal(0.0, 20.0, 1_000_000)
+    delta = np.maximum(np.abs(rng.normal(0.0, 20.0, 1_000_000)), 1e-300)
+    return mu, delta
+
+
+class TestInPlaceExpressions:
+    @pytest.mark.parametrize("x", [-3.7, 0.0, 2.3263478740408408, 6.0])
+    def test_rate_at_is_mu_minus_delta_x(self, wide_draws, x):
+        mu, delta = wide_draws
+        assert np.array_equal(_rate_at(mu, delta, x), mu - delta * x)
+        m2, d2 = mu[:20_000].reshape(400, 50), delta[:20_000].reshape(400, 50)
+        assert np.array_equal(_rate_at(m2, d2, x), m2 - d2 * x)
+        m0, d0 = np.asarray(mu[3]), np.asarray(delta[3])
+        assert _rate_at(m0, d0, x) == m0 - d0 * x
+
+    @pytest.mark.parametrize("rate", [0.0, 0.7, 25.0])
+    def test_error_probability_is_q_of_literal_z(self, wide_draws, rate):
+        mu, delta = wide_draws
+        literal = 0.5 * erfc(((mu - rate) / delta) / math.sqrt(2.0))
+        assert np.array_equal(error_probability_arrays(mu, delta, rate), literal)
+        m2, d2 = mu[:20_000].reshape(400, 50), delta[:20_000].reshape(400, 50)
+        assert np.array_equal(error_probability_arrays(m2, d2, rate), literal[:20_000].reshape(400, 50))
+        m0, d0 = np.asarray(mu[5]), np.asarray(delta[5])
+        assert error_probability_arrays(m0, d0, rate) == literal[5]
 
 
 class TestErrorProbability:

@@ -2,12 +2,18 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockrate.channel import Deterministic, Rayleigh, SystemParams
+import blockrate
+from blockrate.channel import Deterministic, Rayleigh, SystemParams, _executor
 from blockrate.effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -346,6 +352,74 @@ class TestThreading:
         assert set(_run_rows(tasks)) == {threading.get_ident()}
         monkeypatch.setenv("BLOCKRATE_THREADS", "2")
         assert threading.get_ident() not in _run_rows(tasks)
+
+    def test_nested_run_rows_runs_inline_on_the_worker(self):
+        # in a fresh interpreter: a deadlocked pool would also hang the
+        # exit of the process that owns it, so the timeout kills that one
+        code = textwrap.dedent("""
+            import threading
+            from blockrate.channel import _run_rows
+
+            def outer():
+                return threading.get_ident(), _run_rows([threading.get_ident] * 3)
+
+            main = threading.get_ident()
+            rows = _run_rows([outer] * 4)
+            assert all(w != main and inner == [w] * 3 for w, inner in rows), rows
+            """)
+        src = str(Path(blockrate.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": path,
+                                               "BLOCKRATE_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+
+    def test_sweeps_start_no_threads_once_the_pool_exists(self, monkeypatch):
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+
+        def run():
+            return sweep_m(P1, [1, 2, 3], VariableRate(), count=20_000, seed=4)
+
+        first = run()
+        threads = threading.active_count()
+        for _ in range(20):
+            assert run() == first
+        assert threading.active_count() <= threads
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers and workers than cores, switching threads often
+        monkeypatch.setenv("BLOCKRATE_THREADS", "3")
+        pools, errors = set(), []
+
+        def caller(k):
+            try:
+                for i in range(20):
+                    pools.add(id(_executor(4)))
+                    tasks = [functools.partial(int, 100 * k + i + j) for j in range(6)]
+                    assert _run_rows(tasks) == [100 * k + i + j for j in range(6)]
+            except Exception as exc:  # a failure on a caller thread, reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == [] and len(pools) == 1
+
+    def test_thread_cap_read_on_every_call(self, monkeypatch):
+        tasks = [threading.get_ident] * 4
+        here = threading.get_ident()
+        for raw, inline in (("1", True), ("2", False), ("1", True)):
+            monkeypatch.setenv("BLOCKRATE_THREADS", raw)
+            idents = set(_run_rows(tasks))
+            assert (idents == {here}) if inline else (here not in idents)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_run_rows_task_error_propagates(self, monkeypatch, threads):

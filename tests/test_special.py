@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from blockrate.errors import DomainError
 from blockrate.special import SQRT_2PI, q_function, q_inverse, q_inverse_deriv
@@ -50,6 +51,18 @@ def test_q_function_vectorized():
     # matches the scalar path entry by entry
     for xi, oi in zip(x, out):
         assert q_function(float(xi)) == oi
+
+
+@pytest.mark.parametrize("shape", [(1_000_000,), (500, 40), ()])
+def test_q_function_is_half_erfc_bit_for_bit(shape):
+    """The in-place array path keeps the bits of 0.5*erfc(x/sqrt(2)), from
+    the centre to both saturated tails, and leaves its input untouched."""
+    x = np.random.default_rng(7).normal(0.0, 20.0, size=shape)
+    before = x.copy()
+    q = q_function(x)
+    assert np.array_equal(q, 0.5 * erfc(x / math.sqrt(2.0)))
+    assert np.array_equal(x, before)
+    assert isinstance(q, float) if x.ndim == 0 else q.shape == x.shape
 
 
 def test_q_function_monotone_decreasing():
