@@ -217,9 +217,10 @@ class EffectiveRateEstimate:
 
 
 def _mean(samples: SampleSet, y: np.ndarray) -> float:
-    """E[y] over the set: the sample mean, or the weighted sum of a rule."""
+    """E[y] over the set: the sample mean, or the weighted sum of a rule,
+    a pairwise sum rather than BLAS's dot, whose bits follow its thread count."""
     w = samples.weights
-    return float(np.mean(y) if w is None else w @ y)
+    return float(np.mean(y) if w is None else np.multiply(w, y).sum())
 
 
 def _spread(samples: SampleSet, y: np.ndarray) -> float:

@@ -39,7 +39,10 @@ most two chunks of service and one sub-chunk's temporaries per worker are
 alive however many frames run.  The workers are channel._executor's
 persistent pool, the one the sweeps use, so BLOCKRATE_THREADS caps both.
 The scan stays on the calling thread, in frame order and with unchanged
-chunk boundaries, so results are identical for any thread count.
+chunk boundaries, so results are identical for any thread count.  The
+service's sum and sum of squares, behind drift_z, are numpy's pairwise sums
+per chunk, added in chunk order; no BLAS call is made, so OpenBLAS's thread
+count cannot change them either.
 """
 
 from __future__ import annotations
@@ -185,12 +188,13 @@ class QueueResult:
     measured mean service rate by more than three standard errors (service
     is independent across frames, so the z-test is exact); drift_z is that
     z-score, (arrival - mean service) / its standard error, and is +-inf
-    (0 when they are equal) when every frame serves the same bits.  Tail
-    fitting is meaningless on an unstable run.  trend_slope is a diagnostic
-    linear trend fitted to every max(1, kept // 2048)-th post-burn-in
-    frame.  trace is optional decimated per-frame records with columns
-    (frame index, mean gain, service bits, queue bits); trace_every=1 is
-    the only way to get every frame's queue length.
+    (0 when they are equal) when every frame serves the same bits; the
+    service's variance comes from per-chunk pairwise sums of its squares.
+    Tail fitting is meaningless on an unstable run.  trend_slope is a
+    diagnostic linear trend fitted to every max(1, kept // 2048)-th
+    post-burn-in frame.  trace is optional decimated per-frame records with
+    columns (frame index, mean gain, service bits, queue bits);
+    trace_every=1 is the only way to get every frame's queue length.
     """
 
     samples: TailHistogram
@@ -336,7 +340,9 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     for start, service, gain_mean in _service_chunks(config, trace_every > 0):
         count = service.size
         service_sum += float(service.sum())
-        service_sumsq += float(service @ service)
+        # a pairwise sum in work, which the scan overwrites next: BLAS's dot
+        # would wake its spinning threads and round by their count
+        service_sumsq += float(np.multiply(service, service, out=work[:count]).sum())
         q = _lindley_chunk(q_prev, np.subtract(a, service, out=steps[:count]), work[:count])
         q_prev = float(q[-1])
         lo = max(burn - start, 0)

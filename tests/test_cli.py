@@ -19,6 +19,17 @@ from blockrate.cli import (
 
 import argparse
 
+from test_golden import GOLDEN
+
+
+def _python(args, **env):
+    """Run this interpreter on args in a fresh process that imports this
+    checkout's package, with env added to the environment."""
+    src = str(Path(blockrate.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path, **env})
+
 
 def _run_to_file(tmp_path, name, argv):
     out = tmp_path / name
@@ -376,6 +387,16 @@ class TestDeterminism:
         assert outputs[0][0] and outputs[0][1]
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_simulate_independent_of_blas_thread_count(self):
+        # no table value comes from a BLAS call: a threaded dot product
+        # rounds by OpenBLAS's thread count, and this digest's drift_z moved
+        argv = GOLDEN["simulate_clamp_trace"][0]
+        runs = [_python(["-m", "blockrate", *argv], OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
     def test_rerun_byte_identical(self, tmp_path):
         _, a = _run_to_file(tmp_path, "r1.csv", FAST_FIG1)
         _, b = _run_to_file(tmp_path, "r2.csv", FAST_FIG1)
@@ -389,9 +410,6 @@ class TestImportCost:
         heavy = ["scipy.optimize", "scipy.stats", "scipy.linalg"]
         code = ("import sys, blockrate.cli; "
                 f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-        src = str(Path(blockrate.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        proc = _python(["-c", code])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""

@@ -4,9 +4,11 @@ Each case runs `cli.main` in-process and compares the sha256 of its stdout
 to a hash recorded from the same command.  A refactor that keeps the
 arithmetic order must keep these hashes.  The hashes depend on the rounding
 of numpy's and scipy's kernels (log1p, erfc, and the pairwise sums behind
-each expectation; the rate statistics sum their blocks left to right in
-`fbl`'s own order), so they hold only for the versions recorded below;
-under other versions the test is skipped with a message naming both.
+each expectation and the queue's service variance; the rate statistics sum
+their blocks left to right in `fbl`'s own order), so they hold only for the
+versions recorded below; under other versions the test is skipped with a
+message naming both.  They depend on no BLAS call, so neither
+BLOCKRATE_THREADS nor OPENBLAS_NUM_THREADS can move them.
 """
 
 import hashlib

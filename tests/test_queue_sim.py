@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,23 @@ class TestSimulateQueue:
         t = np.arange(kept[::step].size, dtype=float) * step
         assert res.trend_slope == float(np.polyfit(t, kept[::step], 1)[0])
 
+    def test_drift_z_from_pairwise_chunk_sums(self):
+        # the service moments are numpy's pairwise sums per chunk, added in
+        # chunk order, so their bits follow no BLAS build or thread count
+        a = 40.0
+        cfg = _config(frames=_CHUNK_FRAMES + 4_321, burn_in_frames=0,
+                      arrival_bits_per_frame=a)
+        res = simulate_queue(cfg, trace_every=1)
+        total = sumsq = 0.0
+        for lo in range(0, cfg.frames, _CHUNK_FRAMES):
+            s = np.ascontiguousarray(res.trace[lo:lo + _CHUNK_FRAMES, 2])
+            total += float(s.sum())
+            sumsq += float((s * s).sum())
+        mean = total / cfg.frames
+        se = math.sqrt((sumsq / cfg.frames - mean**2) / cfg.frames)
+        assert res.mean_service == mean
+        assert res.drift_z == (a - mean) / se
+
     def test_unstable_flag_fires_on_overload(self):
         fading = Deterministic(gains=(1.0, 1.0))
         mu = rate_stats(np.array([1.0, 1.0]), P2).mu
@@ -380,6 +401,41 @@ class TestMemory:
                            for f in dataclasses.fields(res))
         assert four.samples.total == 4 * one.samples.total + 3_000
         assert four.samples.nbytes == one.samples.nbytes <= 16 * 1024 + 16
+
+
+class TestNoSpinningThreads:
+    def test_one_thread_run_uses_one_core(self):
+        # with BLOCKRATE_THREADS=1 the run has one thread of work, so its
+        # CPU time can exceed its wall time only if a library's threads
+        # busy-wait beside it, as OpenBLAS's do after each threaded call.
+        # On a one-core machine there is no second core to spin on, and
+        # this test passes without testing anything.
+        code = """if True:
+            import resource, time
+            from blockrate.channel import SystemParams
+            from blockrate.fbl import VariableRate
+            from blockrate.queue_sim import QueueConfig, simulate_queue
+            cfg = QueueConfig(arrival_bits_per_frame=40.0, frames=1_200_000,
+                              burn_in_frames=1_000, seed=1,
+                              policy=VariableRate(epsilon=0.01),
+                              params=SystemParams(1.0, 50, 2, 0.05))
+            def cpu():
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                return usage.ru_utime + usage.ru_stime
+            simulate_queue(cfg)
+            wall, used = time.perf_counter(), cpu()
+            simulate_queue(cfg)
+            print((cpu() - used) / (time.perf_counter() - wall))
+        """
+        src = str(Path(queue_sim.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env["BLOCKRATE_THREADS"] = "1"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 1.5
 
 
 class TestArrivalCalibration:
