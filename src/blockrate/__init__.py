@@ -8,7 +8,7 @@ blocks, and a frame-level queue simulator that checks the promised
 tail-decay exponent end to end.
 """
 
-from .channel import Deterministic, FadingModel, Rayleigh, SystemParams, draw_gain_matrix
+from .channel import Rayleigh, SystemParams, draw_gain_matrix
 from .effective_rate import (
     EffectiveRateEstimate,
     SampleSet,
@@ -54,11 +54,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockrateError",
     "ComputationError",
-    "Deterministic",
     "DomainError",
     "EffectiveRateEstimate",
     "EstimationError",
-    "FadingModel",
     "FixedRate",
     "Optimum",
     "QueueConfig",

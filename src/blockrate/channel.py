@@ -77,24 +77,6 @@ class Rayleigh:
             raise DomainError(f"mean_power must be positive, got {self.mean_power!r}")
 
 
-@dataclass(frozen=True)
-class Deterministic:
-    """Fixed gains, returned verbatim; consumes no randomness."""
-
-    gains: tuple
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise DomainError("Deterministic gains must be a non-empty vector")
-        if not np.all(np.isfinite(g) & (g >= 0)):
-            raise DomainError("Deterministic gains must be finite and >= 0")
-        object.__setattr__(self, "gains", tuple(float(v) for v in g))
-
-
-FadingModel = Rayleigh | Deterministic
-
-
 def _thread_cap() -> int:
     """BLOCKRATE_THREADS, or the core count when it is unset."""
     raw = os.environ.get("BLOCKRATE_THREADS", "")
@@ -154,8 +136,8 @@ def _blocks_per_sample(draws: int) -> int:
 
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be >= 0 and integral, got {seed!r}")
     bg = np.random.Philox(seed)
     bg.advance(index * _blocks_per_sample(draws_per_sample))
     return np.random.Generator(bg)
@@ -192,25 +174,17 @@ def _gain_buffer(m: int, count: int) -> np.ndarray:
     return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
 
 
-def _fill_gains(model: FadingModel, m: int, seed: int, start: int, out: np.ndarray) -> None:
+def _fill_gains(model: Rayleigh, m: int, seed: int, start: int, out: np.ndarray) -> None:
     """Write the gains of sample indices [start, start+len(out)) into the
     leading m columns of `out`, rows of a `_gain_buffer`, allocating no
     temporary of its size; the padding columns are left unspecified."""
-    if isinstance(model, Deterministic):
-        g = np.asarray(model.gains, dtype=float)
-        if g.size != m:
-            raise DomainError(f"Deterministic model has {g.size} gains, need m={m}")
-        out[:, :m] = g
-    elif isinstance(model, Rayleigh):
-        # the whole padded rows: a contiguous pass beats a strided one, most
-        # of all at small m
-        uniform_windows(seed, start, out.shape[0], m, out=out)
-        _exponential_from_uniform(out, model.mean_power, out=out)
-    else:
-        raise DomainError(f"unknown fading model {model!r}")
+    # the whole padded rows: a contiguous pass beats a strided one, most of
+    # all at small m
+    uniform_windows(seed, start, out.shape[0], m, out=out)
+    _exponential_from_uniform(out, model.mean_power, out=out)
 
 
-def draw_gain_matrix(model: FadingModel, m: int, count: int, seed: int,
+def draw_gain_matrix(model: Rayleigh, m: int, count: int, seed: int,
                      start: int = 0) -> np.ndarray:
     """(count, m) gains for sample indices [start, start+count), windowed as
     described in the module docstring."""

@@ -257,8 +257,7 @@ def _cmd_simulate(args: argparse.Namespace):
     policy = _policy_from_flags(args)
     # the target and the arrival rate are calibrated on --samples gains from --seed
     (cal,), _ = sweep_m(params, [params.m], policy, args.samples, args.seed)
-    if args.rate is None:  # the queue runs at the calibrated error target
-        policy = replace(policy, epsilon=cal.argument)
+    policy = replace(policy, **{policy.target_name: cal.argument})  # a given target stays
     arrival = args.arrival if args.arrival is not None else cal.effective_rate * params.nm
     queue_seed = args.seed + 1  # decouple the trajectory from the rate estimate
     qcfg = QueueConfig(arrival_bits_per_frame=arrival, frames=args.frames,

@@ -49,7 +49,6 @@ import numpy as np
 from scipy.special import roots_laguerre
 
 from .channel import (
-    FadingModel,
     Rayleigh,
     SystemParams,
     _fill_gains,
@@ -132,7 +131,7 @@ class SampleSet:
         return self.gains.shape[1]
 
     @classmethod
-    def draw(cls, model: FadingModel, m: int, count: int, seed: int) -> "SampleSet":
+    def draw(cls, model: Rayleigh, m: int, count: int, seed: int) -> "SampleSet":
         """The gains `draw_gain_matrix` gives, drawn block by block into the
         padded master."""
         master = _gain_buffer(m, count)

@@ -57,16 +57,32 @@ class RateStats:
 class VariableRate:
     """Transmitter knows z and picks the rate meeting error target epsilon.
 
-    epsilon=None asks sweep/optimizer drivers to optimize it.  clamp_negative
-    floors negative rate realizations at zero service.
+    target is epsilon; None asks sweep/optimizer drivers to optimize it.
+    clamp_negative, the estimators' clamp option, floors negative rates at 0.
     """
 
     epsilon: float | None = None
     clamp_negative: bool = False
+    target_name = "epsilon"
 
     def __post_init__(self):
         if self.epsilon is not None:
             _check_epsilon(self.epsilon)
+
+    @property
+    def target(self) -> float | None:
+        return self.epsilon
+
+    @property
+    def options(self) -> dict:
+        return {"clamp": self.clamp_negative}
+
+    def service(self, mu: np.ndarray, delta: np.ndarray, u_dec: np.ndarray,
+                nm: int) -> np.ndarray:
+        """Bits each frame serves: nm*R(z, epsilon), or 0 when its decoding
+        draw u_dec falls below epsilon."""
+        r = rate_lower_bound_arrays(mu, delta, self.epsilon, self.clamp_negative)
+        return np.where(u_dec >= self.epsilon, nm * r, 0.0)
 
     def describe(self) -> str:
         target = "optimized-epsilon" if self.epsilon is None else f"epsilon={self.epsilon!r}"
@@ -78,14 +94,30 @@ class VariableRate:
 class FixedRate:
     """Transmitter is blind to z and sends at a constant rate (bits/use).
 
-    rate=None asks sweep/optimizer drivers to optimize it.
+    target is rate; None asks sweep/optimizer drivers to optimize it.
     """
 
     rate: float | None = None
+    target_name = "rate"
 
     def __post_init__(self):
         if self.rate is not None:
             _check_rate(self.rate)
+
+    @property
+    def target(self) -> float | None:
+        return self.rate
+
+    @property
+    def options(self) -> dict:
+        return {}
+
+    def service(self, mu: np.ndarray, delta: np.ndarray, u_dec: np.ndarray,
+                nm: int) -> np.ndarray:
+        """Bits each frame serves: nm*rate, or 0 when its decoding draw u_dec
+        falls below the error probability eps(z, rate)."""
+        eps = error_probability_arrays(mu, delta, self.rate)
+        return np.where(u_dec >= eps, nm * self.rate, 0.0)
 
     def describe(self) -> str:
         target = "optimized-rate" if self.rate is None else f"rate={self.rate!r}"

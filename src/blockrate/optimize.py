@@ -232,19 +232,18 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
     the policy's target, a missing target is optimized, and a given target
     is evaluated.
     """
-    if isinstance(policy, VariableRate):
-        target, name, kw = policy.epsilon, "epsilon", {"clamp": policy.clamp_negative}
-        ergodic, evaluate, optimum = ergodic_rate_variable, effective_rate_variable, optimal_epsilon
-    elif isinstance(policy, FixedRate):
-        target, name, kw = policy.rate, "rate", {}
-        ergodic, evaluate, optimum = ergodic_rate_fixed, effective_rate_fixed, optimal_rate
-    else:
-        raise DomainError(f"unknown rate policy: {policy!r}")
+    # (ergodic, given-target, optimized) estimators, read from the module's
+    # names on each call: perfbench's tracer rebinds them to its wrappers
+    ergodic, evaluate, optimum = {
+        VariableRate: (ergodic_rate_variable, effective_rate_variable, optimal_epsilon),
+        FixedRate: (ergodic_rate_fixed, effective_rate_fixed, optimal_rate),
+    }[type(policy)]
+    target, kw = policy.target, policy.options
     search = {}
     if params.theta == 0.0:
         if target is None:
             raise DomainError(
-                f"theta = 0 rows need an explicit {name} target "
+                f"theta = 0 rows need an explicit {policy.target_name} target "
                 "(the ergodic limit is evaluated, not optimized)")
         est = ergodic(target, samples, params, **kw)
     elif target is None:
@@ -280,6 +279,9 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
         raise DomainError(f"theta must be >= 0, got {min(theta_grid)}")
     if not policies:
         raise DomainError("policies must be nonempty")
+    for policy in policies:
+        if not isinstance(policy, RatePolicy):
+            raise DomainError(f"unknown rate policy: {policy!r}")
     prefixes = SampleSet.draw(Rayleigh(), max(m_values), count, seed).prefixes(m_values, params)
     tasks = [
         (lambda sub=prefixes[m], p=SystemParams(params.snr_linear, params.n, m, theta),

@@ -1,10 +1,10 @@
 """Discrete-time queue fed by constant arrivals and two-point frame service.
 
-One frame = one codeword = n*m channel uses.  Each frame draws a fresh
-channel realization; decoding fails with the policy's error probability, in
-which case the frame serves nothing (failed bits stay queued — an implicit
-retransmission), otherwise it serves n*m*R bits.  The queue follows the
-Lindley recursion Q_{t+1} = max(Q_t + a - r_t, 0).
+One frame = one codeword = n*m channel uses.  Each frame draws m fresh
+unit-mean Rayleigh gains, then one decoding draw, and the policy's `service`
+rule turns them into bits: n*m*R on success, nothing on a decoding failure
+(failed bits stay queued — an implicit retransmission).  The queue follows
+the Lindley recursion Q_{t+1} = max(Q_t + a - r_t, 0).
 
 This is the artifact's end-to-end consistency check: with the arrival rate
 set to the estimated throughput times n*m bits per frame, the stationary
@@ -20,7 +20,7 @@ is not bit-identical to the scalar loop, because the running sum rounds
 differently: over a full chunk of service or Gaussian steps under 15% of
 entries match exactly, and the largest error measured is 3e-11 times the
 largest step |a - r_t|.  The tests hold it below 1e-10 times that step.
-Frame t consumes the random-stream window of index t (gains then one
+Frame t consumes the random-stream window of index t (its m gains, then its
 decoding draw), making trajectories reproducible and extendable without
 replaying.
 
@@ -52,23 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    FadingModel,
-    Rayleigh,
-    SystemParams,
-    _executor,
-    _exponential_from_uniform,
-    uniform_windows,
-)
+from .channel import SystemParams, _executor, _exponential_from_uniform, uniform_windows
 from .errors import DomainError, EstimationError
-from .fbl import (
-    FixedRate,
-    RatePolicy,
-    VariableRate,
-    error_probability_arrays,
-    rate_lower_bound_arrays,
-    rate_stats_arrays,
-)
+from .fbl import RatePolicy, rate_stats_arrays
 
 _CHUNK_FRAMES = 1 << 19
 # frames per service task on the worker threads.  A task's temporaries
@@ -83,7 +69,8 @@ _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Inputs of one queue run; one frame spans params.nm channel uses."""
+    """Inputs of one queue run; one frame spans params.nm channel uses and
+    sees params.m unit-mean Rayleigh gains.  policy's target must be set."""
 
     arrival_bits_per_frame: float
     frames: int
@@ -91,7 +78,6 @@ class QueueConfig:
     seed: int
     policy: RatePolicy
     params: SystemParams
-    fading: FadingModel = Rayleigh()
 
     def __post_init__(self):
         a = self.arrival_bits_per_frame
@@ -104,16 +90,11 @@ class QueueConfig:
         if self.burn_in_frames >= self.frames:
             raise DomainError(
                 f"burn_in_frames={self.burn_in_frames} must be < frames={self.frames}")
-        if isinstance(self.policy, VariableRate):
-            if self.policy.epsilon is None:
-                raise DomainError("queue runs need an explicit epsilon "
-                                  "(optimize it first, then simulate)")
-        elif isinstance(self.policy, FixedRate):
-            if self.policy.rate is None:
-                raise DomainError("queue runs need an explicit rate "
-                                  "(optimize it first, then simulate)")
-        else:
+        if not isinstance(self.policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {self.policy!r}")
+        if self.policy.target is None:
+            raise DomainError(f"queue runs need an explicit {self.policy.target_name} "
+                              "(optimize it first, then simulate)")
         if not self.params.theta > 0.0:
             raise DomainError(f"queue runs need theta > 0 (it scales the tail "
                               f"histogram's bins), got {self.params.theta!r}")
@@ -222,12 +203,6 @@ class TailEstimate:
     overflow_fraction_at_q_hi: float
 
 
-def _draws_per_frame(fading: FadingModel, m: int) -> int:
-    # Rayleigh frames consume m gain draws then one decoding draw;
-    # deterministic gains consume only the decoding draw.
-    return m + 1 if isinstance(fading, Rayleigh) else 1
-
-
 def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
                   gain_mean: np.ndarray | None) -> None:
     """Write the service bits of frames [start, start+len(service)) into
@@ -238,23 +213,10 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
     """
     params = config.params
     m = params.m
-    count = service.size
-    dpf = _draws_per_frame(config.fading, m)
-    u = uniform_windows(config.seed, start, count, dpf)
-    if isinstance(config.fading, Rayleigh):
-        gains = _exponential_from_uniform(u[:, :m], config.fading.mean_power)
-        u_dec = u[:, m]
-    else:
-        gains = np.tile(np.asarray(config.fading.gains, dtype=float), (count, 1))
-        u_dec = u[:, 0]
+    u = uniform_windows(config.seed, start, service.size, m + 1)
+    gains = _exponential_from_uniform(u[:, :m], 1.0)
     mu, delta = rate_stats_arrays(gains, params)
-    policy = config.policy
-    if isinstance(policy, VariableRate):
-        r = rate_lower_bound_arrays(mu, delta, policy.epsilon, policy.clamp_negative)
-        service[:] = np.where(u_dec >= policy.epsilon, params.nm * r, 0.0)
-    else:
-        eps = error_probability_arrays(mu, delta, policy.rate)
-        service[:] = np.where(u_dec >= eps, params.nm * policy.rate, 0.0)
+    service[:] = config.policy.service(mu, delta, u[:, m], params.nm)
     if gain_mean is not None:
         gain_mean[:] = gains.mean(axis=1)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from blockrate.channel import (
-    Deterministic,
     Rayleigh,
     SystemParams,
     _exponential_from_uniform,
@@ -41,20 +40,6 @@ class TestSystemParams:
 
 
 class TestFadingModels:
-    def test_deterministic_passthrough(self):
-        model = Deterministic(gains=(0.5, 2.0, 1.0))
-        out = draw_gain_matrix(model, 3, 4, seed=0)
-        np.testing.assert_array_equal(out, np.tile([0.5, 2.0, 1.0], (4, 1)))
-
-    def test_deterministic_m_mismatch(self):
-        with pytest.raises(DomainError):
-            draw_gain_matrix(Deterministic(gains=(1.0,)), 2, 5, seed=0)
-
-    @pytest.mark.parametrize("gains", [(), (-1.0,), (float("nan"),), ((1.0, 2.0),)])
-    def test_deterministic_validation(self, gains):
-        with pytest.raises(DomainError):
-            Deterministic(gains=gains)
-
     def test_rayleigh_validation(self):
         with pytest.raises(DomainError):
             Rayleigh(mean_power=0.0)
@@ -113,6 +98,17 @@ class TestWindowedSampling:
         with pytest.raises(DomainError, match="seed must be >= 0"):
             uniform_windows(-1, 0, 8, 3)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(3.0), "4", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="integral"):
+            uniform_windows(seed, 0, 8, 3)
+        with pytest.raises(DomainError, match="integral"):
+            draw_gain_matrix(Rayleigh(), 2, 4, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        np.testing.assert_array_equal(uniform_windows(np.int64(5), 0, 8, 3),
+                                      uniform_windows(5, 0, 8, 3))
+
     def test_uniform_range(self):
         u = uniform_windows(13, 0, 10_000, 5)
         assert u.min() >= 0.0 and u.max() < 1.0
@@ -131,9 +127,8 @@ class TestExponentialTransform:
 
 
 def test_draw_gain_matrix_validates_m():
-    for model in (Rayleigh(), Deterministic(gains=(1.0,))):
-        with pytest.raises(DomainError):
-            draw_gain_matrix(model, 0, 1, seed=0)
+    with pytest.raises(DomainError):
+        draw_gain_matrix(Rayleigh(), 0, 1, seed=0)
 
 
 def test_draw_gain_matrix_validates_count():

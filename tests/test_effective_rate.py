@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockrate.channel import Deterministic, Rayleigh, SystemParams, draw_gain_matrix
+from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix
 from blockrate.effective_rate import (
     _BLOCK_ROWS,
     _log_phi,
@@ -598,6 +598,6 @@ class TestQuadratureOracle:
 
 
 def test_deterministic_model_gives_zero_spread():
-    ss = SampleSet.draw(Deterministic(gains=(1.0,)), 1, 32, seed=0)
+    ss = SampleSet(np.ones((32, 1)))
     est = effective_rate_variable(0.05, ss, P1)
     assert est.std_error == 0.0

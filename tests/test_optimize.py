@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blockrate
-from blockrate.channel import Deterministic, Rayleigh, SystemParams, _executor
+from blockrate.channel import Rayleigh, SystemParams, _executor
 from blockrate.effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -194,7 +194,7 @@ class TestOptimalRate:
         assert opt.value >= best * (1.0 - 1e-12)
 
     def test_zero_gains_flat_objective(self):
-        ss = SampleSet.draw(Deterministic(gains=(0.0,)), 1, 8, seed=0)
+        ss = SampleSet(np.zeros((8, 1)))
         opt = optimal_rate(ss, P1)
         assert opt.value == 0.0
 
@@ -284,6 +284,13 @@ class TestSweepM:
             sweep_m(P1, [], VariableRate(epsilon=0.1), count=10, seed=0)
         with pytest.raises(DomainError):
             sweep_m(P1, [0, 1], VariableRate(epsilon=0.1), count=10, seed=0)
+        with pytest.raises(DomainError, match="integral"):
+            sweep_m(P1, [1], VariableRate(epsilon=0.1), count=10, seed=1.5)
+
+    @pytest.mark.parametrize("policy", ["variable", 0.1, None])
+    def test_unknown_policy_rejected(self, policy):
+        with pytest.raises(DomainError, match="unknown rate policy"):
+            sweep_m(P1, [1], policy, count=10, seed=0)
 
 
 class TestSweepTheta:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from blockrate.channel import (
-    Deterministic,
     Rayleigh,
     SystemParams,
     _exponential_from_uniform,
@@ -21,7 +20,14 @@ from blockrate.channel import (
 )
 from blockrate.effective_rate import SampleSet, log_psi
 from blockrate.errors import DomainError, EstimationError
-from blockrate.fbl import FixedRate, VariableRate, rate_lower_bound, rate_stats
+from blockrate.fbl import (
+    FixedRate,
+    VariableRate,
+    error_probability_arrays,
+    rate_lower_bound,
+    rate_lower_bound_arrays,
+    rate_stats,
+)
 from blockrate.optimize import optimal_epsilon
 from blockrate import queue_sim
 from blockrate.queue_sim import (
@@ -64,6 +70,11 @@ class TestQueueConfig:
         with pytest.raises(DomainError):
             _config(**kw)
 
+    @pytest.mark.parametrize("policy", ["variable", 0.01, None])
+    def test_rejects_unknown_policy(self, policy):
+        with pytest.raises(DomainError, match="unknown rate policy"):
+            _config(policy=policy)
+
     def test_zero_arrival_allowed(self):
         assert _config(arrival_bits_per_frame=0.0).arrival_bits_per_frame == 0.0
 
@@ -79,22 +90,48 @@ def _service(cfg, start=0, count=None, with_gain_mean=False):
 class TestServiceSample:
     """Per-frame service of the vector path: nm*R on success, zero on failure."""
 
+    # rows of (mu, delta): a spread of rates, negative rate bounds at small
+    # epsilon, and degenerate rows (delta = 0) below, at and above rate 0.3;
+    # decoding draws of exactly 0.3 and 0.5 hit an error probability on the nose
+    MU = np.array([0.05, 0.3, 0.3, 0.9, 1.7, 2.5, 0.0, 0.3, 0.6])
+    DELTA = np.array([0.2, 0.1, 0.0, 0.15, 0.4, 0.05, 0.0, 0.0, 0.0])
+    U = np.array([0.0, 0.2, 0.5, 0.999, 0.31, 0.3, 0.7, 0.5, 0.49])
+
+    @pytest.mark.parametrize("epsilon", [0.3, 1e-4])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_variable_rate_rule_bit_for_bit(self, epsilon, clamp):
+        got = VariableRate(epsilon, clamp).service(self.MU, self.DELTA, self.U, 100)
+        r = rate_lower_bound_arrays(self.MU, self.DELTA, epsilon, clamp)
+        np.testing.assert_array_equal(got, np.where(self.U >= epsilon, 100 * r, 0.0))
+        assert bool((got < 0.0).any()) is (epsilon == 1e-4 and not clamp)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_fixed_rate_rule_bit_for_bit(self, rate):
+        got = FixedRate(rate).service(self.MU, self.DELTA, self.U, 100)
+        eps = error_probability_arrays(self.MU, self.DELTA, rate)
+        np.testing.assert_array_equal(got, np.where(self.U >= eps, 100 * rate, 0.0))
+
     def test_sure_success_fixed_rate(self):
-        # huge gain: failure probability underflows, every frame delivers n*m*R
-        cfg = _config(fading=Deterministic(gains=(1e6, 1e6)), policy=FixedRate(rate=0.5))
-        assert np.all(_service(cfg, count=200) == P2.nm * 0.5)
+        # mu far above the rate: the failure probability underflows to 0, so
+        # every frame delivers n*m*R, even on a decoding draw of exactly 0
+        u = np.random.default_rng(0).random(200)
+        u[0] = 0.0
+        got = FixedRate(0.5).service(np.full(200, 19.9), np.full(200, 0.05), u, P2.nm)
+        assert np.all(got == P2.nm * 0.5)
 
     def test_sure_failure_fixed_rate(self):
         # rate far above anything decodable
-        cfg = _config(fading=Deterministic(gains=(0.01, 0.01)), policy=FixedRate(rate=50.0))
-        assert np.all(_service(cfg, count=200) == 0.0)
+        u = np.random.default_rng(1).random(200)
+        got = FixedRate(50.0).service(np.full(200, 0.01), np.full(200, 0.05), u, P2.nm)
+        assert np.all(got == 0.0)
 
     def test_variable_rate_value_and_failure_fraction(self):
         z = np.array([0.8, 1.3])
-        cfg = _config(fading=Deterministic(gains=tuple(z)),
-                      policy=VariableRate(epsilon=0.3))
+        st = rate_stats(z, P2)
         expect = P2.nm * rate_lower_bound(z, P2, 0.3)
-        draws = _service(cfg, count=10_000)
+        u = np.random.default_rng(2).random(10_000)
+        draws = VariableRate(epsilon=0.3).service(
+            np.full(10_000, st.mu), np.full(10_000, st.delta), u, P2.nm)
         assert set(np.unique(draws)) == {0.0, expect}
         failures = np.mean(draws == 0.0)
         assert abs(failures - 0.3) < 3 * math.sqrt(0.3 * 0.7 / 10_000)
@@ -127,13 +164,10 @@ class TestSubChunks:
         VariableRate(epsilon=1e-4, clamp_negative=True),
         VariableRate(epsilon=1e-4, clamp_negative=False),
         FixedRate(rate=0.3),
-    ], ids=["variable", "variable-clamped", "variable-unclamped", "fixed"])
-    @pytest.mark.parametrize("fading", [Rayleigh(), Deterministic(gains=(0.4, 1.7))],
-                             ids=["rayleigh", "deterministic"])
-    def test_split_matches_whole(self, m, policy, fading):
-        if isinstance(fading, Deterministic):
-            fading = Deterministic(gains=tuple(np.resize(fading.gains, m)))
-        cfg = _config(params=SystemParams(1.0, 50, m, 0.05), policy=policy, fading=fading,
+    ], ids=["rayleigh-variable", "rayleigh-variable-clamped", "rayleigh-variable-unclamped",
+            "rayleigh-fixed"])
+    def test_split_matches_whole(self, m, policy):
+        cfg = _config(params=SystemParams(1.0, 50, m, 0.05), policy=policy,
                       frames=6_000, burn_in_frames=0)
         whole, whole_gain = _service(cfg, start=123, with_gain_mean=True)
         parts = np.empty_like(whole)
@@ -268,22 +302,9 @@ class TestSimulateQueue:
             expect[t] = q
         np.testing.assert_allclose(res.trace[:, 3], expect, rtol=0, atol=1e-9)
 
-    def test_deterministic_fading_consumes_one_draw(self):
-        cfg = _config(frames=50, burn_in_frames=0,
-                      fading=Deterministic(gains=(0.9, 1.1)),
-                      policy=FixedRate(rate=0.4),
-                      arrival_bits_per_frame=20.0)
-        res = simulate_queue(cfg, trace_every=1)
-        from blockrate.fbl import error_probability
-        eps = error_probability(np.array([0.9, 1.1]), cfg.params, 0.4)
-        q = 0.0
-        expect = np.empty(50)
-        for t in range(50):
-            u = uniform_windows(cfg.seed, t, 1, 1)[0, 0]
-            s = cfg.params.nm * 0.4 if u >= eps else 0.0
-            q = max(q + 20.0 - s, 0.0)
-            expect[t] = q
-        np.testing.assert_allclose(res.trace[:, 3], expect, rtol=0, atol=1e-9)
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(DomainError, match="integral"):
+            simulate_queue(_config(seed=1.5))
 
     def test_zero_arrival_clamped_stays_empty(self):
         cfg = _config(arrival_bits_per_frame=0.0,
@@ -331,23 +352,30 @@ class TestSimulateQueue:
         assert res.mean_service == mean
         assert res.drift_z == (a - mean) / se
 
-    def test_unstable_flag_fires_on_overload(self):
-        fading = Deterministic(gains=(1.0, 1.0))
-        mu = rate_stats(np.array([1.0, 1.0]), P2).mu
-        service = P2.nm * 0.5  # rate well below mu: essentially sure success
-        assert 0.5 < mu
-        over = _config(fading=fading, policy=FixedRate(rate=0.5),
+    @staticmethod
+    def _constant_service(monkeypatch, bits):
+        # every frame serves the same bits, so the service variance is 0
+        def fill(config, start, service, gain_mean):
+            service[:] = bits
+            if gain_mean is not None:
+                gain_mean[:] = 1.0
+        monkeypatch.setattr(queue_sim, "_fill_service", fill)
+
+    def test_unstable_flag_fires_on_overload(self, monkeypatch):
+        service = P2.nm * 0.5
+        self._constant_service(monkeypatch, service)
+        over = _config(policy=FixedRate(rate=0.5),
                        arrival_bits_per_frame=1.2 * service, frames=5_000)
-        under = _config(fading=fading, policy=FixedRate(rate=0.5),
+        under = _config(policy=FixedRate(rate=0.5),
                         arrival_bits_per_frame=0.8 * service, frames=5_000)
         for cfg, unstable in ((over, True), (under, False)):
             res = simulate_queue(cfg)
             assert res.unstable is unstable
             assert (res.drift_z > 3.0) is unstable
 
-    def test_mean_service_deterministic_case(self):
-        cfg = _config(fading=Deterministic(gains=(50.0, 50.0)),
-                      policy=FixedRate(rate=0.5), frames=200,
+    def test_mean_service_deterministic_case(self, monkeypatch):
+        self._constant_service(monkeypatch, P2.nm * 0.5)
+        cfg = _config(policy=FixedRate(rate=0.5), frames=200,
                       burn_in_frames=0, arrival_bits_per_frame=0.0)
         res = simulate_queue(cfg)
         assert res.mean_service == pytest.approx(P2.nm * 0.5, rel=1e-12)
