@@ -36,6 +36,18 @@ _T = TypeVar("_T")
 _PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter increment
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """The one integer rule: value is a Python or numpy integer >= low."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise DomainError(f"{name} must be >= {low} and integral, got {value!r}")
+
+
+def _check_gains(gains: np.ndarray) -> None:
+    # min is nan if any entry is, so two reductions check every entry
+    if not (gains.min() >= 0.0 and gains.max() < np.inf):
+        raise DomainError("gains must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Link parameters: SNR (linear), block length n, blocks per codeword m,
@@ -49,10 +61,8 @@ class SystemParams:
     def __post_init__(self):
         if not (np.isfinite(self.snr_linear) and self.snr_linear > 0):
             raise DomainError(f"snr_linear must be positive, got {self.snr_linear!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise DomainError(f"m must be an integer >= 1, got {self.m!r}")
+        _check_integer("n", self.n, 1)
+        _check_integer("m", self.m, 1)
         if not (np.isfinite(self.theta) and self.theta >= 0):
             raise DomainError(f"theta must be >= 0, got {self.theta!r}")
 
@@ -136,8 +146,7 @@ def _blocks_per_sample(draws: int) -> int:
 
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise DomainError(f"seed must be >= 0 and integral, got {seed!r}")
+    _check_integer("seed", seed, 0)
     bg = np.random.Philox(seed)
     bg.advance(index * _blocks_per_sample(draws_per_sample))
     return np.random.Generator(bg)
@@ -167,10 +176,8 @@ def _exponential_from_uniform(u: np.ndarray, mean: float,
 def _gain_buffer(m: int, count: int) -> np.ndarray:
     """An unfilled (count, padded m) buffer for `_fill_gains`, once m and
     count are checked."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m!r}")
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    _check_integer("m", m, 1)
+    _check_integer("count", count, 1)
     return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
 
 

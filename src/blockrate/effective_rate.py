@@ -51,6 +51,7 @@ from scipy.special import roots_laguerre
 from .channel import (
     Rayleigh,
     SystemParams,
+    _check_gains,
     _fill_gains,
     _gain_buffer,
     _run_rows,
@@ -59,6 +60,7 @@ from .errors import ComputationError, DomainError
 from .fbl import (
     _check_epsilon,
     _check_rate,
+    _error_terms,
     _rate_at,
     error_probability_arrays,
     rate_lower_bound_arrays,
@@ -78,12 +80,6 @@ def _on_row_blocks(count: int, task: Callable[[int, int], None]) -> None:
     worker pool; each task writes only its own rows."""
     _run_rows([functools.partial(task, lo, min(lo + _BLOCK_ROWS, count))
                for lo in range(0, count, _BLOCK_ROWS)])
-
-
-def _check_gains(gains: np.ndarray) -> None:
-    # min is nan if any entry is, so two reductions check every entry
-    if not (gains.min() >= 0.0 and gains.max() < math.inf):
-        raise DomainError("gains must be finite and >= 0")
 
 
 class SampleSet:
@@ -362,8 +358,7 @@ def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
     """
     _check_rate(rate)
     _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    eps_z = error_probability_arrays(mu, delta, rate)
+    eps_z = error_probability_arrays(*samples.stats(params), rate)
     decay = -math.expm1(-params.theta * params.nm * rate)
     return 1.0 - decay * _mean(samples, np.subtract(1.0, eps_z, out=eps_z))
 
@@ -384,8 +379,12 @@ def _log_phi(a: float, b: float, t: float) -> float:
 
 
 def _scaled(v: float, log_scale: float) -> float:
-    """v * exp(-log_scale), finite where exp(log_scale) alone would not be."""
-    return math.copysign(math.exp(math.log(abs(v)) - log_scale), v) if v else 0.0
+    """v * exp(-log_scale), finite where exp(log_scale) alone would not be,
+    and +-inf where the product itself overflows."""
+    try:
+        return math.copysign(math.exp(math.log(abs(v)) - log_scale), v) if v else 0.0
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -396,8 +395,7 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
     """
     _check_rate(rate)
     _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    eps_z = error_probability_arrays(mu, delta, rate)
+    eps_z = error_probability_arrays(*samples.stats(params), rate)
     t = params.theta * params.nm * rate
     decay = -math.expm1(-t)
     a = _mean(samples, eps_z)
@@ -432,13 +430,7 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
     """
     _check_rate(rate)
     _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    pos = delta > 0.0
-    spread = delta if pos.all() else np.where(pos, delta, math.inf)
-    z = np.subtract(mu, rate)
-    z /= spread
-    # with no degenerate row, z is the argument error_probability_arrays takes Q of
-    eps = q_function(z) if spread is delta else error_probability_arrays(mu, delta, rate)
+    eps, z, spread = _error_terms(*samples.stats(params), rate)
     a = _mean(samples, eps)
     b = 1.0 - a
     # eps's buffer becomes z*z, sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta
@@ -479,8 +471,7 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
 def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
     """theta -> 0 limit of fixed-rate throughput: E[(1-eps(z,R))]*R."""
     _check_rate(rate)
-    mu, delta = samples.stats(params)
-    eps_z = error_probability_arrays(mu, delta, rate)
+    eps_z = error_probability_arrays(*samples.stats(params), rate)
     y = np.subtract(1.0, eps_z, out=eps_z)
     y *= rate
     mean_y = _mean(samples, y)

@@ -10,10 +10,10 @@ in bits per channel use.  Both sums run over the blocks left to right
 (`rate_stats_widths`), so a matrix's leading m blocks give the statistics of
 their m-column copy bit for bit.  A decoding error probability target
 epsilon buys the rate lower bound R = mu - delta*Q^{-1}(epsilon);
-conversely a fixed rate R fails with probability Q((mu - R)/delta).  The
-Gaussian model behind these formulas is validated here by an exact sampler:
-the centered density equals a weighted sum of nm i.i.d. Laplace variates
-(zero mean, variance 2), drawn by inverse CDF.
+conversely a fixed rate R fails with probability Q((mu - R)/delta), which
+`_error_terms` computes for every caller.  The Gaussian model behind these
+formulas is validated here by an exact sampler: the centered density equals
+a weighted sum of nm i.i.d. Laplace variates (zero mean, variance 2).
 
 R can be negative for small epsilon and deep fades; the formula is evaluated
 as printed by default, and `clamp` floors it at zero (zero service).  The
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, uniform_windows
+from .channel import SystemParams, _check_gains, _check_integer, uniform_windows
 from .errors import DomainError
 from .special import q_function, q_inverse
 
@@ -131,8 +131,7 @@ def _check_realization(z: np.ndarray, params: SystemParams) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size != params.m:
         raise DomainError(f"realization has length {z.size}, need m={params.m}")
-    if not np.all(np.isfinite(z) & (z >= 0)):
-        raise DomainError("gains must be finite and >= 0")
+    _check_gains(z)
     return z
 
 
@@ -203,26 +202,30 @@ def error_probability(z: np.ndarray, params: SystemParams, rate: float) -> float
     return float(error_probability_arrays(mu, delta, rate)[0])
 
 
-def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> np.ndarray:
-    """Vectorized error probability from precomputed (mu, delta) arrays.
+def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps, z, spread) at a finite rate: z = (mu - rate)/spread in one new
+    array and eps = Q(z), with spread = delta, or inf on rows where delta = 0
+    (all-zero gains); those rows take the limit eps = 0 / 0.5 / 1 for rate
+    below / at / above mu."""
+    pos = delta > 0.0
+    spread = delta if pos.all() else np.where(pos, delta, math.inf)
+    z = np.subtract(mu, rate)
+    z /= spread
+    eps = q_function(z)
+    if spread is not delta:
+        deg = ~pos
+        eps = np.asarray(eps)  # q_function gives a float for 0-d z
+        eps[deg] = np.where(rate < mu[deg], 0.0, np.where(rate > mu[deg], 1.0, 0.5))
+    return eps, z, spread
 
-    Degenerate rows (all-zero gains, delta = 0) use the limit convention
-    0 / 0.5 / 1 for rate below / at / above mu.
-    """
+
+def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> np.ndarray:
+    """Vectorized error probability from precomputed (mu, delta) arrays; 1 at
+    an infinite rate, and see `_error_terms` for rows with delta = 0."""
     if math.isinf(rate):
         return np.ones_like(mu)
-    pos = delta > 0.0
-    if pos.all():  # no degenerate row: skip the gather and scatter
-        z = np.subtract(mu, rate)
-        z /= delta
-        return q_function(z)
-    eps = np.empty_like(mu)
-    if pos.any():
-        eps[pos] = q_function((mu[pos] - rate) / delta[pos])
-    deg = ~pos
-    if deg.any():
-        eps[deg] = np.where(rate < mu[deg], 0.0, np.where(rate > mu[deg], 1.0, 0.5))
-    return eps
+    return _error_terms(mu, delta, rate)[0]
 
 
 def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float) -> np.ndarray:
@@ -254,8 +257,7 @@ def mi_density_samples_exact(z: np.ndarray, params: SystemParams, count: int,
     """Exact mutual-information-density samples (bits/use), one per index in
     [start, start+count), from Laplace-sum windows of nm draws each."""
     z = _check_realization(z, params)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    _check_integer("count", count, 1)
     st = rate_stats(z, params)
     s = params.snr_linear * z
     weights = np.sqrt(s / (1.0 + s))  # per-block Laplace weights

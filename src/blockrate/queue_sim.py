@@ -52,7 +52,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, _executor, _exponential_from_uniform, uniform_windows
+from .channel import (
+    SystemParams,
+    _check_integer,
+    _executor,
+    _exponential_from_uniform,
+    uniform_windows,
+)
 from .errors import DomainError, EstimationError
 from .fbl import RatePolicy, rate_stats_arrays
 
@@ -83,10 +89,8 @@ class QueueConfig:
         a = self.arrival_bits_per_frame
         if not (np.isfinite(a) and a >= 0):
             raise DomainError(f"arrival_bits_per_frame must be finite and >= 0, got {a!r}")
-        if not (isinstance(self.frames, (int, np.integer)) and self.frames >= 1):
-            raise DomainError(f"frames must be an integer >= 1, got {self.frames!r}")
-        if not (isinstance(self.burn_in_frames, (int, np.integer)) and self.burn_in_frames >= 0):
-            raise DomainError(f"burn_in_frames must be an integer >= 0, got {self.burn_in_frames!r}")
+        _check_integer("frames", self.frames, 1)
+        _check_integer("burn_in_frames", self.burn_in_frames, 0)
         if self.burn_in_frames >= self.frames:
             raise DomainError(
                 f"burn_in_frames={self.burn_in_frames} must be < frames={self.frames}")
@@ -282,8 +286,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     frame, counted from frame 0, after the burn-in as (frame index, mean
     gain, service bits, queue bits).
     """
-    if trace_every < 0:
-        raise DomainError(f"trace_every must be >= 0, got {trace_every!r}")
+    _check_integer("trace_every", trace_every, 0)
     frames = config.frames
     burn = config.burn_in_frames
     a = config.arrival_bits_per_frame

@@ -14,6 +14,10 @@ from blockrate.channel import (
 from blockrate.errors import DomainError
 
 
+# values the one integer rule (channel._check_integer) rejects at any low >= 1
+NOT_INTEGRAL = [0, -2, 2.5, 100.0, np.float64(3.0), "3", None]
+
+
 class TestSystemParams:
     def test_nm(self):
         assert SystemParams(1.0, 50, 4, 0.01).nm == 200
@@ -36,6 +40,13 @@ class TestSystemParams:
         base = dict(snr_linear=1.0, n=10, m=2, theta=0.01)
         base.update(kw)
         with pytest.raises(DomainError):
+            SystemParams(**base)
+
+    @pytest.mark.parametrize("field", ["n", "m"])
+    @pytest.mark.parametrize("value", NOT_INTEGRAL)
+    def test_integer_rule(self, field, value):
+        base = {**dict(snr_linear=1.0, n=10, m=2, theta=0.01), field: value}
+        with pytest.raises(DomainError, match=f"{field} must be >= 1 and integral"):
             SystemParams(**base)
 
 
@@ -134,3 +145,11 @@ def test_draw_gain_matrix_validates_m():
 def test_draw_gain_matrix_validates_count():
     with pytest.raises(DomainError):
         draw_gain_matrix(Rayleigh(), 1, 0, seed=0)
+
+
+@pytest.mark.parametrize("field", ["m", "count"])
+@pytest.mark.parametrize("value", NOT_INTEGRAL)
+def test_draw_gain_matrix_integer_rule(field, value):
+    kw = {**dict(m=2, count=100), field: value}
+    with pytest.raises(DomainError, match=f"{field} must be >= 1 and integral"):
+        draw_gain_matrix(Rayleigh(), kw["m"], kw["count"], seed=0)

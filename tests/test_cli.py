@@ -195,6 +195,18 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db,m,theta", [("20", "5", "1"), ("10", "10", "1"),
+                                                ("20", "10", "0.1")])
+    def test_slope_overflow_is_runtime_error(self, snr_db, m, theta, capsys):
+        # theta*n*m large enough that the fixed-rate slopes overflow a float
+        code = main(["optimize-rate", "--snr-db", snr_db, "--n", "500", "--m", m,
+                     "--theta", theta, "--samples", "2000"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("blockrate: error: non-finite slope")
+        assert len(err.splitlines()) == 1
+
     def test_unstable_queue_is_runtime_error(self, tmp_path, capsys):
         code, _ = _run_to_file(tmp_path, "q.csv", [
             "simulate", "--theta", "0.05", "--n", "50", "--m", "2",

@@ -70,6 +70,13 @@ def samples():
 
 
 class TestSampleSet:
+    @pytest.mark.parametrize("field", ["m", "count"])
+    @pytest.mark.parametrize("value", [0, 2.5, 100.0, "3", None])
+    def test_draw_integer_rule(self, field, value):
+        kw = {**dict(m=2, count=100), field: value}
+        with pytest.raises(DomainError, match=f"{field} must be >= 1 and integral"):
+            SampleSet.draw(Rayleigh(), kw["m"], kw["count"], 1)
+
     def test_draw_shape_and_flags(self):
         ss = SampleSet.draw(Rayleigh(), 3, 100, seed=1)
         assert ss.count == 100 and ss.m == 3
@@ -454,6 +461,12 @@ class TestEffectiveRateFixed:
         assert value == pytest.approx(-est.value * p.theta * p.nm, rel=1e-12)
         assert (value < math.log(0.1)) == (case == "logaddexp")
         _assert_slopes_match_differences(lambda r: log_phi_slopes(r, ss, p), rate, 1e-6)
+
+    def test_scaled_overflows_to_signed_inf(self):
+        assert _scaled(3.0, math.log(3.0)) == pytest.approx(1.0, rel=1e-15)
+        assert _scaled(1e300, -800.0) == math.inf
+        assert _scaled(-1e300, -800.0) == -math.inf
+        assert _scaled(0.0, -800.0) == 0.0
 
     def test_phi_boundaries(self, samples):
         assert phi(0.0, samples, P1) == 1.0

@@ -168,6 +168,27 @@ def wide_draws():
     return mu, delta
 
 
+@pytest.fixture(scope="module")
+def dead_draws(wide_draws):
+    """wide_draws with delta = 0 on every fifth row; those rows' mu cycle
+    through 0.7 - 1, 0.7 and 0.7 + 1, so at rate 0.7 each limit case occurs."""
+    mu, delta = wide_draws[0][:100_000].copy(), wide_draws[1][:100_000].copy()
+    delta[::5] = 0.0
+    mu[::5] = 0.7 + np.resize([-1.0, 0.0, 1.0], mu[::5].size)
+    return mu, delta
+
+
+def _literal_gather_scatter(mu, delta, rate):
+    # the error probability as written before the one-pass form: Q of the
+    # literal z on rows with delta > 0, the 0 / 0.5 / 1 limit on the rest
+    pos = delta > 0.0
+    eps = np.empty_like(mu)
+    eps[pos] = 0.5 * erfc(((mu[pos] - rate) / delta[pos]) / math.sqrt(2.0))
+    deg = ~pos
+    eps[deg] = np.where(rate < mu[deg], 0.0, np.where(rate > mu[deg], 1.0, 0.5))
+    return eps
+
+
 class TestInPlaceExpressions:
     @pytest.mark.parametrize("x", [-3.7, 0.0, 2.3263478740408408, 6.0])
     def test_rate_at_is_mu_minus_delta_x(self, wide_draws, x):
@@ -187,6 +208,19 @@ class TestInPlaceExpressions:
         assert np.array_equal(error_probability_arrays(m2, d2, rate), literal[:20_000].reshape(400, 50))
         m0, d0 = np.asarray(mu[5]), np.asarray(delta[5])
         assert error_probability_arrays(m0, d0, rate) == literal[5]
+
+    @pytest.mark.parametrize("rate", [0.0, 0.7, 25.0])
+    def test_error_probability_with_dead_rows_is_gather_scatter(self, dead_draws, rate):
+        mu, delta = dead_draws
+        literal = _literal_gather_scatter(mu, delta, rate)
+        assert np.array_equal(error_probability_arrays(mu, delta, rate), literal)
+        m2, d2 = mu[:20_000].reshape(400, 50), delta[:20_000].reshape(400, 50)
+        assert np.array_equal(error_probability_arrays(m2, d2, rate), literal[:20_000].reshape(400, 50))
+        for i in (0, 5, 10):  # a 0-d row with delta = 0, in each limit case at rate 0.7
+            m0, d0 = np.asarray(mu[i]), np.asarray(delta[i])
+            assert error_probability_arrays(m0, d0, rate) == literal[i]
+        if rate == 0.7:
+            assert list(literal[[0, 5, 10]]) == [1.0, 0.5, 0.0]
 
 
 class TestErrorProbability:
@@ -243,8 +277,8 @@ class TestErrorProbability:
             assert out[i] == error_probability(gains[i], P200, 0.7)
 
     def test_all_positive_delta_matches_mixed_path(self):
-        # rows without a degenerate entry skip the masked gather/scatter;
-        # appending one zero-gain row routes the same rows through it
+        # appending one zero-gain row (spread inf there) leaves the bits of
+        # every other row as they are
         gains = draw_gain_matrix(Rayleigh(), 2, 5_000, 4)
         mu, delta = rate_stats_arrays(gains, P50X2)
         assert (delta > 0).all()
@@ -333,3 +367,8 @@ class TestExactDensitySampler:
             mi_density_samples_exact(np.array([1.0]), P50X2, 10, seed=0)  # m mismatch
         with pytest.raises(DomainError):
             mi_density_samples_exact(np.array([1.0]), P200, 0, seed=0)   # count
+
+    @pytest.mark.parametrize("count", [0, 2.5, 100.0, "3", None])
+    def test_count_integer_rule(self, count):
+        with pytest.raises(DomainError, match="count must be >= 1 and integral"):
+            mi_density_samples_exact(np.array([1.0]), P200, count, seed=0)

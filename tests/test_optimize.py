@@ -19,6 +19,7 @@ from blockrate.effective_rate import (
     effective_rate_fixed,
     effective_rate_variable,
     ergodic_rate_variable,
+    log_phi_slopes,
     log_psi,
     log_psi_slopes,
     phi,
@@ -34,6 +35,7 @@ from blockrate.optimize import (
     newton_minimize,
     optimal_epsilon,
     optimal_rate,
+    sweep,
     sweep_m,
     sweep_theta,
 )
@@ -193,6 +195,18 @@ class TestOptimalRate:
         best = max(effective_rate_fixed(r, ss, p).value for r in grid)
         assert opt.value >= best * (1.0 - 1e-12)
 
+    def test_laguerre_optimum_at_rate_ceiling_is_flagged(self):
+        # the rule's weights sum to 1 - 1.1e-16, so E[1-eps] = 1 - E[eps] is
+        # not 0 at R_hi and the slope there reads below 0: the one pass stops
+        # on R_hi and says so
+        ss, p = SampleSet.laguerre(), SystemParams.from_db(20.0, 500, 1, 1e-3)
+        mu, delta = ss.stats(p)
+        hi = float(np.max(mu + 10.0 * delta))
+        opt = optimal_rate(ss, p)
+        assert opt.iterations <= 3
+        assert opt.argument == opt.bracket[1] == hi
+        assert opt.at_boundary
+
     def test_zero_gains_flat_objective(self):
         ss = SampleSet(np.zeros((8, 1)))
         opt = optimal_rate(ss, P1)
@@ -218,6 +232,17 @@ def test_search_evaluation_caps(sets_1e5, snr_db, n, m, theta):
     if (snr_db, m, theta) == (0.0, 10, 0.1):
         # eps* lies below the bracket: the first step reads the edge
         assert eps.at_boundary and eps.iterations <= 3
+
+
+@pytest.mark.parametrize("snr_db, n, m, theta", SEARCH_POINTS)
+def test_phi_slope_positive_at_rate_ceiling(sets_1e5, snr_db, n, m, theta):
+    # every row's eps rounds to 1 at R_hi = max(mu + 10*delta), so the one
+    # search pass reads R_hi as past the optimum and never needs a wider bracket
+    p = SystemParams.from_db(snr_db, n, m, theta)
+    mu, delta = sets_1e5[m].stats(p)
+    hi = float(np.max(mu + 10.0 * delta))
+    assert log_phi_slopes(hi, sets_1e5[m], p)[1] > 0.0
+    assert optimal_rate(sets_1e5[m], p).bracket == (0.0, hi)
 
 
 def _direct_row_value(policy, m, count, seed, params):
@@ -286,6 +311,11 @@ class TestSweepM:
             sweep_m(P1, [0, 1], VariableRate(epsilon=0.1), count=10, seed=0)
         with pytest.raises(DomainError, match="integral"):
             sweep_m(P1, [1], VariableRate(epsilon=0.1), count=10, seed=1.5)
+
+    @pytest.mark.parametrize("m", [0, 1.7, 2.0, "3", None])
+    def test_m_values_integer_rule(self, m):
+        with pytest.raises(DomainError, match="m must be >= 1 and integral"):
+            sweep(P1, [1, m], [0.01], [VariableRate(epsilon=0.1)], count=10, seed=0)
 
     @pytest.mark.parametrize("policy", ["variable", 0.1, None])
     def test_unknown_policy_rejected(self, policy):

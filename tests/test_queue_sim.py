@@ -70,6 +70,12 @@ class TestQueueConfig:
         with pytest.raises(DomainError):
             _config(**kw)
 
+    @pytest.mark.parametrize("field,low", [("frames", 1), ("burn_in_frames", 0)])
+    @pytest.mark.parametrize("value", [-1, 99.5, 100.0, "3", None])
+    def test_integer_rule(self, field, low, value):
+        with pytest.raises(DomainError, match=f"{field} must be >= {low} and integral"):
+            _config(**{field: value})
+
     @pytest.mark.parametrize("policy", ["variable", 0.01, None])
     def test_rejects_unknown_policy(self, policy):
         with pytest.raises(DomainError, match="unknown rate policy"):
@@ -398,6 +404,11 @@ class TestSimulateQueue:
     def test_bad_trace_every(self):
         with pytest.raises(DomainError):
             simulate_queue(_config(), trace_every=-1)
+
+    @pytest.mark.parametrize("trace_every", [-1, 2.5, 10.0, "3", None])
+    def test_trace_every_integer_rule(self, trace_every):
+        with pytest.raises(DomainError, match="trace_every must be >= 0 and integral"):
+            simulate_queue(_config(), trace_every=trace_every)
 
     def test_result_type(self):
         assert isinstance(simulate_queue(_config(frames=120, burn_in_frames=10)),
