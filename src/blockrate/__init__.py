@@ -8,7 +8,7 @@ blocks, and a frame-level queue simulator that checks the promised
 tail-decay exponent end to end.
 """
 
-from .channel import Rayleigh, SystemParams, draw_gain_matrix
+from .channel import Rayleigh, SystemParams
 from .effective_rate import (
     EffectiveRateEstimate,
     SampleSet,
@@ -18,7 +18,6 @@ from .effective_rate import (
     ergodic_rate_variable,
     log_psi,
     phi,
-    psi,
 )
 from .errors import BlockrateError, ComputationError, DomainError, EstimationError
 from .fbl import (
@@ -69,7 +68,6 @@ __all__ = [
     "SystemParams",
     "TailEstimate",
     "VariableRate",
-    "draw_gain_matrix",
     "effective_rate_fixed",
     "effective_rate_variable",
     "ergodic_rate_fixed",
@@ -81,7 +79,6 @@ __all__ = [
     "optimal_epsilon",
     "optimal_rate",
     "phi",
-    "psi",
     "q_function",
     "q_inverse",
     "q_inverse_deriv",

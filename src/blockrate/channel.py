@@ -3,7 +3,7 @@
 Fading stays constant over a coherence block of n symbols and is i.i.d.
 across blocks; a codeword spans m blocks and sees the power gains
 z = (z_1, ..., z_m) with z_l = |h_l|^2.  Rayleigh fading makes each z_l
-exponential.
+exponential; the gains have unit mean and the SNR sets the received power.
 
 Sampling is counter-based: sample index i owns a fixed window of a Philox
 stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
@@ -29,7 +29,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ComputationError, DomainError
 
 _T = TypeVar("_T")
 
@@ -78,13 +78,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Rayleigh:
-    """Rayleigh fading: power gains are exponential with the given mean."""
-
-    mean_power: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mean_power) and self.mean_power > 0):
-            raise DomainError(f"mean_power must be positive, got {self.mean_power!r}")
+    """Rayleigh fading: power gains are exponential with unit mean."""
 
 
 def _thread_cap() -> int:
@@ -166,35 +160,39 @@ def uniform_windows(seed: int, start: int, count: int, draws_per_sample: int,
     return raw[:, :draws_per_sample]
 
 
-def _exponential_from_uniform(u: np.ndarray, mean: float,
-                              out: np.ndarray | None = None) -> np.ndarray:
-    # inverse CDF with u mapped into (0, 1]: z = -mean*ln(u); out may be u
+def _exponential_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # inverse CDF with u mapped into (0, 1]: z = -ln(u); out may be u
     z = np.log1p(np.negative(u, out=out), out=out)
-    return np.multiply(z, -mean, out=out)
+    return np.negative(z, out=out)
 
 
-def _gain_buffer(m: int, count: int) -> np.ndarray:
-    """An unfilled (count, padded m) buffer for `_fill_gains`, once m and
-    count are checked."""
+def _gain_buffer(model: Rayleigh, m: int, count: int) -> np.ndarray:
+    """An unfilled (count, padded m) buffer for `_fill_gains`, once the
+    model, m and count are checked; ComputationError if it cannot be had."""
+    if not isinstance(model, Rayleigh):
+        raise DomainError(f"model must be a Rayleigh, got {model!r}")
     _check_integer("m", m, 1)
     _check_integer("count", count, 1)
-    return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
+    try:
+        return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
+    except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
+        raise ComputationError(f"cannot allocate gains for {count} samples: {exc}") from None
 
 
-def _fill_gains(model: Rayleigh, m: int, seed: int, start: int, out: np.ndarray) -> None:
+def _fill_gains(m: int, seed: int, start: int, out: np.ndarray) -> None:
     """Write the gains of sample indices [start, start+len(out)) into the
     leading m columns of `out`, rows of a `_gain_buffer`, allocating no
     temporary of its size; the padding columns are left unspecified."""
     # the whole padded rows: a contiguous pass beats a strided one, most of
     # all at small m
     uniform_windows(seed, start, out.shape[0], m, out=out)
-    _exponential_from_uniform(out, model.mean_power, out=out)
+    _exponential_from_uniform(out, out=out)
 
 
 def draw_gain_matrix(model: Rayleigh, m: int, count: int, seed: int,
                      start: int = 0) -> np.ndarray:
     """(count, m) gains for sample indices [start, start+count), windowed as
     described in the module docstring."""
-    buf = _gain_buffer(m, count)
-    _fill_gains(model, m, seed, start, buf)
+    buf = _gain_buffer(model, m, count)
+    _fill_gains(m, seed, start, buf)
     return buf[:, :m]

@@ -5,7 +5,7 @@ Variable-rate transmission with error target epsilon has throughput
     R_E = -(1/(theta*n*m)) * ln E_z[ eps + (1-eps)*exp(-theta*n*m*R(z,eps)) ]
 
 where R(z,eps) is the finite-blocklength rate lower bound; the expectation
-inside the log is `psi`.  Fixed-rate transmission replaces the summand with
+inside the log is psi.  Fixed-rate transmission replaces the summand with
 eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R); that expectation is `phi`.
 
 Expectations are sample averages over a SampleSet of channel realizations.
@@ -130,10 +130,10 @@ class SampleSet:
     def draw(cls, model: Rayleigh, m: int, count: int, seed: int) -> "SampleSet":
         """The gains `draw_gain_matrix` gives, drawn block by block into the
         padded master."""
-        master = _gain_buffer(m, count)
+        master = _gain_buffer(model, m, count)
 
         def fill(lo: int, hi: int) -> None:
-            _fill_gains(model, m, seed, lo, master[lo:hi])
+            _fill_gains(m, seed, lo, master[lo:hi])
             _check_gains(master[lo:hi, :m])
 
         _on_row_blocks(count, fill)
@@ -142,15 +142,14 @@ class SampleSet:
         return drawn
 
     @classmethod
-    def laguerre(cls, mean_power: float = 1.0) -> "SampleSet":
+    def laguerre(cls) -> "SampleSet":
         """The 200-node Gauss-Laguerre rule for m = 1 Rayleigh gains.
 
-        E_z f(z) for z ~ Exponential(mean_power) is sum_i w_i f(mean_power*x_i)
-        over the Laguerre nodes x_i and weights w_i (which sum to 1).
+        E_z f(z) for z ~ Exponential(1) is sum_i w_i f(x_i) over the
+        Laguerre nodes x_i and weights w_i (which sum to 1).
         """
-        Rayleigh(mean_power)  # raises DomainError unless mean_power is finite and > 0
         x, w = roots_laguerre(_QUAD_NODES)
-        rule = cls((mean_power * x)[:, np.newaxis])
+        rule = cls(x[:, np.newaxis])
         w.setflags(write=False)
         rule.weights = w
         return rule
@@ -261,27 +260,13 @@ def _psi_summands(epsilon: float, mu: np.ndarray, delta: np.ndarray,
 
 def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
             clamp: bool = False) -> float:
-    """ln of the psi expectation, finite even where psi overflows a float.
-
-    The optimizer minimizes it through `log_psi_slopes`, which also gives
-    its derivatives."""
+    """ln psi, finite even where psi overflows a float.  psi is strictly
+    convex in epsilon; the optimizer minimizes it through `log_psi_slopes`."""
     _check_epsilon(epsilon)
     _check_theta_positive(params)
     mu, delta = samples.stats(params)
     u, shift = _psi_summands(epsilon, mu, delta, params, clamp)
     return shift + math.log(_mean(samples, u))
-
-
-def psi(epsilon: float, samples: SampleSet, params: SystemParams,
-        clamp: bool = False) -> float:
-    """Inner expectation E[eps + (1-eps)*exp(-theta*n*m*R(z,eps))].
-
-    Strictly convex in epsilon; its minimizer is the optimal error target.
-    Returns inf if the value exceeds float range (the log-space variant used
-    everywhere downstream never does).
-    """
-    lp = log_psi(epsilon, samples, params, clamp)
-    return math.exp(lp) if lp < 709.0 else math.inf
 
 
 def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,

@@ -194,10 +194,8 @@ def rate_lower_bound(z: np.ndarray, params: SystemParams, epsilon: float,
 
 
 def error_probability(z: np.ndarray, params: SystemParams, rate: float) -> float:
-    """Decoding error probability Q((mu - rate)/delta) at a fixed rate; 1 at
-    an infinite rate (see `error_probability_arrays`)."""
-    if math.isnan(rate) or rate < 0:
-        raise DomainError(f"rate must be >= 0, got {rate!r}")
+    """Decoding error probability Q((mu - rate)/delta) at a fixed rate."""
+    _check_rate(rate)
     mu, delta = _row_stats(z, params)
     return float(error_probability_arrays(mu, delta, rate)[0])
 
@@ -221,10 +219,8 @@ def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float
 
 
 def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> np.ndarray:
-    """Vectorized error probability from precomputed (mu, delta) arrays; 1 at
-    an infinite rate, and see `_error_terms` for rows with delta = 0."""
-    if math.isinf(rate):
-        return np.ones_like(mu)
+    """Vectorized error probability from precomputed (mu, delta) arrays at a
+    finite rate; see `_error_terms` for rows with delta = 0."""
     return _error_terms(mu, delta, rate)[0]
 
 

@@ -197,6 +197,8 @@ def optimal_rate(samples: SampleSet, params: SystemParams) -> Optimum:
     (mu + 10*delta), on the slopes of `log_phi_slopes`.  At R_hi every row has
     z = (mu - R_hi)/delta <= -10, so each eps rounds to 1; on a Monte Carlo
     set the slope there is then decay*P > 0, and R_hi is never the optimum.
+    On a quadrature rule each node is a steep step in R, ln(phi) need not be
+    unimodal, and the search may stop at a local optimum without a flag.
     """
     mu, delta = samples.stats(params)
     hi = float(np.max(mu + 10.0 * delta))

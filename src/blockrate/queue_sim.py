@@ -71,6 +71,7 @@ _SUB_FRAMES = 1 << 15
 _TREND_POINTS = 2048
 _BINS_PER_THETA = 8  # tail bins per 1/theta bits: h = 1/(8*theta)
 _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
+_TAIL_WINDOW = (1e-4, 0.1)  # the tail probabilities theta_hat is fitted over
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ class TailEstimate:
     """Fitted exponential decay of the stationary queue tail.
 
     theta_hat is -slope of ln P(Q >= q) against q at the histogram's bin
-    edges where the tail probability lies in [p_lo, p_hi]; q_lo and q_hi
+    edges where the tail probability lies in [1e-4, 0.1]; q_lo and q_hi
     are the outermost of those edges.  fit_r2 is the linear fit quality;
     overflow_fraction_at_q_hi is the exact fraction of samples >= q_hi.
     """
@@ -218,7 +219,7 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
     params = config.params
     m = params.m
     u = uniform_windows(config.seed, start, service.size, m + 1)
-    gains = _exponential_from_uniform(u[:, :m], 1.0)
+    gains = _exponential_from_uniform(u[:, :m])
     mu, delta = rate_stats_arrays(gains, params)
     service[:] = config.policy.service(mu, delta, u[:, m], params.nm)
     if gain_mean is not None:
@@ -346,26 +347,24 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     )
 
 
-def estimate_decay_rate(tail: TailHistogram, p_lo: float = 1e-4,
-                        p_hi: float = 1e-1) -> TailEstimate:
+def estimate_decay_rate(tail: TailHistogram) -> TailEstimate:
     """Fit theta_hat from the tail of a queue-length histogram.
 
     Fits ln P(Q >= q) against q by least squares at the bin edges where the
-    tail probability, an exact count there, lies in [p_lo, p_hi].  Raises
+    tail probability, an exact count there, lies in [1e-4, 0.1].  Raises
     EstimationError under 10 samples, when the window falls inside one bin
     (the queue barely moves), when it reaches the overflow bin, when fewer
     than 5 edges lie in it (run longer) or when the fitted tail fails to
     decay.
     """
-    if not 0.0 < p_lo < p_hi < 1.0:
-        raise DomainError(f"need 0 < p_lo < p_hi < 1, got ({p_lo!r}, {p_hi!r})")
+    p_lo, p_hi = _TAIL_WINDOW
     total = tail.total
     if total < 10:
         raise EstimationError(f"need at least 10 samples, got {total}")
     ccdf = np.cumsum(tail.counts[::-1])[::-1] / total  # P(Q >= edges[i])
     if ccdf[-1] >= p_lo:
         raise EstimationError(
-            f"P(Q >= {tail.edges[-1]!r}) = {ccdf[-1]!r} >= p_lo: the tail window "
+            f"P(Q >= {tail.edges[-1]!r}) = {ccdf[-1]!r} >= {p_lo!r}: the tail window "
             f"reaches the histogram's overflow bin; the tail decays far slower than theta")
     keep = (ccdf >= p_lo) & (ccdf <= p_hi)
     q_fit = tail.edges[keep]

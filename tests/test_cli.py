@@ -207,6 +207,15 @@ class TestExitCodes:
         assert err.startswith("blockrate: error: non-finite slope")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("samples", [str(10**16), str(10**17)])
+    def test_unallocatable_samples_is_runtime_error(self, samples, capsys):
+        # too many rows to map at all: exabytes, or past numpy's largest array
+        assert main(["fig2", "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("blockrate: error: cannot allocate gains")
+        assert len(err.splitlines()) == 1
+
     def test_unstable_queue_is_runtime_error(self, tmp_path, capsys):
         code, _ = _run_to_file(tmp_path, "q.csv", [
             "simulate", "--theta", "0.05", "--n", "50", "--m", "2",

@@ -32,7 +32,6 @@ from blockrate.effective_rate import (
     log_psi,
     log_psi_slopes,
     phi,
-    psi,
 )
 from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import (
@@ -344,26 +343,30 @@ class TestPsi:
         ss = _atom_samples(z0)
         for eps in (1e-6, 0.01, 0.2, 0.9):
             closed = eps + (1 - eps) * math.exp(a * q_inverse(eps) + b)
-            assert psi(eps, ss, p) == pytest.approx(closed, rel=1e-14)
+            assert math.exp(log_psi(eps, ss, p)) == pytest.approx(closed, rel=1e-14)
 
     def test_matches_quad_reference(self, samples):
-        got = psi(0.03, samples, P1)
+        got = math.exp(log_psi(0.03, samples, P1))
         se = 3.0 / math.sqrt(samples.count)  # summand sd < 1
         assert got == pytest.approx(REF_PSI_003, abs=se)
 
     def test_log_psi_consistency(self, samples):
-        assert math.exp(log_psi(0.03, samples, P1)) == pytest.approx(
-            psi(0.03, samples, P1), rel=1e-12)
+        # the shifted log-space sum against the plain mean of the summands
+        mu, delta = samples.stats(P1)
+        eps = 0.03
+        summand = eps + (1 - eps) * np.exp(-P1.theta * P1.nm * (mu - delta * q_inverse(eps)))
+        assert math.exp(log_psi(eps, samples, P1)) == pytest.approx(
+            summand.mean(), rel=1e-12)
 
     def test_epsilon_to_one_limit(self, samples):
         # dropping every codeword: psi -> 1, throughput -> 0
         eps = 1 - 1e-9
-        assert psi(eps, samples, P1) == pytest.approx(1.0, abs=1e-6)
+        assert math.exp(log_psi(eps, samples, P1)) == pytest.approx(1.0, abs=1e-6)
         assert effective_rate_variable(eps, samples, P1).value < 1e-6
 
     def test_convex_on_grid(self, samples):
         grid = np.linspace(0.001, 0.999, 200)
-        vals = np.array([psi(e, samples, P1) for e in grid])
+        vals = np.array([math.exp(log_psi(e, samples, P1)) for e in grid])
         assert np.all(np.diff(vals, 2) > 0)
 
     def test_derivative_matches_finite_difference(self, samples):
@@ -394,7 +397,7 @@ class TestPsi:
     def test_epsilon_domain(self, samples):
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
-                psi(bad, samples, P1)
+                log_psi(bad, samples, P1)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 log_psi_slopes(bad, samples, P1)
@@ -584,18 +587,6 @@ class TestQuadratureOracle:
         estf = effective_rate_fixed(0.5, samples, P1)
         quadf = effective_rate_fixed(0.5, rule, P1).value
         assert abs(estf.value - quadf) <= 3 * estf.std_error
-
-    def test_mean_power_parameter(self, rule):
-        # doubling the mean gain must raise throughput
-        lo = effective_rate_variable(0.03, rule, P1).value
-        hi = effective_rate_variable(0.03, SampleSet.laguerre(mean_power=2.0), P1).value
-        assert hi > lo
-        np.testing.assert_array_equal(SampleSet.laguerre(2.0).gains, 2.0 * rule.gains)
-
-    @pytest.mark.parametrize("mean_power", [0.0, -1.0, math.inf, math.nan])
-    def test_mean_power_validated(self, mean_power):
-        with pytest.raises(DomainError):
-            SampleSet.laguerre(mean_power)
 
     def test_m_restriction(self, rule):
         p2 = SystemParams(1.0, 50, 2, 0.01)

@@ -251,7 +251,9 @@ class TestErrorProbability:
         assert 0.0 < es[0] < es[-1] < 1.0
 
     def test_infinite_rate(self):
-        assert error_probability(np.array([1.0]), P200, float("inf")) == 1.0
+        # the one rate rule: a rate must be finite
+        with pytest.raises(DomainError, match="rate must be finite and >= 0"):
+            error_probability(np.array([1.0]), P200, float("inf"))
 
     def test_rate_zero(self):
         # mu > 0 and R = 0 puts the threshold far below the mean

@@ -245,6 +245,39 @@ def test_phi_slope_positive_at_rate_ceiling(sets_1e5, snr_db, n, m, theta):
     assert optimal_rate(sets_1e5[m], p).bracket == (0.0, hi)
 
 
+# The probe grid: SNR x n x m x theta, 144 configurations; each m is a prefix
+# of one 2e4-row master drawn with seed 1
+PROBE_POINTS = [(snr_db, n, m, t) for snr_db in (-10.0, 0.0, 10.0, 20.0)
+                for n in (50, 200, 500) for m in (1, 2, 5, 10) for t in (0.01, 0.1, 1.0)]
+# here every row's eps underflows near R*, E[eps] reads 0 and the fixed-rate
+# slopes overflow; a log-space E[eps] has to flip these to passes
+PROBE_RATE_OVERFLOWS = {(10.0, 500, 10, 1.0), (20.0, 200, 10, 1.0), (20.0, 500, 5, 1.0),
+                        (20.0, 500, 10, 0.1), (20.0, 500, 10, 1.0)}
+
+
+@pytest.fixture(scope="module")
+def probe_sets():
+    master = SampleSet.draw(Rayleigh(), 10, 20_000, seed=1)
+    return {m: master.prefix(m) for m in (1, 2, 5, 10)}
+
+
+def test_probe_grid_epsilon_edge_hits(probe_sets):
+    # the 1e-10 edge of the eps bracket sets the answer on 40 configurations
+    hits = [optimal_epsilon(probe_sets[m], SystemParams.from_db(snr_db, n, m, t)).at_boundary
+            for snr_db, n, m, t in PROBE_POINTS]
+    assert sum(hits) == 40
+
+
+@pytest.mark.parametrize("snr_db, n, m, theta", [
+    pytest.param(*point, marks=pytest.mark.xfail(
+        raises=ComputationError, strict=True, reason="non-finite slope: E[eps] underflows"))
+    if point in PROBE_RATE_OVERFLOWS else point for point in PROBE_POINTS])
+def test_probe_grid_rate_optimum(probe_sets, snr_db, n, m, theta):
+    opt = optimal_rate(probe_sets[m], SystemParams.from_db(snr_db, n, m, theta))
+    assert math.isfinite(opt.argument) and math.isfinite(opt.value)
+    assert not opt.at_boundary
+
+
 def _direct_row_value(policy, m, count, seed, params):
     ss = SampleSet.draw(Rayleigh(), m, count, seed).prefix(m)
     p = SystemParams(params.snr_linear, params.n, m, params.theta)

@@ -148,7 +148,7 @@ class TestServiceSample:
         cfg = _config(policy=VariableRate(epsilon=0.3))
         service = _service(cfg, start=40, count=2_000)
         u = uniform_windows(cfg.seed, 40, 2_000, P2.m + 1)
-        z = _exponential_from_uniform(u[:, :P2.m], 1.0)
+        z = _exponential_from_uniform(u[:, :P2.m])
         np.testing.assert_array_equal(service == 0.0, u[:, P2.m] < 0.3)
         rates = [P2.nm * rate_lower_bound(row, P2, 0.3) for row in z[:20]]
         ok = u[:20, P2.m] >= 0.3
@@ -301,7 +301,7 @@ class TestSimulateQueue:
         expect = np.empty(400)
         for t in range(400):
             u = uniform_windows(cfg.seed, t, 1, cfg.params.m + 1)[0]
-            z = _exponential_from_uniform(u[: cfg.params.m], 1.0)
+            z = _exponential_from_uniform(u[: cfg.params.m])
             r = rate_lower_bound(z, cfg.params, cfg.policy.epsilon)
             s = cfg.params.nm * r if u[cfg.params.m] >= cfg.policy.epsilon else 0.0
             q = max(q + 30.0 - s, 0.0)
@@ -557,7 +557,7 @@ class TestEstimateDecayRate:
 
     def test_fits_exact_counts_at_the_window_edges(self):
         # the fit is the least-squares line through ln P(Q >= q) at exactly
-        # the edges whose sorted-sample count lies in [p_lo, p_hi]
+        # the edges whose sorted-sample count lies in [1e-4, 0.1]
         rng = np.random.default_rng(23)
         s = rng.exponential(4.0, size=300_000) * (rng.random(300_000) < 0.6)
         hist = _histogram(s, 0.25)
@@ -605,13 +605,6 @@ class TestEstimateDecayRate:
         s = rng.exponential(100.0, size=100_000)
         with pytest.raises(EstimationError, match="overflow"):
             estimate_decay_rate(_histogram(s, 1.0))
-
-    @pytest.mark.parametrize("kw", [
-        dict(p_lo=0.0), dict(p_lo=0.2, p_hi=0.1), dict(p_hi=1.0),
-    ])
-    def test_bad_arguments(self, kw):
-        with pytest.raises(DomainError):
-            estimate_decay_rate(_histogram(np.arange(100.0), 1.0), **kw)
 
 
 class TestEndToEnd:
