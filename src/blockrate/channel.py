@@ -73,7 +73,13 @@ class SystemParams:
 
     @classmethod
     def from_db(cls, snr_db: float, n: int, m: int, theta: float) -> "SystemParams":
-        return cls(10.0 ** (snr_db / 10.0), n, m, theta)
+        try:
+            snr = 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            snr = np.inf
+        if not 0.0 < snr < np.inf:
+            raise DomainError(f"snr_db = {snr_db!r} gives no positive finite linear SNR")
+        return cls(snr, n, m, theta)
 
 
 @dataclass(frozen=True)

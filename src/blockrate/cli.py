@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channel import SystemParams
-from .errors import BlockrateError, ComputationError, DomainError, EstimationError
+from .errors import BlockrateError, DomainError, EstimationError
 from .fbl import FixedRate, RatePolicy, VariableRate
 from .optimize import sweep, sweep_m, sweep_theta
 from .queue_sim import QueueConfig, estimate_decay_rate, simulate_queue
@@ -95,11 +95,11 @@ def _parse_arrival(text: str) -> float | None:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):  # numpy's float64 (trace cells) reprs its type
         return repr(float(value))
     return str(value)
 
@@ -110,25 +110,9 @@ def _meta_value(value) -> str:
     return _cell(value)
 
 
-def _jsonable(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _render(fmt: str, meta: dict, columns: list[str], rows: list[tuple]) -> str:
     if fmt == "json":
-        payload = {
-            "metadata": {k: _jsonable(v) for k, v in meta.items()},
-            "columns": columns,
-            "rows": [[_jsonable(v) for v in row] for row in rows],
-        }
+        payload = {"metadata": meta, "columns": columns, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
     lines = [f"# {key} = {_meta_value(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
@@ -258,6 +242,9 @@ def _cmd_simulate(args: argparse.Namespace):
     # the target and the arrival rate are calibrated on --samples gains from --seed
     (cal,), _ = sweep_m(params, [params.m], policy, args.samples, args.seed)
     policy = replace(policy, **{policy.target_name: cal.argument})  # a given target stays
+    if args.arrival is None and cal.effective_rate < 0.0:
+        raise EstimationError(f"--arrival auto: the calibrated effective rate {cal.effective_rate!r}"
+                              " is negative; give --arrival, a larger --epsilon or --clamp-rate")
     arrival = args.arrival if args.arrival is not None else cal.effective_rate * params.nm
     queue_seed = args.seed + 1  # decouple the trajectory from the rate estimate
     qcfg = QueueConfig(arrival_bits_per_frame=arrival, frames=args.frames,
@@ -407,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"blockrate: error: {exc}", file=sys.stderr)
         return 1
-    except (EstimationError, ComputationError, BlockrateError, OSError) as exc:
+    except (BlockrateError, OSError) as exc:
         print(f"blockrate: error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,12 +131,8 @@ class SampleSet:
         """The gains `draw_gain_matrix` gives, drawn block by block into the
         padded master."""
         master = _gain_buffer(model, m, count)
-
-        def fill(lo: int, hi: int) -> None:
-            _fill_gains(m, seed, lo, master[lo:hi])
-            _check_gains(master[lo:hi, :m])
-
-        _on_row_blocks(count, fill)
+        # each gain is -log1p(-u) with u in [0, 1): finite and >= 0, unchecked
+        _on_row_blocks(count, lambda lo, hi: _fill_gains(m, seed, lo, master[lo:hi]))
         drawn = object.__new__(cls)
         drawn._init(master[:, :m], None)
         return drawn
@@ -202,12 +198,11 @@ class EffectiveRateEstimate:
     """Throughput estimate in bits per channel use.
 
     std_error is the Monte Carlo standard error; it is 0 on a quadrature set,
-    which has no sampling error.  count is the number of rows averaged.
+    which has no sampling error.
     """
 
     value: float
     std_error: float
-    count: int
 
 
 def _mean(samples: SampleSet, y: np.ndarray) -> float:
@@ -249,24 +244,25 @@ def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray,
     return e, shift
 
 
-def _psi_summands(epsilon: float, mu: np.ndarray, delta: np.ndarray,
-                  params: SystemParams, clamp: bool) -> tuple[np.ndarray, float]:
-    """Shifted summands u and shift L with psi = exp(L) * mean(u)."""
+def _psi_summands(epsilon: float, samples: SampleSet, params: SystemParams,
+                  clamp: bool) -> tuple[np.ndarray, float, float]:
+    """Shifted summands u, their mean and ln psi = L + ln(mean(u)), for the
+    shift L that keeps each u <= 1."""
+    _check_epsilon(epsilon)
+    _check_theta_positive(params)
+    mu, delta = samples.stats(params)
     e, shift = _rate_exponentials(rate_lower_bound_arrays(mu, delta, epsilon, clamp), params)
     e *= 1.0 - epsilon
     e += epsilon * math.exp(-shift)
-    return e, shift
+    mean_e = _mean(samples, e)
+    return e, mean_e, shift + math.log(mean_e)
 
 
 def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
             clamp: bool = False) -> float:
     """ln psi, finite even where psi overflows a float.  psi is strictly
     convex in epsilon; the optimizer minimizes it through `log_psi_slopes`."""
-    _check_epsilon(epsilon)
-    _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    u, shift = _psi_summands(epsilon, mu, delta, params, clamp)
-    return shift + math.log(_mean(samples, u))
+    return _psi_summands(epsilon, samples, params, clamp)[2]
 
 
 def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,
@@ -324,15 +320,11 @@ def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemPa
     value = -ln(psi)/(theta*n*m); the standard error is propagated from the
     sample variance of the psi summand by the delta method.
     """
-    _check_epsilon(epsilon)
-    _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    u, shift = _psi_summands(epsilon, mu, delta, params, clamp)
-    mean_u = _mean(samples, u)
+    u, mean_u, ln_psi = _psi_summands(epsilon, samples, params, clamp)
     scale = params.theta * params.nm
-    value = -(shift + math.log(mean_u)) / scale
+    value = -ln_psi / scale
     rel = _spread(samples, u) / (math.sqrt(u.size) * mean_u)
-    return EffectiveRateEstimate(value, rel / scale, u.size)
+    return EffectiveRateEstimate(value, rel / scale)
 
 
 def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
@@ -393,7 +385,7 @@ def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) 
         se = 0.0
     else:
         se = decay * sd / (math.sqrt(eps_z.size) * math.exp(log_phi) * scale)
-    return EffectiveRateEstimate(value, se, eps_z.size)
+    return EffectiveRateEstimate(value, se)
 
 
 def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
@@ -450,7 +442,7 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
     y *= 1.0 - epsilon
     mean_y = _mean(samples, y)
     se = _spread(samples, y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(mean_y, se, y.size)
+    return EffectiveRateEstimate(mean_y, se)
 
 
 def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
@@ -461,5 +453,5 @@ def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) ->
     y *= rate
     mean_y = _mean(samples, y)
     se = _spread(samples, y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(mean_y, se, y.size)
+    return EffectiveRateEstimate(mean_y, se)
 

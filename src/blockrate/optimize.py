@@ -61,6 +61,7 @@ from .special import q_function, q_inverse
 # where the searches start: eps = Q(1) ~ 0.16, and a tenth of the rate bracket
 _X_START = 1.0
 _R_START = 0.1
+_TOL = 1e-8  # newton_minimize stops once a step is at most this
 
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
 # the same bracket in x = Q^{-1}(eps), which decreases in eps
@@ -98,7 +99,6 @@ class SweepRow:
 
     m: int
     theta: float
-    policy: str
     effective_rate: float
     std_error: float
     argument: float | None = None  # eps or R actually used, if applicable
@@ -107,8 +107,7 @@ class SweepRow:
 
 
 def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
-                    lo: float, hi: float, start: float,
-                    tol: float = 1e-8) -> tuple[float, int, bool]:
+                    lo: float, hi: float, start: float) -> tuple[float, int, bool]:
     """Minimize a unimodal f on [lo, hi] by a safeguarded Newton search for
     the root of its slope.
 
@@ -120,7 +119,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
     step toward an edge that is not a Newton step, the slope at that edge is
     evaluated, and if it shows the root at or beyond the edge the search
     stops there with at_edge set.  Otherwise the search stops once a step is
-    at most tol.  Returns (argmin, number of slope evaluations, at_edge).
+    at most _TOL.  Returns (argmin, number of slope evaluations, at_edge).
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -154,7 +153,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
             continue
         new = guess if newton else 0.5 * (a + b)
         before, step = step, new - x
-        if abs(step) <= tol:
+        if abs(step) <= _TOL:
             return new, evals, False
         x = new
 
@@ -245,9 +244,8 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
         search = {"iterations": est.iterations, "at_boundary": est.at_boundary}
     else:
         est = evaluate(target, samples, params, **kw)
-    return SweepRow(m=params.m, theta=params.theta, policy=policy.describe(),
-                    effective_rate=est.value, std_error=est.std_error, argument=target,
-                    **search)
+    return SweepRow(m=params.m, theta=params.theta, effective_rate=est.value,
+                    std_error=est.std_error, argument=target, **search)
 
 
 def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[float],

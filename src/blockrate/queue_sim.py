@@ -364,16 +364,17 @@ def estimate_decay_rate(tail: TailHistogram) -> TailEstimate:
     ccdf = np.cumsum(tail.counts[::-1])[::-1] / total  # P(Q >= edges[i])
     if ccdf[-1] >= p_lo:
         raise EstimationError(
-            f"P(Q >= {tail.edges[-1]!r}) = {ccdf[-1]!r} >= {p_lo!r}: the tail window "
-            f"reaches the histogram's overflow bin; the tail decays far slower than theta")
+            f"P(Q >= {float(tail.edges[-1])!r}) = {float(ccdf[-1])!r} >= {p_lo!r}: the tail "
+            f"window reaches the histogram's overflow bin; the tail decays far slower than theta")
     keep = (ccdf >= p_lo) & (ccdf <= p_hi)
     q_fit = tail.edges[keep]
     p_fit = ccdf[keep]
     if q_fit.size == 0:
         i = np.count_nonzero(ccdf > p_hi) - 1
         raise EstimationError(
-            f"degenerate tail window: P(Q >= q) falls from {ccdf[i]!r} to {ccdf[i + 1]!r} "
-            f"within the bin [{tail.edges[i]!r}, {tail.edges[i + 1]!r}); queue barely moves")
+            f"degenerate tail window: P(Q >= q) falls from {float(ccdf[i])!r} to "
+            f"{float(ccdf[i + 1])!r} within the bin [{float(tail.edges[i])!r}, "
+            f"{float(tail.edges[i + 1])!r}); queue barely moves")
     if q_fit.size < 5:
         raise EstimationError(
             f"only {q_fit.size} bin edges in the tail window; run longer")

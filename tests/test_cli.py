@@ -167,12 +167,16 @@ class TestExitCodes:
         (["fig3", "--m", "1", "--seed", "-1", "--samples", "500"], "seed must be >= 0"),
         (["simulate", "--frames", "1000", "--burn-in", "10", "--seed", "-1",
           "--samples", "500"], "seed must be >= 0"),
+        # 10**(snr_db/10) overflows, or underflows to 0
+        (["fig2", "--snr-db", "4000", "--samples", "100"], "snr_db = 4000.0"),
+        (["fig2", "--snr-db", "-4000", "--samples", "100"], "snr_db = -4000.0"),
     ])
     def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
     def test_cannot_optimize_at_theta_zero(self, command, capsys):
@@ -214,6 +218,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("blockrate: error: cannot allocate gains")
+        assert len(err.splitlines()) == 1
+
+    def test_negative_auto_arrival_is_runtime_error(self, capsys):
+        # at eps = 1e-6 and theta = 1 the calibrated throughput is negative,
+        # so --arrival auto has no arrival rate to take
+        code = main(["simulate", "--theta", "1", "--epsilon", "1e-6", "--n", "50",
+                     "--samples", "2000", "--frames", "20000", "--burn-in", "100"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "calibrated effective rate -" in err and "give --arrival" in err
         assert len(err.splitlines()) == 1
 
     def test_unstable_queue_is_runtime_error(self, tmp_path, capsys):

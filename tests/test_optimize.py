@@ -60,7 +60,7 @@ def _quadratic(root):
 
 class TestNewtonMinimize:
     def test_quadratic(self):
-        x, evals, at_edge = newton_minimize(_quadratic(1.7), 0.0, 5.0, 4.0, tol=1e-10)
+        x, evals, at_edge = newton_minimize(_quadratic(1.7), 0.0, 5.0, 4.0)
         assert x == pytest.approx(1.7, abs=1e-12)
         assert not at_edge
         # a Newton step lands on a quadratic's minimum
@@ -70,8 +70,7 @@ class TestNewtonMinimize:
         # exp(x) - 2x has its minimum at ln 2, where the slope exp(x) - 2 is
         # resolved to rounding, unlike the objective itself
         x, evals, at_edge = newton_minimize(
-            lambda x: (math.exp(x) - 2 * x, math.exp(x) - 2.0, math.exp(x)), 0.0, 2.0, 1.5,
-            tol=1e-10)
+            lambda x: (math.exp(x) - 2 * x, math.exp(x) - 2.0, math.exp(x)), 0.0, 2.0, 1.5)
         assert x == pytest.approx(math.log(2.0), abs=1e-12)
         assert not at_edge
         assert evals < 10
@@ -86,7 +85,7 @@ class TestNewtonMinimize:
 
     def test_interior_minimum_near_edge_not_flagged(self):
         for root in (1e-6, 2.0 - 1e-6):
-            x, _, at_edge = newton_minimize(_quadratic(root), 0.0, 2.0, 1.0, tol=1e-9)
+            x, _, at_edge = newton_minimize(_quadratic(root), 0.0, 2.0, 1.0)
             assert x == pytest.approx(root, abs=1e-12)
             assert not at_edge
 
@@ -293,7 +292,6 @@ class TestSweepM:
         assert m_star == 1 and len(rows) == 1
         assert rows[0].effective_rate == _direct_row_value(policy, 1, 5_000, 3, P1)
         assert rows[0].argument == 0.02
-        assert rows[0].policy == policy.describe()
 
     def test_duplicate_m_rows_identical(self):
         rows, _ = sweep_m(P1, [2, 2], VariableRate(epsilon=0.05),
@@ -375,7 +373,6 @@ class TestSweepTheta:
         rows = sweep_theta(P1, [0.05], [1], VariableRate(), count=2_000, seed=8)
         assert rows[0].argument is not None
         assert 0.0 < rows[0].argument < 1.0
-        assert rows[0].policy == "variable-rate(optimized-epsilon)"
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -599,6 +599,15 @@ class TestEstimateDecayRate:
         with pytest.raises(EstimationError, match="run longer"):
             estimate_decay_rate(_histogram(s, 0.25))
 
+    def test_messages_print_plain_floats(self):
+        # the degenerate-window and overflow-bin messages, whose values are
+        # numpy scalars until converted
+        slow = np.random.default_rng(8).exponential(100.0, size=100_000)
+        for s in (np.ones(1_000), slow):
+            with pytest.raises(EstimationError) as info:
+                estimate_decay_rate(_histogram(s, 1.0))
+            assert "np.float64" not in str(info.value)
+
     def test_window_reaching_overflow_rejected(self):
         # decay ten times slower than theta: P(Q >= 128/theta) is about 0.28
         rng = np.random.default_rng(8)
