@@ -51,7 +51,10 @@ def _check_gains(gains: np.ndarray) -> None:
 @dataclass(frozen=True)
 class SystemParams:
     """Link parameters: SNR (linear), block length n, blocks per codeword m,
-    and QoS exponent theta (1/bits)."""
+    and QoS exponent theta (1/bits).
+
+    The one check of a point.  Besides each field's range, theta * n * m
+    must be finite: every throughput kernel's exponent scales with it."""
 
     snr_linear: float
     n: int
@@ -65,6 +68,8 @@ class SystemParams:
         _check_integer("m", self.m, 1)
         if not (np.isfinite(self.theta) and self.theta >= 0):
             raise DomainError(f"theta must be >= 0, got {self.theta!r}")
+        if not np.isfinite(self.theta * self.nm):
+            raise DomainError(f"theta * n * m overflows: theta = {self.theta!r}, n * m = {self.nm}")
 
     @property
     def nm(self) -> int:

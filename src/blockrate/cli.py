@@ -16,7 +16,8 @@ handler and help line, its --snr-db and --n defaults, whether --m and
 at a fixed rate, and its extra flags.  `build_parser` makes one subparser
 per entry.  Defaults are written as they would be typed and go through the
 flag's own parser, so --help prints them as given.  Handlers read the parsed
-namespace, in which `m` and `theta` are always tuples.
+namespace, in which `m` and `theta` are always tuples, and take the target's
+name, and whether it is searched, from the policy `_policy_from_flags` builds.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 2 runtime error (estimation failure, unstable queue, I/O).
@@ -156,8 +157,8 @@ def _default_epsilon_grid() -> np.ndarray:
                                      np.linspace(0.1, 0.999, 40)]))
 
 
-def _default_rate_grid(snr_db: float) -> np.ndarray:
-    hi = max(2.0, 2.0 * np.log2(1.0 + 10.0 ** (snr_db / 10.0)))
+def _default_rate_grid(snr_linear: float) -> np.ndarray:
+    hi = max(2.0, 2.0 * np.log2(1.0 + snr_linear))
     return np.linspace(0.0, hi, 101)
 
 
@@ -178,15 +179,13 @@ def _policy_from_flags(args: argparse.Namespace) -> RatePolicy:
 
 def _cmd_grid(args: argparse.Namespace):
     """fig1 / fig4: the policy at every target of a grid, per m (m outer)."""
-    if args.command == "fig1":
-        name = "epsilon"
-        grid = args.epsilon_grid if args.epsilon_grid is not None else _default_epsilon_grid()
-    else:
-        name = "rate"
-        grid = args.rate_grid if args.rate_grid is not None else _default_rate_grid(args.snr_db)
-    grid = tuple(float(x) for x in grid)
     policy = _policy_from_flags(args)
     base = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
+    name = policy.target_name
+    grid = getattr(args, f"{name}_grid")
+    if grid is None:
+        grid = _default_epsilon_grid() if name == "epsilon" else _default_rate_grid(base.snr_linear)
+    grid = tuple(float(x) for x in grid)
     rows = sweep(base, args.m, args.theta[:1],
                  [replace(policy, **{name: x}) for x in grid], args.samples, args.seed)
     meta = _base_meta(args, **{f"{name}_grid": grid})
@@ -195,24 +194,28 @@ def _cmd_grid(args: argparse.Namespace):
 
 
 def _cmd_theta(args: argparse.Namespace):
-    """fig2 / fig3: the policy over theta, per m, sorted by (theta, m)."""
+    """fig2 / fig3: the policy over theta, per m, sorted by (theta, m); a
+    searched target gets a column, a given one a metadata line."""
+    policy = _policy_from_flags(args)
     base = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
-    rows = sorted(sweep_theta(base, args.theta, args.m, _policy_from_flags(args),
-                              args.samples, args.seed), key=lambda r: (r.theta, r.m))
+    rows = sorted(sweep_theta(base, args.theta, args.m, policy, args.samples, args.seed),
+                  key=lambda r: (r.theta, r.m))
     columns = ["theta", "m", "effective_rate", "std_error"]
-    if args.command == "fig2":
-        return _base_meta(args, epsilon=args.epsilon), columns, [
-            (r.theta, r.m, r.effective_rate, r.std_error) for r in rows]
-    return _base_meta(args), columns + ["epsilon_star"], [
-        (r.theta, r.m, r.effective_rate, r.std_error, r.argument) for r in rows]
+    table = [(r.theta, r.m, r.effective_rate, r.std_error) for r in rows]
+    if policy.target is not None:
+        return _base_meta(args, **{policy.target_name: policy.target}), columns, table
+    return _base_meta(args), columns + [f"{policy.target_name}_star"], [
+        t + (r.argument,) for t, r in zip(table, rows)]
 
 
 def _cmd_optimize(args: argparse.Namespace):
     """optimize-epsilon / optimize-rate: one optimum with its search record."""
+    policy = _policy_from_flags(args)
     params = SystemParams.from_db(args.snr_db, args.n, args.m[0], args.theta[0])
-    (row,), _ = sweep_m(params, [params.m], _policy_from_flags(args), args.samples, args.seed)
-    name = "rate_star" if args.command == "optimize-rate" else "epsilon_star"
-    return _base_meta(args), [name, "effective_rate", "std_error", "iterations", "at_boundary"], [
+    (row,), _ = sweep_m(params, [params.m], policy, args.samples, args.seed)
+    columns = [f"{policy.target_name}_star", "effective_rate", "std_error", "iterations",
+               "at_boundary"]
+    return _base_meta(args), columns, [
         (row.argument, row.effective_rate, row.std_error, row.iterations, row.at_boundary)]
 
 
@@ -224,7 +227,7 @@ def _cmd_sweep_m(args: argparse.Namespace):
                       policy=policy.describe(), m_star=m_star)
     columns = ["m", "effective_rate", "std_error", "argument"]
     table = [(r.m, r.effective_rate, r.std_error, r.argument) for r in rows]
-    if args.epsilon is None and args.rate is None:  # each row's eps was searched
+    if policy.target is None:  # each row's target was searched
         columns += ["iterations", "at_boundary"]
         table = [t + (r.iterations, r.at_boundary) for t, r in zip(table, rows)]
     return meta, columns, table

@@ -21,19 +21,10 @@ whose statistics for every m come from one running sum over its blocks).
 With gains common across block counts, the m-comparison — the central
 tradeoff here — is not polluted by independent sampling noise.
 
-Sweep rows are independent and may run on a thread pool; results are
-collected in input order and each row's sample set derives deterministically
-from (seed, largest m), so output is identical for any worker count.
-`channel._executor` is the one choice between a pool of at most
-BLOCKRATE_THREADS workers and running inline.  Three callers submit to it:
-`sweep`, whose rows go through `_run_rows`; `SampleSet.draw` and
-`SampleSet.prefixes`, whose row blocks also go through `_run_rows` (so a
-sweep's draw and statistics walk run on the pool before its rows do); and
-the queue simulator's frame service.  All of them share one pool per
-BLOCKRATE_THREADS value, started on first use and kept for the life of the
-process.  Work submitted from one of its workers runs inline on that worker:
-a row whose prefix statistics are not cached walks them itself rather than
-waiting on the pool it occupies.
+Sweep rows are independent and run through `channel._run_rows` on the
+package's worker pool, which `channel` describes.  Results come in input
+order and each row's sample set derives deterministically from (seed,
+largest m), so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Rayleigh, SystemParams, _check_integer, _run_rows
+from .channel import Rayleigh, SystemParams, _run_rows
 from .effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -252,33 +243,23 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
           policies: Sequence[RatePolicy], count: int, seed: int) -> list[SweepRow]:
     """Every policy at every (m, theta) point, on gains common to all of them.
 
-    Draws one master set of max(m_values)-block realizations and evaluates
-    each m on its prefix; params supplies the SNR and n (its m and theta are
-    not used).  Rows come in m (outer), theta, policy (inner) order, each
-    in the order given.
+    params supplies the SNR and n (its m and theta are not used).  Each
+    point is checked as the SystemParams it is evaluated at, before anything
+    is drawn; then one master set of max(m_values)-block realizations is
+    drawn and each m evaluated on its prefix.  Rows come in m (outer),
+    theta, policy (inner) order, each in the order given.
     """
-    m_values = list(m_values)
-    theta_grid = [float(t) for t in theta_grid]
-    policies = list(policies)
-    if not m_values:
-        raise DomainError("m_values must be nonempty")
-    for m in m_values:
-        _check_integer("m", m, 1)
-    if not theta_grid:
-        raise DomainError("theta_grid must be nonempty")
-    if min(theta_grid) < 0.0:
-        raise DomainError(f"theta must be >= 0, got {min(theta_grid)}")
-    if not policies:
-        raise DomainError("policies must be nonempty")
+    m_values, theta_grid, policies = list(m_values), list(theta_grid), list(policies)
+    points = [SystemParams(params.snr_linear, params.n, m, float(theta))
+              for m in m_values for theta in theta_grid]
+    if not (points and policies):
+        raise DomainError("m_values, theta_grid and policies must be nonempty")
     for policy in policies:
         if not isinstance(policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {policy!r}")
     prefixes = SampleSet.draw(Rayleigh(), max(m_values), count, seed).prefixes(m_values, params)
-    tasks = [
-        (lambda sub=prefixes[m], p=SystemParams(params.snr_linear, params.n, m, theta),
-         policy=policy: _evaluate_policy(sub, p, policy))
-        for m in m_values for theta in theta_grid for policy in policies
-    ]
+    tasks = [(lambda sub=prefixes[p.m], p=p, policy=policy: _evaluate_policy(sub, p, policy))
+             for p in points for policy in policies]
     return _run_rows(tasks)
 
 

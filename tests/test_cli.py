@@ -170,6 +170,12 @@ class TestExitCodes:
         # 10**(snr_db/10) overflows, or underflows to 0
         (["fig2", "--snr-db", "4000", "--samples", "100"], "snr_db = 4000.0"),
         (["fig2", "--snr-db", "-4000", "--samples", "100"], "snr_db = -4000.0"),
+        (["fig4", "--snr-db", "4000", "--samples", "100"], "snr_db = 4000.0"),
+        # theta * n * m overflows a float
+        (["fig4", "--m", "1", "--theta", "1e306", "--rate-grid", "0,0.5", "--samples", "500"],
+         "theta * n * m overflows"),
+        (["fig2", "--m", "1", "--theta", "1e308", "--samples", "500"], "theta * n * m overflows"),
+        (["optimize-epsilon", "--theta", "1e308", "--samples", "500"], "theta * n * m overflows"),
     ])
     def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1

@@ -389,10 +389,13 @@ class TestPsi:
             lambda x: log_psi_slopes(x, ss, p, clamp=True), x, 1e-5)
 
     def test_overflowing_theta_raises(self, samples):
-        huge = SystemParams(1.0, 200, 1, 1e308)
-        with np.errstate(invalid="ignore"):
+        with pytest.raises(DomainError, match=r"theta \* n \* m overflows"):
+            SystemParams(1.0, 200, 1, 1e308)
+        # theta * n * m = 1e308 is finite, but theta*n*m*R is not where |R| > 1.8
+        huge = SystemParams(1.0, 1, 1, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ComputationError):
-                log_psi(0.03, samples, huge)
+                log_psi(1e-6, samples, huge)
 
     def test_epsilon_domain(self, samples):
         for bad in (0.0, 1.0, -0.1):

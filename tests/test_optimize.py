@@ -348,6 +348,14 @@ class TestSweepM:
         with pytest.raises(DomainError, match="m must be >= 1 and integral"):
             sweep(P1, [1, m], [0.01], [VariableRate(epsilon=0.1)], count=10, seed=0)
 
+    @pytest.mark.parametrize("m,theta", [(1, float("nan")), (0, 0.01)])
+    def test_bad_point_rejected_before_drawing(self, m, theta, monkeypatch):
+        def draw(*args):
+            raise AssertionError("drew gains for a sweep with a bad point")
+        monkeypatch.setattr(SampleSet, "draw", draw)
+        with pytest.raises(DomainError):
+            sweep(P1, [1, m], [0.01, theta], [VariableRate(epsilon=0.1)], count=10, seed=0)
+
     @pytest.mark.parametrize("policy", ["variable", 0.1, None])
     def test_unknown_policy_rejected(self, policy):
         with pytest.raises(DomainError, match="unknown rate policy"):
