@@ -68,7 +68,11 @@ class SystemParams:
         _check_integer("m", self.m, 1)
         if not (np.isfinite(self.theta) and self.theta >= 0):
             raise DomainError(f"theta must be >= 0, got {self.theta!r}")
-        if not np.isfinite(self.theta * self.nm):
+        try:
+            scale = self.theta * self.nm
+        except OverflowError:  # an int past float range
+            raise DomainError("n * m overflows a float") from None
+        if not np.isfinite(scale):
             raise DomainError(f"theta * n * m overflows: theta = {self.theta!r}, n * m = {self.nm}")
 
     @property

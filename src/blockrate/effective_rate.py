@@ -12,21 +12,24 @@ Expectations are sample averages over a SampleSet of channel realizations.
 One SampleSet is reused across all epsilon/rate/theta evaluation points
 (common random numbers), so differences between nearby points reflect the
 parameters and not fresh sampling noise — argmax detection depends on this.
-Exponents are accumulated in log space: psi summands are shifted by the
-largest exponent before exponentiation (negative-rate realizations can push
-theta*n*m*|R| past the overflow point), and phi is combined through its
-complement / logaddexp so both the R -> 0 and theta*n*m*R >> 1 regimes keep
-full precision.  `log_psi_slopes` and `log_phi_slopes` return ln(psi) and
-ln(phi) with their first two derivatives from the same single pass; the
-optimizers search on them.
+Both are ln E[A + B*exp(-T)] with A + B = 1 on every row; one kernel,
+`_kernel`, computes it and its first two derivatives for all six
+estimators on one shift, so psi summands past the overflow point and phi
+far below 1e-16 stay finite.  The optimizers search on `log_psi_slopes`
+and `log_phi_slopes`.
 
-Every expectation is reduced by a single deterministic pairwise summation
-over a fixed-layout array, so results are independent of how many worker
-threads drive the surrounding sweep.  Each kernel computes in one or two
-fresh (count,) buffers, in place, with operand orders that keep the bits of
-the plain expressions; the cached statistics are read-only and never
-written.  A set may instead carry row weights: then each expectation is the
-weighted sum over its rows, and the standard error is 0.
+Every expectation is one deterministic pairwise sum over a fixed-layout
+array, so results do not depend on the worker-thread count; the cached
+statistics are read-only.  The kernel's per-row arithmetic, in place in
+one or two (count,) buffers, has the bits of the plain expressions
+(mu - delta*x, exp, (mu - R)/delta, erfc, delta*(delta*e)) except at two
+ends, psi where theta*n*m*|R| is below 2^-14 and phi where E[eps] is below
+the least normal float: there exact forms keep ln psi and ln phi within
+4.2e-16 relative of 50-digit references (the plain ln psi: 1.3e-12 just
+above its switch).  psi's row means are multiplied by eps and 1-eps as
+scalars, so its bits are not those of a mean of per-row summands.  A set
+may instead carry row weights: then each expectation is the weighted sum
+over its rows, and the standard error is 0.
 
 theta = 0 is not evaluated through the formula above (it divides by theta);
 `ergodic_rate_variable` / `ergodic_rate_fixed` compute the limiting
@@ -42,11 +45,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_laguerre
+from scipy.special import log_ndtr, roots_laguerre
 
 from .channel import (
     Rayleigh,
@@ -66,7 +70,7 @@ from .fbl import (
     rate_lower_bound_arrays,
     rate_stats_widths,
 )
-from .special import SQRT_2PI, q_function
+from .special import SQRT_2PI, q_function, q_inverse
 
 _QUAD_NODES = 200
 # rows per pooled draw or statistics task.  On fig2's (1e5, 50) master with
@@ -225,106 +229,165 @@ def _spread(samples: SampleSet, y: np.ndarray) -> float:
     return math.sqrt(np.sum(y) / (y.size - 1))
 
 
-def _check_theta_positive(params: SystemParams) -> None:
+# where `_kernel` takes its end forms: psi where max(-T) and |E[1 - e]| are
+# at most the first, phi where E[eps] is below the second
+_COMPLEMENT_BELOW, _LOG_FORM_BELOW = 2.0 ** -14, sys.float_info.min
+
+
+class _Expectation(NamedTuple):
+    """`_kernel`'s ln V, its two slopes and the throughput's standard error."""
+
+    log: float
+    d1: float = 0.0
+    d2: float = 0.0
+    std_error: float = 0.0
+
+
+def _kernel(samples: SampleSet, params: SystemParams, arg: float,
+            eps_pair: tuple[float, float] | None = None, clamp: bool = False,
+            want: str = "log") -> _Expectation:
+    """ln V = ln E[A + B*e], e = exp(-T) and A + B = 1 on every row; with
+    want "slopes" also its two derivatives in arg, with want "spread" the
+    standard error of the throughput -ln(V)/c, c = theta*n*m.
+
+    psi passes eps_pair = (eps, 1-eps) at arg = x = Q^{-1}(eps), so T =
+    c*(mu - delta*x) varies by row; phi passes arg = R, so A = Q(z), z =
+    (mu - R)/delta, varies by row.  With ' the derivative in arg,
+
+        V'  = E[A'*(1-e)] - E[B*T'*e]
+        V'' = E[A''*(1-e)] + 2*E[A'*T'*e] + E[B*T'^2*e]
+
+    and ln V has slopes V'/V and V''/V - (V'/V)^2.  Only the row-varying
+    factor is summed, times exp(-L) for one shift L: psi sums e with L =
+    max(0, max(-T)) and combines the means with eps and 1-eps as scalars
+    (its spread is that of the summand eps*exp(-L) + (1-eps)*e, row by
+    row); phi sums eps, 1-eps (its own sum), p = pdf(z)/delta and z*p/delta
+    with L = 0 and divides them by V in log space.  phi's ln V is
+    log1p(-E[1-eps]*(1-e)) below 0.9, else logaddexp(ln E[eps],
+    ln E[1-eps] - T).  Two ends select exact forms instead: psi, where
+    max(-T) and |E[1-e]| are at most _COMPLEMENT_BELOW (e rounds to 1),
+    takes log1p(E[B*expm1(-T)]), with E[1-e] and the spread from
+    -expm1(-T); phi, where E[eps] is below _LOG_FORM_BELOW (subnormal eps
+    have cost the mean its digits), takes ln eps = log_ndtr(-z) per row and
+    sums eps, p and z*p/delta on L = max(max ln eps, ln E[1-eps] - T).
+    """
     if params.theta <= 0.0:
-        raise DomainError(
-            "theta must be > 0 here; use ergodic_rate_* for the theta = 0 limit")
-
-
-def _rate_exponentials(r: np.ndarray, params: SystemParams) -> tuple[np.ndarray, float]:
-    """exp(-theta*n*m*r - L) per row, written over r and returned, and the
-    shift L >= 0 that keeps each <= 1.  Pass a fresh array: r is consumed."""
-    y = np.multiply(r, -params.theta * params.nm, out=r)  # r's buffer, reused below
-    shift = max(float(y.max()), 0.0)
-    y -= shift
-    e = np.exp(y, out=y)
-    if not np.all(np.isfinite(e)):
-        bad = int(np.flatnonzero(~np.isfinite(e))[0])
-        raise ComputationError(f"non-finite throughput summand at realization {bad}")
-    return e, shift
-
-
-def _psi_summands(epsilon: float, samples: SampleSet, params: SystemParams,
-                  clamp: bool) -> tuple[np.ndarray, float, float]:
-    """Shifted summands u, their mean and ln psi = L + ln(mean(u)), for the
-    shift L that keeps each u <= 1."""
-    _check_epsilon(epsilon)
-    _check_theta_positive(params)
+        raise DomainError("theta must be > 0 here; use ergodic_rate_* for the theta = 0 limit")
     mu, delta = samples.stats(params)
-    e, shift = _rate_exponentials(rate_lower_bound_arrays(mu, delta, epsilon, clamp), params)
-    e *= 1.0 - epsilon
-    e += epsilon * math.exp(-shift)
-    mean_e = _mean(samples, e)
-    return e, mean_e, shift + math.log(mean_e)
+    c, root_n, se = params.theta * params.nm, math.sqrt(samples.count), 0.0
+    if eps_pair is not None:
+        eps, keep = eps_pair
+        rates = functools.partial(_rate_at, mu, delta, arg, clamp)
+        # one buffer holds R, -T - L, then e, delta*e and delta^2*e on the shift
+        row = rates()
+        pinned = row == 0.0 if clamp else None  # constant in x: no slope
+        np.multiply(row, -c, out=row)
+        shift = max(float(row.max()), 0.0)
+        row -= shift
+        np.exp(row, out=row)
+        if not np.all(np.isfinite(row)):
+            bad = int(np.flatnonzero(~np.isfinite(row))[0])
+            raise ComputationError(f"non-finite throughput summand at realization {bad}")
+        floor, mean_e = math.exp(-shift), _mean(samples, row)
+        lost = floor - mean_e  # E[1 - e] on the shift
+        if max(shift, abs(lost)) <= _COMPLEMENT_BELOW:
+            r = rates()
+            row = np.expm1(np.multiply(r, -c, out=r), out=row)
+            shift, lost = 0.0, -_mean(samples, row)
+            v, log = 1.0 - keep * lost, math.log1p(-keep * lost)
+            if want == "slopes":
+                row += 1.0  # e = 1 + expm1(-T)
+            elif want == "spread":  # of expm1(-T)/c, whose squares do not underflow
+                se = keep * _spread(samples, np.divide(row, c, out=row)) / (root_n * v)
+        else:
+            v = eps * floor + keep * mean_e
+            log = shift + math.log(v)
+            if want == "spread":  # of the summand eps*floor + keep*e, row by row
+                u = np.add(np.multiply(row, keep, out=row), eps * floor, out=row)
+                mean_u = _mean(samples, u)
+                se = _spread(samples, u) / (root_n * mean_u) / c
+        if want == "slopes":
+            if clamp:
+                row[pinned] = 0.0
+            mean_w = _mean(samples, np.multiply(row, delta, out=row))
+            mean_ww = _mean(samples, np.multiply(row, delta, out=row))
+            g = math.exp(-0.5 * arg * arg) / SQRT_2PI
+            a1, a2 = -g * lost, arg * g * lost
+            b1, ab, b2 = -keep * c * mean_w, g * c * mean_w, keep * c * c * mean_ww
+    else:
+        row, z, spread = _error_terms(mu, delta, arg)
+        shift, t, decay = 0.0, c * arg, -math.expm1(-c * arg)
+        a = _mean(samples, row)
+        # E[1 - eps] is its own sum: 1 - E[eps] drops the last bits of the
+        # weights, or of every eps near 1
+        b = _mean(samples, np.subtract(1.0, row, out=None if want == "spread" else row))
+        if decay * b < 0.9:
+            log = math.log1p(-decay * b)
+        elif a >= _LOG_FORM_BELOW:
+            log = float(np.logaddexp(math.log(a), math.log(b) - t))
+        else:
+            row = log_ndtr(np.negative(z))
+            shift = max(float(row.max()), math.log(b) - t)
+            row -= shift
+            a = _mean(samples, np.exp(row, out=row))
+            log = shift + math.log(a + b * math.exp(-t - shift))
+        if want == "spread":
+            se = decay * _spread(samples, row) / (root_n * math.exp(log - shift) * c)
+        if want == "slopes":
+            # the buffer becomes -z*z/2 - L, then sqrt(2*pi) * p and
+            # sqrt(2*pi) * z*p/delta, each on the shift
+            np.multiply(z, z, out=row)
+            row *= -0.5
+            row -= shift
+            dens = _mean(samples, np.divide(np.exp(row, out=row), spread, out=row)) / SQRT_2PI
+            np.multiply(row, z, out=row)
+            curv = _mean(samples, np.divide(row, spread, out=row)) / SQRT_2PI
+
+            def over_v(s: float, by: float) -> float:  # s*exp(-by), by ~ ln V
+                return math.copysign(math.exp(math.log(abs(s)) - by), s) if s else 0.0
+
+            v, kept = 1.0, over_v(b, log + t)  # E[B*e]/V
+            a1, a2 = decay * over_v(dens, log - shift), decay * over_v(curv, log - shift)
+            b1, ab, b2 = c * kept, c * over_v(dens, log - shift + t), c * c * kept
+    if want == "slopes":
+        d1 = (a1 - b1) / v
+        return _Expectation(log, d1, (a2 + 2.0 * ab + b2) / v - d1 * d1)
+    return _Expectation(log, std_error=se)
 
 
 def log_psi(epsilon: float, samples: SampleSet, params: SystemParams,
             clamp: bool = False) -> float:
     """ln psi, finite even where psi overflows a float.  psi is strictly
     convex in epsilon; the optimizer minimizes it through `log_psi_slopes`."""
-    return _psi_summands(epsilon, samples, params, clamp)[2]
+    _check_epsilon(epsilon)
+    return _kernel(samples, params, q_inverse(epsilon), (epsilon, 1.0 - epsilon), clamp).log
 
 
 def log_psi_slopes(x: float, samples: SampleSet, params: SystemParams,
                    clamp: bool = False) -> tuple[float, float, float]:
     """ln psi at eps = Q(x), with its first and second derivatives in x.
 
-    In x = Q^{-1}(eps) the rate bound R = mu - delta*x is affine, so one pass
-    over the rows gives all three.  With e = exp(-c*R), c = theta*n*m and
-    g = -d(eps)/dx = pdf(x):
+    In x = Q^{-1}(eps) the rate bound R = mu - delta*x is affine, so one
+    kernel pass gives all three; with e = exp(-c*R) and g = pdf(x),
 
-        psi   = eps + (1-eps)*E[e]
         psi'  = -g*(1 - E[e]) + (1-eps)*c*E[delta*e]
         psi'' = x*g*(1 - E[e]) + 2*g*c*E[delta*e] + (1-eps)*c^2*E[delta^2*e]
 
-    each taken times exp(-L), with the shift L of `log_psi`, so nothing
-    overflows; ln psi has slopes psi'/psi and psi''/psi - (psi'/psi)^2.
-    Rows pinned at zero rate by clamping are constant in x and
-    add no slope.  1 - eps is Q(-x), exact even where eps is within rounding
-    of 1.
-
-    One (count,) buffer holds R, then e, then delta*e, then delta*(delta*e),
-    each written in place with the bits of the expression it replaces.
+    Rows pinned at zero rate by clamping add no slope.  1 - eps is Q(-x),
+    exact even where eps is within rounding of 1.
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    _check_theta_positive(params)
-    mu, delta = samples.stats(params)
-    r = _rate_at(mu, delta, x)
-    if clamp:
-        pinned = r <= 0.0
-        np.maximum(r, 0.0, out=r)
-    e, shift = _rate_exponentials(r, params)
-    mean_e = _mean(samples, e)
-    if clamp:
-        e[pinned] = 0.0
-    e *= delta
-    mean_w = _mean(samples, e)
-    e *= delta
-    mean_ww = _mean(samples, e)
-    c = params.theta * params.nm
-    eps, keep = q_function(x), q_function(-x)
-    g = math.exp(-0.5 * x * x) / SQRT_2PI
-    floor = math.exp(-shift)
-    lost = floor - mean_e  # (1 - E[e]) * exp(-shift)
-    psi_s = eps * floor + keep * mean_e
-    d1 = (keep * c * mean_w - g * lost) / psi_s
-    d2 = (x * g * lost + 2.0 * g * c * mean_w + keep * c * c * mean_ww) / psi_s - d1 * d1
-    return shift + math.log(psi_s), d1, d2
+    return _kernel(samples, params, x, (q_function(x), q_function(-x)), clamp, "slopes")[:3]
 
 
 def effective_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,
                             clamp: bool = False) -> EffectiveRateEstimate:
-    """Throughput of variable-rate transmission at error target epsilon.
-
-    value = -ln(psi)/(theta*n*m); the standard error is propagated from the
-    sample variance of the psi summand by the delta method.
-    """
-    u, mean_u, ln_psi = _psi_summands(epsilon, samples, params, clamp)
-    scale = params.theta * params.nm
-    value = -ln_psi / scale
-    rel = _spread(samples, u) / (math.sqrt(u.size) * mean_u)
-    return EffectiveRateEstimate(value, rel / scale)
+    """Throughput -ln(psi)/(theta*n*m) of variable-rate transmission at error
+    target epsilon, with the delta-method standard error of the psi summand."""
+    _check_epsilon(epsilon)
+    k = _kernel(samples, params, q_inverse(epsilon), (epsilon, 1.0 - epsilon), clamp, "spread")
+    return EffectiveRateEstimate(-k.log / (params.theta * params.nm), k.std_error)
 
 
 def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
@@ -334,100 +397,32 @@ def phi(rate: float, samples: SampleSet, params: SystemParams) -> float:
     minimizer is the optimal fixed rate.
     """
     _check_rate(rate)
-    _check_theta_positive(params)
-    eps_z = error_probability_arrays(*samples.stats(params), rate)
-    decay = -math.expm1(-params.theta * params.nm * rate)
-    return 1.0 - decay * _mean(samples, np.subtract(1.0, eps_z, out=eps_z))
-
-
-def _log_phi(a: float, b: float, t: float) -> float:
-    """ln(a + b*exp(-t)) for phi = E[eps] + E[1-eps]*exp(-t), t = theta*n*m*R.
-
-    Through the complement when phi is near 1 and through logaddexp of the
-    two mean terms otherwise, so R = 0 gives exactly 0 and huge t cannot
-    underflow to -inf.
-    """
-    comp = -math.expm1(-t) * b
-    if comp < 0.9:
-        return math.log1p(-comp)
-    log_a = math.log(a) if a > 0.0 else -math.inf
-    log_b = math.log(b) if b > 0.0 else -math.inf
-    return float(np.logaddexp(log_a, log_b - t))
-
-
-def _scaled(v: float, log_scale: float) -> float:
-    """v * exp(-log_scale), finite where exp(log_scale) alone would not be,
-    and +-inf where the product itself overflows."""
-    try:
-        return math.copysign(math.exp(math.log(abs(v)) - log_scale), v) if v else 0.0
-    except OverflowError:
-        return math.copysign(math.inf, v)
+    return math.exp(_kernel(samples, params, rate).log)
 
 
 def effective_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
-    """Throughput of fixed-rate transmission at the given rate.
-
-    value = -ln(phi)/(theta*n*m), with ln(phi) kept finite and precise in
-    both regimes (see `_log_phi`).
-    """
+    """Throughput -ln(phi)/(theta*n*m) of fixed-rate transmission at the
+    given rate, with the delta-method standard error of the phi summand."""
     _check_rate(rate)
-    _check_theta_positive(params)
-    eps_z = error_probability_arrays(*samples.stats(params), rate)
-    t = params.theta * params.nm * rate
-    decay = -math.expm1(-t)
-    a = _mean(samples, eps_z)
-    b = _mean(samples, 1.0 - eps_z)
-    sd = _spread(samples, eps_z)
-    log_phi = _log_phi(a, b, t)
-    scale = params.theta * params.nm
-    value = -log_phi / scale
-    if sd == 0.0:
-        se = 0.0
-    else:
-        se = decay * sd / (math.sqrt(eps_z.size) * math.exp(log_phi) * scale)
-    return EffectiveRateEstimate(value, se)
+    k = _kernel(samples, params, rate, want="spread")
+    return EffectiveRateEstimate(-k.log / (params.theta * params.nm), k.std_error)
 
 
 def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
                    ) -> tuple[float, float, float]:
     """ln phi at the given rate, with its first and second derivatives in R.
 
-    With z = (mu - R)/delta, each row's error probability Q(z) has
-    d(eps)/dR = p = pdf(z)/delta and d^2(eps)/dR^2 = z*p/delta, so with
-    c = theta*n*m, t = c*R and P, Z the means of p and z*p/delta:
+    Each eps = Q(z), z = (mu - R)/delta, has first and second derivatives
+    p = pdf(z)/delta and z*p/delta in R; with P, Z their means and t = c*R,
 
-        phi   = E[eps] + E[1-eps]*exp(-t)
         phi'  = P*(1 - exp(-t)) - c*E[1-eps]*exp(-t)
         phi'' = Z*(1 - exp(-t)) + 2*c*P*exp(-t) + c^2*E[1-eps]*exp(-t)
 
-    ln phi has slopes phi'/phi and phi''/phi - (phi'/phi)^2.  Each term is
-    divided by phi in log space, so the slopes stay resolved where phi is
-    far below 1e-16 or underflows.  Rows with delta = 0 are steps in
-    R and add no slope.
+    The slopes stay resolved where phi is far below 1e-16 or underflows.
+    Rows with delta = 0 are steps in R and add no slope.
     """
     _check_rate(rate)
-    _check_theta_positive(params)
-    eps, z, spread = _error_terms(*samples.stats(params), rate)
-    a = _mean(samples, eps)
-    b = 1.0 - a
-    # eps's buffer becomes z*z, sqrt(2*pi) * p, then sqrt(2*pi) * z*p/delta
-    y = np.multiply(z, z, out=eps)
-    y *= -0.5
-    np.exp(y, out=y)
-    y /= spread
-    dens = _mean(samples, y) / SQRT_2PI
-    y *= z
-    y /= spread
-    curv = _mean(samples, y) / SQRT_2PI
-    c = params.theta * params.nm
-    t = c * rate
-    decay = -math.expm1(-t)
-    log_phi = _log_phi(a, b, t)
-    kept = _scaled(b, log_phi + t)  # E[1-eps]*exp(-t)/phi
-    d1 = decay * _scaled(dens, log_phi) - c * kept
-    d2 = (decay * _scaled(curv, log_phi) + 2.0 * c * _scaled(dens, log_phi + t)
-          + c * c * kept - d1 * d1)
-    return log_phi, d1, d2
+    return _kernel(samples, params, rate, want="slopes")[:3]
 
 
 def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,

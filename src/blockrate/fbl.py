@@ -224,20 +224,20 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
     return _error_terms(mu, delta, rate)[0]
 
 
-def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float) -> np.ndarray:
-    """mu - delta*x, bit for bit, in one new array."""
+def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float, clamp: bool = False) -> np.ndarray:
+    """mu - delta*x, bit for bit, in one new array, floored at zero when
+    clamp=True."""
     # mu + delta*(-x) is mu - delta*x exactly; in place, it needs no temporary
     r = np.multiply(delta, -x)
     r += mu
-    return r
+    return np.maximum(r, 0.0, out=r) if clamp else r
 
 
 def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
                             clamp: bool = False) -> np.ndarray:
     """Vectorized rate lower bound mu - delta*Q^{-1}(epsilon) from (mu, delta)
     arrays, floored at zero when clamp=True."""
-    r = _rate_at(mu, delta, q_inverse(epsilon))
-    return np.maximum(r, 0.0, out=r) if clamp else r
+    return _rate_at(mu, delta, q_inverse(epsilon), clamp)
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:

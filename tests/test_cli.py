@@ -176,6 +176,8 @@ class TestExitCodes:
          "theta * n * m overflows"),
         (["fig2", "--m", "1", "--theta", "1e308", "--samples", "500"], "theta * n * m overflows"),
         (["optimize-epsilon", "--theta", "1e308", "--samples", "500"], "theta * n * m overflows"),
+        # n * m itself past float range
+        (["optimize-epsilon", "--n", "1" + "0" * 400, "--samples", "500"], "n * m overflows"),
     ])
     def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
@@ -207,15 +209,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("snr_db,m,theta", [("20", "5", "1"), ("10", "10", "1"),
                                                 ("20", "10", "0.1")])
-    def test_slope_overflow_is_runtime_error(self, snr_db, m, theta, capsys):
-        # theta*n*m large enough that the fixed-rate slopes overflow a float
+    def test_underflowing_eps_optimizes(self, snr_db, m, theta, capsys):
+        # every eps underflows near R*, where the fixed-rate slopes once
+        # overflowed; ln E[eps] from log_ndtr finds an interior optimum
         code = main(["optimize-rate", "--snr-db", snr_db, "--n", "500", "--m", m,
                      "--theta", theta, "--samples", "2000"])
-        assert code == 2
+        assert code == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("blockrate: error: non-finite slope")
-        assert len(err.splitlines()) == 1
+        assert err == ""
+        header, row = out.splitlines()[-2:]
+        assert header.split(",")[-1] == "at_boundary" and row.split(",")[-1] == "false"
 
     @pytest.mark.parametrize("samples", [str(10**16), str(10**17)])
     def test_unallocatable_samples_is_runtime_error(self, samples, capsys):

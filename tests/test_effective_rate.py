@@ -17,10 +17,7 @@ import pytest
 from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix
 from blockrate.effective_rate import (
     _BLOCK_ROWS,
-    _log_phi,
     _mean,
-    _rate_exponentials,
-    _scaled,
     _spread,
     EffectiveRateEstimate,
     SampleSet,
@@ -220,16 +217,18 @@ class TestFrozenStats:
                 assert not a.flags.writeable
 
 
-# The kernels as written before they moved to one in-place buffer, with the
-# literal expressions mu - delta*x, delta*(delta*e), (mu - rate)/delta and
-# 1 - eps; the in-place kernels must return the same bits.
+# The kernels' plain forms as literal expressions: mu - delta*x,
+# delta*(delta*e), (mu - rate)/delta, 1 - eps, a sum divided by ln phi in
+# log space; the in-place kernel must return the same bits.
 def _literal_log_psi_slopes(x, samples, params, clamp=False):
     mu, delta = samples.stats(params)
     r = mu - delta * x
     if clamp:
         r = np.maximum(r, 0.0)
         delta = np.where(r > 0.0, delta, 0.0)
-    e, shift = _rate_exponentials(r, params)
+    y = -params.theta * params.nm * r
+    shift = max(float(y.max()), 0.0)
+    e = np.exp(y - shift)
     w = delta * e
     mean_e, mean_w, mean_ww = _mean(samples, e), _mean(samples, w), _mean(samples, delta * w)
     c = params.theta * params.nm
@@ -243,24 +242,36 @@ def _literal_log_psi_slopes(x, samples, params, clamp=False):
     return shift + math.log(psi_s), d1, d2
 
 
+def _literal_log_phi(a, b, t):
+    """ln(a + b*exp(-t)): the complement below 0.9, else logaddexp."""
+    comp = -math.expm1(-t) * b
+    if comp < 0.9:
+        return math.log1p(-comp)
+    return float(np.logaddexp(math.log(a), math.log(b) - t))
+
+
+def _literal_over(v, log_scale):
+    """v * exp(-log_scale), through the logs of |v| and the scale."""
+    return math.copysign(math.exp(math.log(abs(v)) - log_scale), v) if v else 0.0
+
+
 def _literal_log_phi_slopes(rate, samples, params):
     mu, delta = samples.stats(params)
     pos = delta > 0.0
     spread = delta if pos.all() else np.where(pos, delta, math.inf)
     z = (mu - rate) / spread
     eps = q_function(z) if spread is delta else error_probability_arrays(mu, delta, rate)
-    a = _mean(samples, eps)
-    b = 1.0 - a
+    a, b = _mean(samples, eps), _mean(samples, 1.0 - eps)  # E[1-eps] its own sum
     p = np.exp(-0.5 * (z * z)) / spread
     dens = _mean(samples, p) / SQRT_2PI
     curv = _mean(samples, p * z / spread) / SQRT_2PI
     c = params.theta * params.nm
     t = c * rate
     decay = -math.expm1(-t)
-    log_phi = _log_phi(a, b, t)
-    kept = _scaled(b, log_phi + t)
-    d1 = decay * _scaled(dens, log_phi) - c * kept
-    d2 = (decay * _scaled(curv, log_phi) + 2.0 * c * _scaled(dens, log_phi + t)
+    log_phi = _literal_log_phi(a, b, t)
+    kept = _literal_over(b, log_phi + t)
+    d1 = decay * _literal_over(dens, log_phi) - c * kept
+    d2 = (decay * _literal_over(curv, log_phi) + 2.0 * c * _literal_over(dens, log_phi + t)
           + c * c * kept - d1 * d1)
     return log_phi, d1, d2
 
@@ -269,10 +280,9 @@ def _literal_fixed(rate, samples, params):
     mu, delta = samples.stats(params)
     eps_z = error_probability_arrays(mu, delta, rate)
     t = params.theta * params.nm * rate
-    phi_value = 1.0 - (-math.expm1(-t)) * _mean(samples, 1.0 - eps_z)
-    log_phi = _log_phi(_mean(samples, eps_z), _mean(samples, 1.0 - eps_z), t)
+    log_phi = _literal_log_phi(_mean(samples, eps_z), _mean(samples, 1.0 - eps_z), t)
     ergodic = _mean(samples, (1.0 - eps_z) * rate)
-    return phi_value, log_phi, _literal_spread(samples, eps_z), ergodic
+    return log_phi, _literal_spread(samples, eps_z), ergodic
 
 
 def _literal_spread(samples, y):
@@ -299,8 +309,8 @@ class TestInPlaceKernelsKeepBits:
         ss, p = kernel_set
         for rate in (0.0, 1e-3, 0.05, 0.3, 1.1, 4.0):
             assert log_phi_slopes(rate, ss, p) == _literal_log_phi_slopes(rate, ss, p)
-            phi_value, log_phi, sd, ergodic = _literal_fixed(rate, ss, p)
-            assert phi(rate, ss, p) == phi_value
+            log_phi, sd, ergodic = _literal_fixed(rate, ss, p)
+            assert phi(rate, ss, p) == math.exp(log_phi)
             est = effective_rate_fixed(rate, ss, p)
             assert est.value == -log_phi / (p.theta * p.nm)
             if sd:
@@ -466,12 +476,6 @@ class TestEffectiveRateFixed:
         assert value == pytest.approx(-est.value * p.theta * p.nm, rel=1e-12)
         assert (value < math.log(0.1)) == (case == "logaddexp")
         _assert_slopes_match_differences(lambda r: log_phi_slopes(r, ss, p), rate, 1e-6)
-
-    def test_scaled_overflows_to_signed_inf(self):
-        assert _scaled(3.0, math.log(3.0)) == pytest.approx(1.0, rel=1e-15)
-        assert _scaled(1e300, -800.0) == math.inf
-        assert _scaled(-1e300, -800.0) == -math.inf
-        assert _scaled(0.0, -800.0) == 0.0
 
     def test_phi_boundaries(self, samples):
         assert phi(0.0, samples, P1) == 1.0

@@ -26,21 +26,21 @@ _S = ["--samples", "3000"]
 
 GOLDEN = {
     "fig1": (["fig1", "--m", "1,2,5", "--seed", "3"] + _S,
-             "47170dbcb5275ac6f7fb4b0b58896713a6fd3e4d433af5fa4dcdf7d53b43d745"),
+             "558c64a2d942bb61fa6a5cb9a2cacaf8844308854cda8894e5c6dc6bf5fe3f17"),
     "fig1_theta0_clamp_json": (
         ["fig1", "--theta", "0", "--m", "1,3", "--epsilon-grid", "0.001,0.01,0.3",
          "--clamp-rate", "--format", "json"] + _S,
         "5218a0f84104847becf9a65647534b0059848187a8e7c37d84b74965623a8cae"),
     "fig2": (["fig2", "--m", "1..12", "--seed", "4"] + _S,
-             "3ef91e68d1e763740631f97ba32edb1b3018d656416392620ac61ffebb75ee89"),
+             "145478fcd32954b63ed39b11882f00e69d2ef88c018140c92106a79d6d9b18d4"),
     "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
-             "30bc2b9912da47b8208c3b1be2d40b76234348b2007d88d45aa941031c12c0a2"),
+             "2b54ccbd552872a176faf627df4b30233cade5b0df16dec3ffef562c2c5e70a8"),
     # no --theta: the computed 20-point grid
     "fig3_default_theta": (["fig3", "--m", "1,2,5", "--seed", "5"] + _S,
-                           "208060350b7cf8d38941bca45caa1146029763c3a164755d9245a32c33f56c39"),
+                           "fcf0537251483489d01030a1eee555b59d24e60d1d6a2e62887eb3e421e11565"),
     "fig3_clamp": (["fig3", "--snr-db", "0", "--n", "200", "--m", "1,10",
                     "--theta", "0.01,0.1", "--clamp-rate", "--seed", "12"] + _S,
-                   "8f7e385b4fc4f4203f6fbcc10fed554a6623878fa733269dcc84ad1c50e7967c"),
+                   "a3b2b5127ea8e453008e88a150d7b0f8f420247edf6f90ce89000bd042372fff"),
     "fig4": (["fig4", "--m", "1,2,5", "--seed", "6"] + _S,
              "e3d5e72d25b0f15739b280af53f3695b7c466f68d4a884ba388328a74f09a9ee"),
     "fig4_theta0_json": (["fig4", "--theta", "0", "--m", "1,2", "--rate-grid", "0,0.5,1",
@@ -61,7 +61,7 @@ GOLDEN = {
     "sweep_m_rate": (["sweep-m", "--m", "1..8", "--rate", "0.5", "--seed", "9"] + _S,
                      "39b6021e2add11644df2444e86276d598da2cdd110c4bcedc1b07af6ba15c67e"),
     "sweep_m_optimized": (["sweep-m", "--m", "1..8", "--seed", "10"] + _S,
-                          "cbdceab6e388ef3c498d9c8a79a4d4ae7f6c391a1925fa057e018a1265f9ea8d"),
+                          "945aa891a8febaa99241122b3487fcf82e75fb4be1c0b21ed2978e99b238c570"),
     "sweep_m_theta0_clamp": (["sweep-m", "--m", "1..5", "--theta", "0", "--epsilon", "0.05",
                               "--clamp-rate"] + _S,
                              "53b85f5212ff345c16d0f7fe29631bf11f001c58f0dac73107f3e1c89b3ab54e"),
@@ -71,7 +71,7 @@ GOLDEN = {
                               "--clamp-rate", "--frames", "600000", "--burn-in", "20000",
                               "--seed", "11", "--trace-output", "-",
                               "--trace-every", "997"] + _S,
-                             "16b84d6f3728dcbeb72e4325284f4106dd6ec82520a49c1b11b10a73a0816256"),
+                             "fbfbdb762eed07497bf53a4ce40ec05e10b995cf1ef7b75702a8c892faffcd83"),
     "simulate_rate": (["simulate", "--rate", "0.3", "--frames", "200000",
                        "--burn-in", "5000", "--seed", "13"] + _S,
                       "86d0d64a76c18b363cf85e5680cd8fad4fa7654834cf660a2c4fba3b32aee7a0"),

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import log_ndtr
 
 import blockrate
 from blockrate.channel import Rayleigh, SystemParams, _executor
@@ -27,6 +29,7 @@ from blockrate.effective_rate import (
 from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import FixedRate, VariableRate
 from blockrate.optimize import (
+    _X_BRACKET,
     EPSILON_BRACKET,
     Optimum,
     SweepRow,
@@ -39,7 +42,7 @@ from blockrate.optimize import (
     sweep_m,
     sweep_theta,
 )
-from blockrate.special import q_inverse
+from blockrate.special import q_function, q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
 
@@ -138,6 +141,20 @@ class TestOptimalEpsilon:
         best = min(log_psi(e, samples10, p) for e in grid)
         assert log_psi(opt.argument, samples10, p) <= best
 
+    @pytest.mark.parametrize("theta", [1e-16, 1e-300])
+    def test_vanishing_theta_gives_ergodic_optimum(self, samples, theta):
+        # theta*n*m*|R| is so small that exp(-theta*n*m*R) rounds to 1, and
+        # the optimum is the ergodic one: max over eps of E[(1-eps)*R]
+        p = SystemParams(1.0, 50, 1, theta)
+        opt = optimal_epsilon(samples, p)
+        assert not opt.at_boundary
+        assert EPSILON_BRACKET[0] < opt.argument < EPSILON_BRACKET[1]
+        best = minimize_scalar(
+            lambda x: -ergodic_rate_variable(q_function(x), samples, p).value,
+            bounds=_X_BRACKET, method="bounded", options={"xatol": 1e-10})
+        assert opt.value == pytest.approx(-best.fun, rel=1e-9)
+        assert opt.value <= -best.fun + opt.std_error
+
     def test_optimum_below_bracket_reports_edge(self, samples10):
         opt = optimal_epsilon(samples10, SystemParams(1.0, 200, 10, 0.05))
         assert opt.at_boundary
@@ -194,17 +211,23 @@ class TestOptimalRate:
         best = max(effective_rate_fixed(r, ss, p).value for r in grid)
         assert opt.value >= best * (1.0 - 1e-12)
 
-    def test_laguerre_optimum_at_rate_ceiling_is_flagged(self):
-        # the rule's weights sum to 1 - 1.1e-16, so E[1-eps] = 1 - E[eps] is
-        # not 0 at R_hi and the slope there reads below 0: the one pass stops
-        # on R_hi and says so
+    def test_laguerre_rule_is_no_oracle_for_rate_optimum(self):
+        # each of the rule's 200 nodes is a steep step in R, so ln phi is not
+        # unimodal on it: the one Newton pass stops, unflagged, on a local
+        # optimum near R = 4.66, 10% below the grid maximum near R = 4.04
         ss, p = SampleSet.laguerre(), SystemParams.from_db(20.0, 500, 1, 1e-3)
-        mu, delta = ss.stats(p)
-        hi = float(np.max(mu + 10.0 * delta))
         opt = optimal_rate(ss, p)
-        assert opt.iterations <= 3
-        assert opt.argument == opt.bracket[1] == hi
-        assert opt.at_boundary
+        assert (opt.iterations, opt.at_boundary) == (11, False)
+        # E[1-eps] is its own sum, so the slope at the top of the bracket is
+        # positive although the weights sum to 1 - 1.1e-16
+        assert log_phi_slopes(opt.bracket[1], ss, p)[1] > 0.0
+        assert opt.argument == pytest.approx(4.6594, abs=1e-4)
+        assert opt.value == pytest.approx(2.5568, abs=1e-4)
+        grid = np.linspace(3.5, 5.0, 1501)
+        values = [effective_rate_fixed(r, ss, p).value for r in grid]
+        k = int(np.argmax(values))
+        assert grid[k] == pytest.approx(4.04, abs=0.01)
+        assert values[k] == pytest.approx(2.849, abs=1e-3)
 
     def test_zero_gains_flat_objective(self):
         ss = SampleSet(np.zeros((8, 1)))
@@ -248,8 +271,8 @@ def test_phi_slope_positive_at_rate_ceiling(sets_1e5, snr_db, n, m, theta):
 # of one 2e4-row master drawn with seed 1
 PROBE_POINTS = [(snr_db, n, m, t) for snr_db in (-10.0, 0.0, 10.0, 20.0)
                 for n in (50, 200, 500) for m in (1, 2, 5, 10) for t in (0.01, 0.1, 1.0)]
-# here every row's eps underflows near R*, E[eps] reads 0 and the fixed-rate
-# slopes overflow; a log-space E[eps] has to flip these to passes
+# here every row's eps underflows near R*, and a plain E[eps] reads 0: the
+# kernel takes ln E[eps] from log_ndtr instead
 PROBE_RATE_OVERFLOWS = {(10.0, 500, 10, 1.0), (20.0, 200, 10, 1.0), (20.0, 500, 5, 1.0),
                         (20.0, 500, 10, 0.1), (20.0, 500, 10, 1.0)}
 
@@ -267,14 +290,38 @@ def test_probe_grid_epsilon_edge_hits(probe_sets):
     assert sum(hits) == 40
 
 
-@pytest.mark.parametrize("snr_db, n, m, theta", [
-    pytest.param(*point, marks=pytest.mark.xfail(
-        raises=ComputationError, strict=True, reason="non-finite slope: E[eps] underflows"))
-    if point in PROBE_RATE_OVERFLOWS else point for point in PROBE_POINTS])
+@pytest.mark.parametrize("snr_db, n, m, theta", PROBE_POINTS)
 def test_probe_grid_rate_optimum(probe_sets, snr_db, n, m, theta):
     opt = optimal_rate(probe_sets[m], SystemParams.from_db(snr_db, n, m, theta))
     assert math.isfinite(opt.argument) and math.isfinite(opt.value)
     assert not opt.at_boundary
+
+
+@pytest.mark.parametrize("snr_db, n, m, theta", sorted(PROBE_RATE_OVERFLOWS))
+def test_underflowing_eps_optimum_matches_log_space_grid(probe_sets, snr_db, n, m, theta):
+    # ln phi on 4000 log-spaced rates, with ln E[eps] summed in log space
+    # from log_ndtr row by row: its minimum is within one step of R*
+    ss, p = probe_sets[m], SystemParams.from_db(snr_db, n, m, theta)
+    opt = optimal_rate(ss, p)
+    mu, delta = ss.stats(p)
+    grid = np.geomspace(1e-3 * opt.bracket[1], opt.bracket[1], 4000)
+    log_phi = np.empty(grid.size)
+    rows = np.empty((50, mu.size))  # ln eps per row, for 50 rates at a time
+    for lo in range(0, grid.size, 50):
+        r = grid[lo:lo + 50]
+        np.subtract(r[:, np.newaxis], mu, out=rows)
+        rows /= delta
+        log_ndtr(rows, out=rows)
+        top = rows.max(axis=1)  # ln E[eps] = top + ln E[exp(ln eps - top)]
+        rows -= top[:, np.newaxis]
+        log_eps = top + np.log(np.exp(rows, out=rows).mean(axis=1))
+        # ln E[1-eps] = ln(1 - E[eps]) is -inf where every eps rounds to 1
+        with np.errstate(divide="ignore"):
+            log_keep = np.log(-np.expm1(np.minimum(log_eps, 0.0)))
+        log_phi[lo:lo + 50] = np.logaddexp(log_eps, log_keep - p.theta * p.nm * r)
+    k = int(np.argmin(log_phi))
+    assert 0 < k < grid.size - 1
+    assert abs(opt.argument - grid[k]) <= grid[k + 1] - grid[k]
 
 
 def _direct_row_value(policy, m, count, seed, params):
