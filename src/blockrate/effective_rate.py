@@ -280,7 +280,7 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
         rates = functools.partial(_rate_at, mu, delta, arg, clamp)
         # one buffer holds R, -T - L, then e, delta*e and delta^2*e on the shift
         row = rates()
-        pinned = row == 0.0 if clamp else None  # constant in x: no slope
+        pinned = row == 0.0 if clamp and want == "slopes" else None  # no slope in x
         np.multiply(row, -c, out=row)
         shift = max(float(row.max()), 0.0)
         row -= shift
@@ -307,7 +307,7 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
                 mean_u = _mean(samples, u)
                 se = _spread(samples, u) / (root_n * mean_u) / c
         if want == "slopes":
-            if clamp:
+            if pinned is not None:
                 row[pinned] = 0.0
             mean_w = _mean(samples, np.multiply(row, delta, out=row))
             mean_ww = _mean(samples, np.multiply(row, delta, out=row))
