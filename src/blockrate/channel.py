@@ -153,6 +153,11 @@ def _blocks_per_sample(draws: int) -> int:
     return -(-draws // _PHILOX_BLOCK)
 
 
+def _window_width(draws: int) -> int:
+    """Columns of a padded window of `draws` draws: whole counter blocks."""
+    return _blocks_per_sample(draws) * _PHILOX_BLOCK
+
+
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
     _check_integer("seed", seed, 0)
@@ -169,8 +174,7 @@ def uniform_windows(seed: int, start: int, count: int, draws_per_sample: int,
     The padded windows are drawn into `out`, a C-contiguous (count, padded
     width) array, or into a new one; the result is a view of it.
     """
-    width = _blocks_per_sample(draws_per_sample) * _PHILOX_BLOCK
-    raw = np.empty((count, width)) if out is None else out
+    raw = np.empty((count, _window_width(draws_per_sample))) if out is None else out
     substream(seed, start, draws_per_sample).random(out=raw)
     return raw[:, :draws_per_sample]
 
@@ -189,7 +193,7 @@ def _gain_buffer(model: Rayleigh, m: int, count: int) -> np.ndarray:
     _check_integer("m", m, 1)
     _check_integer("count", count, 1)
     try:
-        return np.empty((count, _blocks_per_sample(m) * _PHILOX_BLOCK))
+        return np.empty((count, _window_width(m)))
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
         raise ComputationError(f"cannot allocate gains for {count} samples: {exc}") from None
 

@@ -216,15 +216,16 @@ def _mean(samples: SampleSet, y: np.ndarray) -> float:
     return float(np.mean(y) if w is None else np.multiply(w, y).sum())
 
 
-def _spread(samples: SampleSet, y: np.ndarray) -> float:
-    """Sample standard deviation of y, bit for bit np.std(y, ddof=1), with y
-    overwritten by its squared deviations; 0 for a quadrature set or one row.
+def _spread(samples: SampleSet, y: np.ndarray, mean: float) -> float:
+    """Sample standard deviation of y about mean = _mean(samples, y), bit for
+    bit np.std(y, ddof=1), with y overwritten by its squared deviations; 0
+    for a quadrature set or one row.
 
     Call it after the last other read of y: it builds no temporary of y's size.
     """
     if samples.weights is not None or y.size < 2:
         return 0.0
-    y -= np.mean(y)
+    y -= mean
     y *= y
     return math.sqrt(np.sum(y) / (y.size - 1))
 
@@ -283,11 +284,15 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
         pinned = row == 0.0 if clamp and want == "slopes" else None  # no slope in x
         np.multiply(row, -c, out=row)
         shift = max(float(row.max()), 0.0)
-        row -= shift
-        np.exp(row, out=row)
-        if not np.all(np.isfinite(row)):
-            bad = int(np.flatnonzero(~np.isfinite(row))[0])
+        # with the shift finite every row - shift is at most 0, so its exp
+        # is finite; else (a row at +inf, or a nan row, which max carries)
+        # the first non-finite exp names the realization
+        if not math.isfinite(shift):
+            bad = int(np.flatnonzero(~np.isfinite(np.exp(row - shift)))[0])
             raise ComputationError(f"non-finite throughput summand at realization {bad}")
+        if shift:
+            row -= shift
+        np.exp(row, out=row)
         floor, mean_e = math.exp(-shift), _mean(samples, row)
         lost = floor - mean_e  # E[1 - e] on the shift
         if max(shift, abs(lost)) <= _COMPLEMENT_BELOW:
@@ -298,14 +303,15 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
             if want == "slopes":
                 row += 1.0  # e = 1 + expm1(-T)
             elif want == "spread":  # of expm1(-T)/c, whose squares do not underflow
-                se = keep * _spread(samples, np.divide(row, c, out=row)) / (root_n * v)
+                np.divide(row, c, out=row)
+                se = keep * _spread(samples, row, _mean(samples, row)) / (root_n * v)
         else:
             v = eps * floor + keep * mean_e
             log = shift + math.log(v)
             if want == "spread":  # of the summand eps*floor + keep*e, row by row
                 u = np.add(np.multiply(row, keep, out=row), eps * floor, out=row)
                 mean_u = _mean(samples, u)
-                se = _spread(samples, u) / (root_n * mean_u) / c
+                se = _spread(samples, u, mean_u) / (root_n * mean_u) / c
         if want == "slopes":
             if pinned is not None:
                 row[pinned] = 0.0
@@ -332,7 +338,7 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
             a = _mean(samples, np.exp(row, out=row))
             log = shift + math.log(a + b * math.exp(-t - shift))
         if want == "spread":
-            se = decay * _spread(samples, row) / (root_n * math.exp(log - shift) * c)
+            se = decay * _spread(samples, row, a) / (root_n * math.exp(log - shift) * c)
         if want == "slopes":
             # the buffer becomes -z*z/2 - L, then sqrt(2*pi) * p and
             # sqrt(2*pi) * z*p/delta, each on the shift
@@ -436,7 +442,7 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
     y = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
     y *= 1.0 - epsilon
     mean_y = _mean(samples, y)
-    se = _spread(samples, y) / math.sqrt(y.size)
+    se = _spread(samples, y, mean_y) / math.sqrt(y.size)
     return EffectiveRateEstimate(mean_y, se)
 
 
@@ -447,6 +453,6 @@ def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) ->
     y = np.subtract(1.0, eps_z, out=eps_z)
     y *= rate
     mean_y = _mean(samples, y)
-    se = _spread(samples, y) / math.sqrt(y.size)
+    se = _spread(samples, y, mean_y) / math.sqrt(y.size)
     return EffectiveRateEstimate(mean_y, se)
 

@@ -78,11 +78,15 @@ class VariableRate:
         return {"clamp": self.clamp_negative}
 
     def service(self, mu: np.ndarray, delta: np.ndarray, u_dec: np.ndarray,
-                nm: int) -> np.ndarray:
+                nm: int, out: np.ndarray | None = None) -> np.ndarray:
         """Bits each frame serves: nm*R(z, epsilon), or 0 when its decoding
-        draw u_dec falls below epsilon."""
-        r = rate_lower_bound_arrays(mu, delta, self.epsilon, self.clamp_negative)
-        return np.where(u_dec >= self.epsilon, nm * r, 0.0)
+        draw u_dec falls below epsilon; written into out, which may be u_dec,
+        or a new array."""
+        failed = u_dec < self.epsilon  # uniforms are never nan
+        bits = rate_lower_bound_arrays(mu, delta, self.epsilon, self.clamp_negative, out)
+        bits *= nm
+        np.copyto(bits, 0.0, where=failed)
+        return bits
 
     def describe(self) -> str:
         target = "optimized-epsilon" if self.epsilon is None else f"epsilon={self.epsilon!r}"
@@ -113,11 +117,16 @@ class FixedRate:
         return {}
 
     def service(self, mu: np.ndarray, delta: np.ndarray, u_dec: np.ndarray,
-                nm: int) -> np.ndarray:
+                nm: int, out: np.ndarray | None = None) -> np.ndarray:
         """Bits each frame serves: nm*rate, or 0 when its decoding draw u_dec
-        falls below the error probability eps(z, rate)."""
+        falls below the error probability eps(z, rate); written into out,
+        which may be u_dec, or a new array."""
         eps = error_probability_arrays(mu, delta, self.rate)
-        return np.where(u_dec >= eps, nm * self.rate, 0.0)
+        bits = eps if out is None else out
+        failed = u_dec < eps  # eps and uniforms are never nan
+        bits.fill(nm * self.rate)
+        np.copyto(bits, 0.0, where=failed)
+        return bits
 
     def describe(self) -> str:
         target = "optimized-rate" if self.rate is None else f"rate={self.rate!r}"
@@ -152,7 +161,10 @@ def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float, n
     if out is None:
         out = {m: (np.empty(count), np.empty(count)) for m in widths}
     s, term = np.empty(count), np.empty(count)
-    log_sum, frac_sum = np.zeros(count), np.zeros(count)
+    # the running sums live in the widest pair's arrays, scaled there last
+    log_sum, frac_sum = out[max(widths)]
+    log_sum.fill(0.0)
+    frac_sum.fill(0.0)
     for m in range(1, max(widths) + 1):
         np.multiply(gains[:, m - 1], snr_linear, out=s)
         log_sum += np.log1p(s, out=term)
@@ -206,8 +218,9 @@ def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float
     array and eps = Q(z), with spread = delta, or inf on rows where delta = 0
     (all-zero gains); those rows take the limit eps = 0 / 0.5 / 1 for rate
     below / at / above mu."""
-    pos = delta > 0.0
-    spread = delta if pos.all() else np.where(pos, delta, math.inf)
+    # one reduction: the min is nan if any entry is, and inf for no rows
+    pos = None if delta.min(initial=math.inf) > 0.0 else delta > 0.0
+    spread = delta if pos is None else np.where(pos, delta, math.inf)
     z = np.subtract(mu, rate)
     z /= spread
     eps = q_function(z)
@@ -224,20 +237,21 @@ def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> 
     return _error_terms(mu, delta, rate)[0]
 
 
-def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float, clamp: bool = False) -> np.ndarray:
-    """mu - delta*x, bit for bit, in one new array, floored at zero when
-    clamp=True."""
+def _rate_at(mu: np.ndarray, delta: np.ndarray, x: float, clamp: bool = False,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """mu - delta*x, bit for bit, in out or one new array, floored at zero
+    when clamp=True."""
     # mu + delta*(-x) is mu - delta*x exactly; in place, it needs no temporary
-    r = np.multiply(delta, -x)
+    r = np.multiply(delta, -x, out=out)
     r += mu
     return np.maximum(r, 0.0, out=r) if clamp else r
 
 
 def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
-                            clamp: bool = False) -> np.ndarray:
+                            clamp: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized rate lower bound mu - delta*Q^{-1}(epsilon) from (mu, delta)
-    arrays, floored at zero when clamp=True."""
-    return _rate_at(mu, delta, q_inverse(epsilon), clamp)
+    arrays, floored at zero when clamp=True, in out or a new array."""
+    return _rate_at(mu, delta, q_inverse(epsilon), clamp, out)
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:

@@ -27,16 +27,19 @@ replaying.
 The run keeps no per-frame values.  Each chunk's post-burn-in queue lengths
 are counted into a TailHistogram: bins of width h = 1/(8*theta) bits up to a
 cap of 128/theta bits, past which one overflow bin counts the rest.  The
-scan reuses three chunk-sized buffers, for its steps, running sums and bin
-numbers, and keeps the 2048-odd points of the trajectory that `trend_slope`
-is fitted on.  So a run holds a few chunks' arrays, the 1025 bin counts and
+scan works in place in the chunk's service array, which becomes its steps
+a - r_t and then its queue lengths, and has one chunk-sized buffer of its
+own, for the service's squares, the running sums and then (as intp) the bin
+numbers.  It keeps the 2048-odd points of the trajectory that `trend_slope`
+is fitted on.  So a run holds three chunk arrays, the 1025 bin counts and
 edges (16 KB) and those points, however many frames it simulates; per-frame
 values come only from a trace_every=1 trace.
 
 A frame's service depends only on (seed, frame index), so worker threads
-compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan: at
-most two chunks of service and one sub-chunk's temporaries per worker are
-alive however many frames run.  The workers are channel._executor's
+compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan, into
+a ring of two chunk arrays made once per run: the scan's chunk and the one
+being filled.  Each worker adds one sub-chunk's padded stream windows and
+half a sub-chunk's rate statistics.  The workers are channel._executor's
 persistent pool, the one the sweeps use, so BLOCKRATE_THREADS caps both.
 The scan stays on the calling thread, in frame order and with unchanged
 chunk boundaries, so results are identical for any thread count.  The
@@ -57,6 +60,7 @@ from .channel import (
     _check_integer,
     _executor,
     _exponential_from_uniform,
+    _window_width,
     uniform_windows,
 )
 from .errors import DomainError, EstimationError
@@ -179,7 +183,8 @@ class QueueResult:
     Tail fitting is meaningless on an unstable run.  trend_slope is a
     diagnostic linear trend fitted to every max(1, kept // 2048)-th
     post-burn-in frame.  trace is optional decimated per-frame records with
-    columns (frame index, mean gain, service bits, queue bits);
+    columns (frame index, mean gain, service bits, queue bits), copied out of
+    each chunk's arrays before the scan and the ring reuse them;
     trace_every=1 is the only way to get every frame's queue length.
     """
 
@@ -218,30 +223,44 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
     """
     params = config.params
     m = params.m
-    u = uniform_windows(config.seed, start, service.size, m + 1)
-    gains = _exponential_from_uniform(u[:, :m])
-    mu, delta = rate_stats_arrays(gains, params)
-    service[:] = config.policy.service(mu, delta, u[:, m], params.nm)
+    # each padded window holds m gain draws, then the decoding draw; that
+    # draw is parked in service, which the rule reads before it writes, and
+    # the whole rows become gains in place, a contiguous pass as in
+    # channel._fill_gains
+    raw = np.empty((service.size, _window_width(m + 1)))
+    service[:] = uniform_windows(config.seed, start, service.size, m + 1, out=raw)[:, m]
+    gains = _exponential_from_uniform(raw, out=raw)[:, :m]
     if gain_mean is not None:
-        gain_mean[:] = gains.mean(axis=1)
+        np.mean(gains, axis=1, out=gain_mean)
+    # the statistics and the rule take half the rows at a time, which halves
+    # their four temporaries (mu, delta and two per-block scratch arrays)
+    half = -(-service.size // 2)
+    for rows in (slice(0, half), slice(half, None)):
+        config.policy.service(*rate_stats_arrays(gains[rows], params), service[rows],
+                              params.nm, out=service[rows])
 
 
 def _service_chunks(config: QueueConfig, with_gain_mean: bool):
     """Yield (start, service, gain_mean) for each Lindley chunk, in frame order.
 
     A chunk's sub-chunks of _SUB_FRAMES frames are submitted to `_executor`
-    one chunk ahead of the consumer, so at most two chunks of results and
-    one sub-chunk's temporaries per worker are alive however many frames
-    run.  With one worker each sub-chunk is filled inline by the calling
-    thread.
+    one chunk ahead of the consumer, into a ring of two chunk slots made
+    once per run.  Chunk k+2 is submitted only when the consumer asks for
+    chunk k+1, so it is done with chunk k, whose slot k+2 reuses: a yielded
+    array is overwritten two chunks on.  With one worker each sub-chunk is
+    filled inline by the calling thread.
     """
     frames = config.frames
     pool = _executor(-(-frames // _SUB_FRAMES))
+    shape = (min(2, -(-frames // _CHUNK_FRAMES)), min(frames, _CHUNK_FRAMES))
+    ring = np.empty(shape)
+    gain_ring = np.empty(shape) if with_gain_mean else None
 
     def submit(start: int):
         count = min(_CHUNK_FRAMES, frames - start)
-        service = np.empty(count)
-        gain_mean = np.empty(count) if with_gain_mean else None
+        slot = start // _CHUNK_FRAMES % 2
+        service = ring[slot, :count]
+        gain_mean = None if gain_ring is None else gain_ring[slot, :count]
         futures = [pool.submit(_fill_service, config, start + lo,
                                service[lo:lo + _SUB_FRAMES],
                                None if gain_mean is None else gain_mean[lo:lo + _SUB_FRAMES])
@@ -295,10 +314,10 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))
     tail = TailHistogram(config.params.theta)
-    # the scan's buffers, reused by every chunk
-    steps = np.empty(min(frames, _CHUNK_FRAMES))
-    work = np.empty_like(steps)
-    index = np.empty(steps.size, dtype=np.intp)
+    # the scan's one buffer of its own, reused by every chunk: the service's
+    # squares, then the running sums, then (as intp) the bin numbers
+    work = np.empty(min(frames, _CHUNK_FRAMES))
+    bins = work.view(np.intp)
     traced: list[np.ndarray] = []
     q_prev = 0.0
     service_sum = 0.0
@@ -309,22 +328,22 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         # a pairwise sum in work, which the scan overwrites next: BLAS's dot
         # would wake its spinning threads and round by their count
         service_sumsq += float(np.multiply(service, service, out=work[:count]).sum())
-        q = _lindley_chunk(q_prev, np.subtract(a, service, out=steps[:count]), work[:count])
-        q_prev = float(q[-1])
         lo = max(burn - start, 0)
+        if trace_every > 0 and lo < count:
+            offset = (-(start + lo)) % trace_every
+            idx = np.arange(lo + offset, count, trace_every, dtype=int)
+            traced_service = service[idx]  # a copy: the steps overwrite service
+        q = _lindley_chunk(q_prev, np.subtract(a, service, out=service), work[:count])
+        q_prev = float(q[-1])
         if lo < count:
             first = lo + (burn - start - lo) % step
             kept = q[first::step]
             at = (start + first - burn) // step
             trend[at:at + kept.size] = kept
-            if trace_every > 0:
-                offset = (-(start + lo)) % trace_every
-                idx = np.arange(lo + offset, count, trace_every, dtype=int)
-                if idx.size:
-                    traced.append(np.column_stack([
-                        (start + idx).astype(float), gain_mean[idx],
-                        service[idx], q[idx]]))
-            tail.add(q[lo:], index)  # last use of q: binning overwrites it
+            if trace_every > 0 and idx.size:
+                traced.append(np.column_stack([
+                    (start + idx).astype(float), gain_mean[idx], traced_service, q[idx]]))
+            tail.add(q[lo:], bins)  # last use of q: binning overwrites it
     t = np.arange(trend.size, dtype=float) * step
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0
     mean_service = service_sum / frames

@@ -336,7 +336,7 @@ class TestInPlaceKernelsKeepBits:
     def test_spread_is_numpy_std(self, shape):
         y = np.random.default_rng(5).normal(0.0, 20.0, size=shape)
         expected = float(np.std(y, ddof=1))
-        assert _spread(SampleSet(np.ones((1, 1))), y) == expected
+        assert _spread(SampleSet(np.ones((1, 1))), y, float(np.mean(y))) == expected
 
 
 def _atom_samples(z0: float, count: int = 64) -> SampleSet:
@@ -406,6 +406,25 @@ class TestPsi:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ComputationError):
                 log_psi(1e-6, samples, huge)
+
+    @pytest.mark.parametrize("kind, gains, params, k", [
+        # -theta*n*m*R overflows to +inf on the two unit-gain rows only
+        ("inf", [1e6, 1e6, 1.0, 1e6, 1.0], SystemParams(1.0, 1, 1, 1e308), 2),
+        # SNR*z overflows on row 2, so its delta and R are nan; max carries
+        # the nan into the shift, every shifted row is nan, and the message
+        # names the first realization
+        ("nan", [0.5, 1.0, 3.0, 0.2], SystemParams(1e308, 1, 1, 0.01), 0),
+    ])
+    def test_non_finite_summand_names_its_realization(self, kind, gains, params, k):
+        ss = SampleSet(np.array(gains)[:, np.newaxis])
+        message = f"^non-finite throughput summand at realization {k}$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bool(np.isnan(ss.stats(params)[1][2])) is (kind == "nan")
+            for estimate in (lambda: log_psi(1e-6, ss, params),
+                             lambda: log_psi_slopes(q_inverse(1e-6), ss, params),
+                             lambda: effective_rate_variable(1e-6, ss, params)):
+                with pytest.raises(ComputationError, match=message):
+                    estimate()
 
     def test_epsilon_domain(self, samples):
         for bad in (0.0, 1.0, -0.1):

@@ -398,6 +398,22 @@ class TestSimulateQueue:
         idx = frames.astype(int) - 100
         np.testing.assert_array_equal(res.trace, every[idx])
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_traced_service_survives_the_ring(self, monkeypatch, threads):
+        # four chunks: the third and fourth are filled into the slots of the
+        # first two, and the scan overwrites each chunk's service with its
+        # steps, so the traced service bits must be gathered before either
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=_CHUNK_FRAMES // 2)
+        res = simulate_queue(cfg, trace_every=97)
+        frames = res.trace[:, 0].astype(int)
+        assert frames[-1] >= 3 * _CHUNK_FRAMES
+        service, gain_mean = np.empty(cfg.frames), np.empty(cfg.frames)
+        for lo in range(0, cfg.frames, _SUB_FRAMES):
+            _fill_service(cfg, lo, service[lo:lo + _SUB_FRAMES], gain_mean[lo:lo + _SUB_FRAMES])
+        np.testing.assert_array_equal(res.trace[:, 2], service[frames])
+        np.testing.assert_array_equal(res.trace[:, 1], gain_mean[frames])
+
     def test_trace_off_by_default(self):
         assert simulate_queue(_config(frames=200, burn_in_frames=0)).trace is None
 
@@ -415,24 +431,29 @@ class TestSimulateQueue:
                           QueueResult)
 
 
+def _traced_run(frames: int) -> tuple[int, QueueResult]:
+    """tracemalloc's peak bytes over one run of `frames` frames, and its result."""
+    tracemalloc.start()
+    try:
+        res = simulate_queue(_config(frames=frames, burn_in_frames=1_000))
+        return tracemalloc.get_traced_memory()[1], res
+    finally:
+        tracemalloc.stop()
+
+
+def _three_chunk_peak_mb() -> float:
+    """The traced peak (MB) of a three-chunk run at this BLOCKRATE_THREADS."""
+    return _traced_run(3 * _CHUNK_FRAMES)[0] / 1e6
+
+
 class TestMemory:
     def test_peak_does_not_grow_with_frames(self, monkeypatch):
         # from the third chunk on, the pipeline holds the same arrays at
         # its peak; a per-frame sample array would add 8 bytes per kept
         # frame, 38 MB between these two runs
         monkeypatch.setenv("BLOCKRATE_THREADS", "1")
-
-        def run(frames):
-            tracemalloc.start()
-            try:
-                res = simulate_queue(_config(frames=frames, burn_in_frames=1_000))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak, res
-
-        small, one = run(3 * _CHUNK_FRAMES)
-        large, four = run(12 * _CHUNK_FRAMES)
+        small, one = _traced_run(3 * _CHUNK_FRAMES)
+        large, four = _traced_run(12 * _CHUNK_FRAMES)
         assert large - small <= 64 * 1024, (small, large)
         for res in (one, four):
             assert res.trace is None
@@ -440,6 +461,15 @@ class TestMemory:
                            for f in dataclasses.fields(res))
         assert four.samples.total == 4 * one.samples.total + 3_000
         assert four.samples.nbytes == one.samples.nbytes <= 16 * 1024 + 16
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_working_set_under_four_chunk_arrays(self, monkeypatch, threads):
+        # the scan's own buffer and the two service slots are three chunk
+        # arrays; each worker adds one sub-chunk's padded windows and half a
+        # sub-chunk's statistics, 3/8 of a chunk array at m = 2
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        chunk_arrays = _three_chunk_peak_mb() * 1e6 / (_CHUNK_FRAMES * 8)
+        assert chunk_arrays < 4, chunk_arrays
 
 
 class TestNoSpinningThreads:
