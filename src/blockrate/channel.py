@@ -149,20 +149,16 @@ def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     return [f.result() for f in futures]
 
 
-def _blocks_per_sample(draws: int) -> int:
-    return -(-draws // _PHILOX_BLOCK)
-
-
 def _window_width(draws: int) -> int:
     """Columns of a padded window of `draws` draws: whole counter blocks."""
-    return _blocks_per_sample(draws) * _PHILOX_BLOCK
+    return -(-draws // _PHILOX_BLOCK) * _PHILOX_BLOCK
 
 
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
     _check_integer("seed", seed, 0)
     bg = np.random.Philox(seed)
-    bg.advance(index * _blocks_per_sample(draws_per_sample))
+    bg.advance(index * _window_width(draws_per_sample) // _PHILOX_BLOCK)
     return np.random.Generator(bg)
 
 

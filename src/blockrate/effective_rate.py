@@ -285,11 +285,11 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
         np.multiply(row, -c, out=row)
         shift = max(float(row.max()), 0.0)
         # with the shift finite every row - shift is at most 0, so its exp
-        # is finite; else (a row at +inf, or a nan row, which max carries)
-        # the first non-finite exp names the realization
+        # is finite; else a row is +inf (the statistics are finite, so no
+        # row is nan), and the first such row names the realization
         if not math.isfinite(shift):
-            bad = int(np.flatnonzero(~np.isfinite(np.exp(row - shift)))[0])
-            raise ComputationError(f"non-finite throughput summand at realization {bad}")
+            raise ComputationError(
+                f"non-finite throughput summand at realization {int(row.argmax())}")
         if shift:
             row -= shift
         np.exp(row, out=row)

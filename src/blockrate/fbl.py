@@ -154,6 +154,7 @@ def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float, n
     Each pair is written into out[m], two (count,) arrays (slices of larger
     arrays, say), or into new arrays; out is returned.  Every row's sums are
     its own, so any split of the rows into blocks gives the same bits.
+    DomainError if snr_linear*gain overflows on some row.
     """
     count, blocks = gains.shape
     if not widths or not all(1 <= m <= blocks for m in widths):
@@ -165,15 +166,22 @@ def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float, n
     log_sum, frac_sum = out[max(widths)]
     log_sum.fill(0.0)
     frac_sum.fill(0.0)
-    for m in range(1, max(widths) + 1):
-        np.multiply(gains[:, m - 1], snr_linear, out=s)
-        log_sum += np.log1p(s, out=term)
-        frac_sum += np.divide(s, np.add(s, 1.0, out=term), out=term)
-        if m in widths:
-            mu, delta = out[m]
-            np.multiply(np.divide(log_sum, m, out=mu), LOG2E, out=mu)
-            np.multiply(frac_sum, 2.0 / (n * m * m), out=delta)
-            np.multiply(np.sqrt(delta, out=delta), LOG2E, out=delta)
+    # an overflowing s makes log_sum inf and frac_sum nan, checked once below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, max(widths) + 1):
+            np.multiply(gains[:, m - 1], snr_linear, out=s)
+            log_sum += np.log1p(s, out=term)
+            frac_sum += np.divide(s, np.add(s, 1.0, out=term), out=term)
+            if m in widths:
+                mu, delta = out[m]
+                np.multiply(np.divide(log_sum, m, out=mu), LOG2E, out=mu)
+                np.multiply(frac_sum, 2.0 / (n * m * m), out=delta)
+                np.multiply(np.sqrt(delta, out=delta), LOG2E, out=delta)
+    # log_sum now holds the widest mu; the sums never decrease in m, so it
+    # is finite on every row iff every width's statistics are
+    if not math.isfinite(log_sum.max(initial=0.0)):
+        raise DomainError(f"snr_linear * gain overflows on some realization "
+                          f"(snr_linear = {snr_linear!r})")
     return out
 
 

@@ -37,10 +37,12 @@ values come only from a trace_every=1 trace.
 
 A frame's service depends only on (seed, frame index), so worker threads
 compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan, into
-a ring of two chunk arrays made once per run: the scan's chunk and the one
-being filled.  Each worker adds one sub-chunk's padded stream windows and
-half a sub-chunk's rate statistics.  The workers are channel._executor's
-persistent pool, the one the sweeps use, so BLOCKRATE_THREADS caps both.
+the two slots of a ring that `simulate_queue` makes once per run: the
+scan's chunk and the one being filled (a traced run's slots also hold the
+frames' mean gains).  Each worker adds one sub-chunk's padded stream
+windows and half a sub-chunk's rate statistics.  The workers are
+channel._executor's persistent pool, the one the sweeps use, so
+BLOCKRATE_THREADS caps both.
 The scan stays on the calling thread, in frame order and with unchanged
 chunk boundaries, so results are identical for any thread count.  The
 service's sum and sum of squares, behind drift_z, are numpy's pairwise sums
@@ -184,7 +186,7 @@ class QueueResult:
     diagnostic linear trend fitted to every max(1, kept // 2048)-th
     post-burn-in frame.  trace is optional decimated per-frame records with
     columns (frame index, mean gain, service bits, queue bits), copied out of
-    each chunk's arrays before the scan and the ring reuse them;
+    each chunk's ring slot before the scan and the next fill overwrite it;
     trace_every=1 is the only way to get every frame's queue length.
     """
 
@@ -213,16 +215,16 @@ class TailEstimate:
     overflow_fraction_at_q_hi: float
 
 
-def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
-                  gain_mean: np.ndarray | None) -> None:
-    """Write the service bits of frames [start, start+len(service)) into
-    service, and their mean gains into gain_mean unless it is None.
+def _fill_service(config: QueueConfig, start: int, out: np.ndarray) -> None:
+    """Write the service bits of frames [start, start+count) into out[0], and
+    their mean gains into out[1] when out, a (rows, count) array, has one.
 
     Every frame's service is per-row arithmetic on its own stream window, so
     any split of a frame range into sub-ranges fills the same bits.
     """
     params = config.params
     m = params.m
+    service = out[0]
     # each padded window holds m gain draws, then the decoding draw; that
     # draw is parked in service, which the rule reads before it writes, and
     # the whole rows become gains in place, a contiguous pass as in
@@ -230,56 +232,14 @@ def _fill_service(config: QueueConfig, start: int, service: np.ndarray,
     raw = np.empty((service.size, _window_width(m + 1)))
     service[:] = uniform_windows(config.seed, start, service.size, m + 1, out=raw)[:, m]
     gains = _exponential_from_uniform(raw, out=raw)[:, :m]
-    if gain_mean is not None:
-        np.mean(gains, axis=1, out=gain_mean)
+    if len(out) > 1:
+        np.mean(gains, axis=1, out=out[1])
     # the statistics and the rule take half the rows at a time, which halves
     # their four temporaries (mu, delta and two per-block scratch arrays)
     half = -(-service.size // 2)
     for rows in (slice(0, half), slice(half, None)):
         config.policy.service(*rate_stats_arrays(gains[rows], params), service[rows],
                               params.nm, out=service[rows])
-
-
-def _service_chunks(config: QueueConfig, with_gain_mean: bool):
-    """Yield (start, service, gain_mean) for each Lindley chunk, in frame order.
-
-    A chunk's sub-chunks of _SUB_FRAMES frames are submitted to `_executor`
-    one chunk ahead of the consumer, into a ring of two chunk slots made
-    once per run.  Chunk k+2 is submitted only when the consumer asks for
-    chunk k+1, so it is done with chunk k, whose slot k+2 reuses: a yielded
-    array is overwritten two chunks on.  With one worker each sub-chunk is
-    filled inline by the calling thread.
-    """
-    frames = config.frames
-    pool = _executor(-(-frames // _SUB_FRAMES))
-    shape = (min(2, -(-frames // _CHUNK_FRAMES)), min(frames, _CHUNK_FRAMES))
-    ring = np.empty(shape)
-    gain_ring = np.empty(shape) if with_gain_mean else None
-
-    def submit(start: int):
-        count = min(_CHUNK_FRAMES, frames - start)
-        slot = start // _CHUNK_FRAMES % 2
-        service = ring[slot, :count]
-        gain_mean = None if gain_ring is None else gain_ring[slot, :count]
-        futures = [pool.submit(_fill_service, config, start + lo,
-                               service[lo:lo + _SUB_FRAMES],
-                               None if gain_mean is None else gain_mean[lo:lo + _SUB_FRAMES])
-                   for lo in range(0, count, _SUB_FRAMES)]
-        return start, service, gain_mean, futures
-
-    def finish(chunk):
-        start, service, gain_mean, futures = chunk
-        for future in futures:
-            future.result()
-        return start, service, gain_mean
-
-    ahead = None
-    for start in range(0, frames, _CHUNK_FRAMES):
-        submitted = submit(start)
-        if ahead is not None:
-            yield finish(ahead)
-        ahead = submitted
-    yield finish(ahead)
 
 
 def _lindley_chunk(q_prev: float, x: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -318,11 +278,27 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     # squares, then the running sums, then (as intp) the bin numbers
     work = np.empty(min(frames, _CHUNK_FRAMES))
     bins = work.view(np.intp)
+    # chunk k's service, and its mean gains when traced, fill ring slot k % 2
+    chunks = range(0, frames, _CHUNK_FRAMES)
+    ring = np.empty((min(2, len(chunks)), 1 + (trace_every > 0), work.size))
+    pool = _executor(-(-frames // _SUB_FRAMES))
+    filling: list[list] = []  # sub-chunk futures of each chunk not yet scanned
     traced: list[np.ndarray] = []
     q_prev = 0.0
     service_sum = 0.0
     service_sumsq = 0.0
-    for start, service, gain_mean in _service_chunks(config, trace_every > 0):
+    for k, start in enumerate(chunks):
+        # chunks 0 and 1 first, then chunk k+1, go to the pool before chunk
+        # k is waited on; chunk k+1's slot held chunk k-1, already scanned
+        for ahead in chunks[k + len(filling):k + 2]:
+            slot = ring[ahead // _CHUNK_FRAMES % 2, :, :min(_CHUNK_FRAMES, frames - ahead)]
+            filling.append([pool.submit(_fill_service, config, ahead + lo,
+                                        slot[:, lo:lo + _SUB_FRAMES])
+                            for lo in range(0, slot.shape[1], _SUB_FRAMES)])
+        for future in filling.pop(0):
+            future.result()
+        chunk = ring[k % 2, :, :min(_CHUNK_FRAMES, frames - start)]
+        service = chunk[0]
         count = service.size
         service_sum += float(service.sum())
         # a pairwise sum in work, which the scan overwrites next: BLAS's dot
@@ -342,7 +318,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
             trend[at:at + kept.size] = kept
             if trace_every > 0 and idx.size:
                 traced.append(np.column_stack([
-                    (start + idx).astype(float), gain_mean[idx], traced_service, q[idx]]))
+                    (start + idx).astype(float), chunk[1, idx], traced_service, q[idx]]))
             tail.add(q[lo:], bins)  # last use of q: binning overwrites it
     t = np.arange(trend.size, dtype=float) * step
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0

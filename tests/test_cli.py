@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,27 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--m", "1,2", "--theta", "0"],
+        ["sweep-m", "--m", "1..3", "--theta", "0", "--epsilon", "0.1"],
+        ["optimize-rate"],
+        ["fig4", "--m", "1", "--rate-grid", "0.5"],
+        ["optimize-epsilon"],
+    ])
+    def test_overflowing_snr_gain_is_usage_error(self, argv, capsys):
+        # SNR = 1e308 passes SystemParams, but its product with any gain
+        # above 1.8 overflows: every command stops at the statistics, with
+        # one message and no numpy warning, instead of printing nan rows or
+        # failing later in its own way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--snr-db", "3080", "--samples", "200"]) == 1
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("blockrate: error: snr_linear * gain overflows")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
@@ -403,6 +425,18 @@ class TestSimulateCommand:
         assert len(rows) == (30000 - 1000) // 500
         assert meta["trace_every"] == "500"
         assert int(rows[0][0]) == 1000
+
+    def test_trace_output_defaults_to_every_thousandth_frame(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code, _ = _run_to_file(tmp_path, "sim.csv", [
+            "simulate", "--theta", "0.05", "--n", "50", "--m", "2",
+            "--epsilon", "0.02", "--samples", "5000",
+            "--frames", "30000", "--burn-in", "1500", "--trace-output", str(trace)])
+        assert code == 0
+        assert "# trace_every = 1000\n" in trace.read_text()
+        meta, columns, rows = _read_csv(trace)
+        assert columns == ["frame", "gain_mean", "service_bits", "queue_bits"]
+        assert [int(row[0]) for row in rows] == list(range(2000, 30000, 1000))
 
 
 class TestDeterminism:

@@ -39,7 +39,6 @@ from blockrate.queue_sim import (
     TailHistogram,
     _fill_service,
     _lindley_chunk,
-    _service_chunks,
     estimate_decay_rate,
     simulate_queue,
 )
@@ -85,12 +84,12 @@ class TestQueueConfig:
         assert _config(arrival_bits_per_frame=0.0).arrival_bits_per_frame == 0.0
 
 
-def _service(cfg, start=0, count=None, with_gain_mean=False):
-    count = cfg.frames if count is None else count
-    service = np.empty(count)
-    gain_mean = np.empty(count) if with_gain_mean else None
-    _fill_service(cfg, start, service, gain_mean)
-    return service if gain_mean is None else (service, gain_mean)
+def _service(cfg, start=0, count=None, rows=1):
+    """Service bits of frames [start, start+count), and with rows=2 their
+    mean gains: the rows of a (rows, count) `_fill_service` array."""
+    out = np.empty((rows, cfg.frames if count is None else count))
+    _fill_service(cfg, start, out)
+    return out[0] if rows == 1 else out
 
 
 class TestServiceSample:
@@ -175,20 +174,24 @@ class TestSubChunks:
     def test_split_matches_whole(self, m, policy):
         cfg = _config(params=SystemParams(1.0, 50, m, 0.05), policy=policy,
                       frames=6_000, burn_in_frames=0)
-        whole, whole_gain = _service(cfg, start=123, with_gain_mean=True)
+        whole = _service(cfg, start=123, rows=2)
         parts = np.empty_like(whole)
-        parts_gain = np.empty_like(whole)
         for lo, hi in [(0, 1), (1, 1_000), (1_000, 4_097), (4_097, 6_000)]:
-            _fill_service(cfg, 123 + lo, parts[lo:hi], parts_gain[lo:hi])
+            _fill_service(cfg, 123 + lo, parts[:, lo:hi])
         np.testing.assert_array_equal(parts, whole)
-        np.testing.assert_array_equal(parts_gain, whole_gain)
+        # a one-row array takes the service alone, with the same bits
+        np.testing.assert_array_equal(_service(cfg, start=123), whole[0])
 
     def test_chunks_split_into_sub_chunks_match_whole(self, monkeypatch):
+        # every frame traced: the run's service and mean gains, filled in
+        # sub-chunks on two workers, are those of one whole-range fill
         cfg = _config(frames=_CHUNK_FRAMES + 5_000, burn_in_frames=0)
-        whole = _service(cfg)
+        service, gain_mean = _service(cfg, rows=2)
         monkeypatch.setenv("BLOCKRATE_THREADS", "2")
-        got = np.concatenate([s for _, s, _ in _service_chunks(cfg, False)])
-        np.testing.assert_array_equal(got, whole)
+        trace = simulate_queue(cfg, trace_every=1).trace
+        np.testing.assert_array_equal(trace[:, 0], np.arange(cfg.frames))
+        np.testing.assert_array_equal(trace[:, 2], service)
+        np.testing.assert_array_equal(trace[:, 1], gain_mean)
 
 
 class TestServicePipeline:
@@ -196,25 +199,34 @@ class TestServicePipeline:
         calls = []
         real = queue_sim._fill_service
 
-        def record(config, start, service, gain_mean):
-            calls.append((start, service.size, threading.get_ident()))
-            real(config, start, service, gain_mean)
+        def record(config, start, out):
+            calls.append((start, out.shape[1], threading.get_ident()))
+            real(config, start, out)
         monkeypatch.setattr(queue_sim, "_fill_service", record)
         return calls
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_fills_at_most_one_chunk_ahead(self, monkeypatch, threads):
+        # when the scan of the chunk at `start` begins, no fill has started
+        # at or past start + 2 chunks: the fill of the chunk after that
+        # would reuse the scanned chunk's ring slot
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         calls = self._recording(monkeypatch)
-        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0)
-        starts = []
-        for start, service, gain_mean in _service_chunks(cfg, False):
-            assert gain_mean is None
+        scans = []
+        real_scan = queue_sim._lindley_chunk
+
+        def scan(q_prev, x, work):
+            start = len(scans) * _CHUNK_FRAMES
             assert max(c[0] for c in calls) < start + 2 * _CHUNK_FRAMES
-            starts.append(start)
-        assert starts == [0, _CHUNK_FRAMES, 2 * _CHUNK_FRAMES, 3 * _CHUNK_FRAMES]
+            scans.append(x.size)
+            return real_scan(q_prev, x, work)
+        monkeypatch.setattr(queue_sim, "_lindley_chunk", scan)
+        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0)
+        simulate_queue(cfg)
+        assert scans == [_CHUNK_FRAMES] * 3 + [777]
         assert sorted(c[0] for c in calls) == list(range(0, cfg.frames, _SUB_FRAMES))
         assert all(size <= _SUB_FRAMES for _, size, _ in calls)
+        assert sum(size for _, size, _ in calls) == cfg.frames
 
     def test_service_runs_on_workers_only_when_threads_allow(self, monkeypatch):
         cfg = _config(frames=4 * _SUB_FRAMES, burn_in_frames=0)
@@ -361,10 +373,9 @@ class TestSimulateQueue:
     @staticmethod
     def _constant_service(monkeypatch, bits):
         # every frame serves the same bits, so the service variance is 0
-        def fill(config, start, service, gain_mean):
-            service[:] = bits
-            if gain_mean is not None:
-                gain_mean[:] = 1.0
+        def fill(config, start, out):
+            out[0] = bits
+            out[1:] = 1.0  # the mean gains, on a traced run
         monkeypatch.setattr(queue_sim, "_fill_service", fill)
 
     def test_unstable_flag_fires_on_overload(self, monkeypatch):
@@ -408,9 +419,10 @@ class TestSimulateQueue:
         res = simulate_queue(cfg, trace_every=97)
         frames = res.trace[:, 0].astype(int)
         assert frames[-1] >= 3 * _CHUNK_FRAMES
-        service, gain_mean = np.empty(cfg.frames), np.empty(cfg.frames)
+        filled = np.empty((2, cfg.frames))
         for lo in range(0, cfg.frames, _SUB_FRAMES):
-            _fill_service(cfg, lo, service[lo:lo + _SUB_FRAMES], gain_mean[lo:lo + _SUB_FRAMES])
+            _fill_service(cfg, lo, filled[:, lo:lo + _SUB_FRAMES])
+        service, gain_mean = filled
         np.testing.assert_array_equal(res.trace[:, 2], service[frames])
         np.testing.assert_array_equal(res.trace[:, 1], gain_mean[frames])
 
