@@ -14,9 +14,10 @@ serial full pass bit for bit.
 BLOCKRATE_THREADS workers (default: the core count) and running inline.
 The cap is read on every call, and each cap gets one pool that lives as
 long as the process, so no call starts or joins threads once its pool
-exists.  A call made on a worker of one of those pools runs inline: nested
-work (a sweep row whose statistics are not cached yet walks them through
-`_run_rows`) never waits on a worker that is waiting for it.
+exists.  A call made on a worker of one of those pools runs inline.  No
+current path nests (`sweep` fills every prefix's statistics before its rows
+go to the pool), but the rule keeps a future one from waiting on a worker
+that is waiting for it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,11 @@ handler and help line, its --snr-db and --n defaults, whether --m and
 --theta take one value or a list and their defaults, whether it transmits
 at a fixed rate, and its extra flags.  `build_parser` makes one subparser
 per entry.  Defaults are written as they would be typed and go through the
-flag's own parser, so --help prints them as given.  Handlers read the parsed
-namespace, in which `m` and `theta` are always tuples, and take the target's
-name, and whether it is searched, from the policy `_policy_from_flags` builds.
+flag's own parser, so --help prints them as given.  `main` builds the policy
+(`_policy_from_flags`) and the point (`SystemParams` at the largest m and the
+first theta) once and hands both to the handler, which reads the rest from
+the parsed namespace (`m` and `theta` are always tuples) and takes the
+target's name, and whether it is searched, from the policy.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 2 runtime error (estimation failure, unstable queue, I/O).
@@ -177,28 +179,24 @@ def _policy_from_flags(args: argparse.Namespace) -> RatePolicy:
     return VariableRate(epsilon=epsilon, clamp_negative=args.clamp_rate)
 
 
-def _cmd_grid(args: argparse.Namespace):
+def _cmd_grid(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
     """fig1 / fig4: the policy at every target of a grid, per m (m outer)."""
-    policy = _policy_from_flags(args)
-    base = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
     name = policy.target_name
     grid = getattr(args, f"{name}_grid")
     if grid is None:
-        grid = _default_epsilon_grid() if name == "epsilon" else _default_rate_grid(base.snr_linear)
+        grid = _default_epsilon_grid() if name == "epsilon" else _default_rate_grid(params.snr_linear)
     grid = tuple(float(x) for x in grid)
-    rows = sweep(base, args.m, args.theta[:1],
+    rows = sweep(params, args.m, args.theta,
                  [replace(policy, **{name: x}) for x in grid], args.samples, args.seed)
     meta = _base_meta(args, **{f"{name}_grid": grid})
     return meta, ["m", name, "effective_rate", "std_error"], [
         (r.m, r.argument, r.effective_rate, r.std_error) for r in rows]
 
 
-def _cmd_theta(args: argparse.Namespace):
+def _cmd_theta(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
     """fig2 / fig3: the policy over theta, per m, sorted by (theta, m); a
     searched target gets a column, a given one a metadata line."""
-    policy = _policy_from_flags(args)
-    base = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
-    rows = sorted(sweep_theta(base, args.theta, args.m, policy, args.samples, args.seed),
+    rows = sorted(sweep_theta(params, args.theta, args.m, policy, args.samples, args.seed),
                   key=lambda r: (r.theta, r.m))
     columns = ["theta", "m", "effective_rate", "std_error"]
     table = [(r.theta, r.m, r.effective_rate, r.std_error) for r in rows]
@@ -208,10 +206,8 @@ def _cmd_theta(args: argparse.Namespace):
         t + (r.argument,) for t, r in zip(table, rows)]
 
 
-def _cmd_optimize(args: argparse.Namespace):
+def _cmd_optimize(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
     """optimize-epsilon / optimize-rate: one optimum with its search record."""
-    policy = _policy_from_flags(args)
-    params = SystemParams.from_db(args.snr_db, args.n, args.m[0], args.theta[0])
     (row,), _ = sweep_m(params, [params.m], policy, args.samples, args.seed)
     columns = [f"{policy.target_name}_star", "effective_rate", "std_error", "iterations",
                "at_boundary"]
@@ -219,10 +215,8 @@ def _cmd_optimize(args: argparse.Namespace):
         (row.argument, row.effective_rate, row.std_error, row.iterations, row.at_boundary)]
 
 
-def _cmd_sweep_m(args: argparse.Namespace):
-    policy = _policy_from_flags(args)
-    base = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
-    rows, m_star = sweep_m(base, args.m, policy, args.samples, args.seed)
+def _cmd_sweep_m(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
+    rows, m_star = sweep_m(params, args.m, policy, args.samples, args.seed)
     meta = _base_meta(args, epsilon=args.epsilon, rate=args.rate,
                       policy=policy.describe(), m_star=m_star)
     columns = ["m", "effective_rate", "std_error", "argument"]
@@ -233,15 +227,12 @@ def _cmd_sweep_m(args: argparse.Namespace):
     return meta, columns, table
 
 
-def _cmd_simulate(args: argparse.Namespace):
-    theta = args.theta[0]
-    if theta <= 0.0:
+def _cmd_simulate(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
+    if params.theta <= 0.0:
         raise DomainError("--theta must be > 0 for simulate (the tail exponent "
                           "being validated is theta itself)")
-    params = SystemParams.from_db(args.snr_db, args.n, args.m[0], theta)
     if args.trace_every > 0 and args.trace_output is None:
         raise DomainError("--trace-every needs --trace-output")
-    policy = _policy_from_flags(args)
     # the target and the arrival rate are calibrated on --samples gains from --seed
     (cal,), _ = sweep_m(params, [params.m], policy, args.samples, args.seed)
     policy = replace(policy, **{policy.target_name: cal.argument})  # a given target stays
@@ -261,7 +252,7 @@ def _cmd_simulate(args: argparse.Namespace):
                       policy=policy.describe(), frames=args.frames,
                       burn_in=args.burn_in, arrival_bits_per_frame=arrival,
                       queue_seed=queue_seed)
-    if args.trace_output is not None and result.trace is not None:
+    if args.trace_output is not None:
         trace_meta = dict(meta, trace_every=trace_every)
         trace_rows = [(int(f), g, s, q) for f, g, s, q in result.trace]
         _write_text(args.trace_output, _render(
@@ -288,7 +279,7 @@ def _cmd_simulate(args: argparse.Namespace):
 class _Command:
     """One command: what it runs and every default it does not share."""
 
-    handler: Callable[[argparse.Namespace], tuple]
+    handler: Callable[[argparse.Namespace, SystemParams, RatePolicy], tuple]
     help: str
     snr_db: float
     n: int
@@ -391,7 +382,9 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError(f"--snr-db must be finite, got {args.snr_db!r}")
         if args.samples < 2:
             raise DomainError(f"--samples must be >= 2, got {args.samples}")
-        meta, columns, rows = _COMMANDS[args.command].handler(args)
+        policy = _policy_from_flags(args)
+        params = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
+        meta, columns, rows = _COMMANDS[args.command].handler(args, params, policy)
         _write_text(args.output, _render(args.format, meta, columns, rows))
         return 0
     except DomainError as exc:

@@ -92,7 +92,7 @@ class SweepRow:
     theta: float
     effective_rate: float
     std_error: float
-    argument: float | None = None  # eps or R actually used, if applicable
+    argument: float  # eps or R used: the given target or the optimum
     iterations: int = 0
     at_boundary: bool = False
 

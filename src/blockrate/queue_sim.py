@@ -184,10 +184,11 @@ class QueueResult:
     service's variance comes from per-chunk pairwise sums of its squares.
     Tail fitting is meaningless on an unstable run.  trend_slope is a
     diagnostic linear trend fitted to every max(1, kept // 2048)-th
-    post-burn-in frame.  trace is optional decimated per-frame records with
-    columns (frame index, mean gain, service bits, queue bits), copied out of
-    each chunk's ring slot before the scan and the next fill overwrite it;
-    trace_every=1 is the only way to get every frame's queue length.
+    post-burn-in frame.  trace is None on an untraced run, else the decimated
+    per-frame records (frame index, mean gain, service bits, queue bits), with
+    no rows if no kept frame is on the grid, copied out of each chunk's ring
+    slot before the scan and the next fill overwrite it; trace_every=1 is the
+    only way to get every frame's queue length.
     """
 
     samples: TailHistogram
@@ -331,7 +332,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         drift_z = drift / se
     else:
         drift_z = math.copysign(math.inf, drift) if drift else 0.0
-    trace = np.concatenate(traced, axis=0) if traced else None
+    trace = np.concatenate(traced or [np.empty((0, 4))]) if trace_every > 0 else None
     return QueueResult(
         samples=tail,
         unstable=unstable,

@@ -214,15 +214,21 @@ class TestExitCodes:
         assert code == 1
         assert "target" in capsys.readouterr().err
 
+    # simulate checks its flags before calibration draws any gains: drawn
+    # first, 1e17 samples would exit 2 with "cannot allocate gains"
     def test_simulate_rejects_theta_zero(self, capsys):
         code = main(["simulate", "--theta", "0", "--epsilon", "0.01",
-                     "--samples", "500", "--frames", "1000", "--burn-in", "10"])
+                     "--samples", str(10**17), "--frames", "1000", "--burn-in", "10"])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "blockrate: error: --theta must be > 0 for simulate (the tail exponent "
+            "being validated is theta itself)\n")
 
     def test_trace_every_needs_trace_output(self, capsys):
         code = main(["simulate", "--epsilon", "0.01", "--trace-every", "10",
-                     "--samples", "500", "--frames", "1000", "--burn-in", "10"])
+                     "--samples", str(10**17), "--frames", "1000", "--burn-in", "10"])
         assert code == 1
+        assert capsys.readouterr().err == "blockrate: error: --trace-every needs --trace-output\n"
 
     def test_unwritable_output_is_runtime_error(self, capsys):
         code = main(FAST_FIG1 + ["-o", "/nonexistent-dir-xyz/out.csv"])
@@ -437,6 +443,20 @@ class TestSimulateCommand:
         meta, columns, rows = _read_csv(trace)
         assert columns == ["frame", "gain_mean", "service_bits", "queue_bits"]
         assert [int(row[0]) for row in rows] == list(range(2000, 30000, 1000))
+
+    def test_trace_output_written_when_no_frame_is_traced(self, tmp_path):
+        # the trace grid's first point, frame 40000, is past the last frame:
+        # the file still holds the metadata and the header, with no rows
+        trace = tmp_path / "trace.csv"
+        code, out = _run_to_file(tmp_path, "sim.csv", [
+            "simulate", "--theta", "0.05", "--n", "50", "--epsilon", "0.02",
+            "--samples", "3000", "--frames", "30000", "--burn-in", "1000",
+            "--trace-every", "40000", "--trace-output", str(trace)])
+        assert code == 0 and out.exists()
+        meta, columns, rows = _read_csv(trace)
+        assert meta["trace_every"] == "40000" and meta["frames"] == "30000"
+        assert columns == ["frame", "gain_mean", "service_bits", "queue_bits"]
+        assert rows == []
 
 
 class TestDeterminism:
