@@ -10,21 +10,21 @@ stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
 in one vectorized batch -- or concurrently in any chunking -- reproduces a
 serial full pass bit for bit.
 
-`_executor` is the package's one choice between a pool of at most
-BLOCKRATE_THREADS workers (default: the core count) and running inline.
-The cap is read on every call, and each cap gets one pool that lives as
-long as the process, so no call starts or joins threads once its pool
-exists.  A call made on a worker of one of those pools runs inline.  No
-current path nests (`sweep` fills every prefix's statistics before its rows
-go to the pool), but the rule keeps a future one from waiting on a worker
-that is waiting for it.
+`_run_rows` is the package's one way onto its worker pool, and its one
+choice between a pool of at most BLOCKRATE_THREADS workers (default: the
+core count) and running inline.  The cap is read on every call, and each
+cap gets one pool that lives as long as the process, so no call starts or
+joins threads once its pool exists.  A call made on a worker of one of
+those pools runs inline.  No current path nests (`sweep` fills every
+prefix's statistics before its rows go to the pool), but the rule keeps a
+future one from waiting on a worker that is waiting for it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -111,15 +111,6 @@ def _thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-class _Inline(Executor):
-    """Executor for one worker: runs each task when it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # by worker cap, never shut down
 _POOLS_LOCK = threading.Lock()
 _WORKER = threading.local()  # .pooled is True on the pools' own threads
@@ -129,23 +120,20 @@ def _mark_worker() -> None:
     _WORKER.pooled = True
 
 
-def _executor(n_tasks: int) -> Executor:
-    """The process's pool for the current BLOCKRATE_THREADS cap, or _Inline
-    when there is one task, the cap is one, or the caller is a pool worker.
+def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
+    """Each task's result, in input order.
 
-    The pool is shared and persistent: callers submit to it and wait on their
-    own futures, and never shut it down."""
+    The tasks run inline, in order, when there is one task, the
+    BLOCKRATE_THREADS cap is one, or the caller is a pool worker.  Otherwise
+    they go to the process's pool for the cap, which is shared and
+    persistent: callers wait on their own tasks and never shut it down."""
     cap = _thread_cap()
-    if min(cap, n_tasks) <= 1 or getattr(_WORKER, "pooled", False):
-        return _Inline()
+    if min(cap, len(tasks)) <= 1 or getattr(_WORKER, "pooled", False):
+        return [t() for t in tasks]
     with _POOLS_LOCK:
         if cap not in _POOLS:
             _POOLS[cap] = ThreadPoolExecutor(cap, initializer=_mark_worker)
-        return _POOLS[cap]
-
-
-def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-    pool = _executor(len(tasks))
+        pool = _POOLS[cap]
     futures = [pool.submit(t) for t in tasks]
     return [f.result() for f in futures]
 

@@ -212,8 +212,8 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
     """One sweep row: evaluate or optimize the policy on this sample set.
 
     The one place a policy is routed: theta = 0 takes the ergodic limit at
-    the policy's target, a missing target is optimized, and a given target
-    is evaluated.
+    the policy's target, which `sweep` has checked is set, a missing target
+    is optimized, and a given target is evaluated.
     """
     # (ergodic, given-target, optimized) estimators, read from the module's
     # names on each call: perfbench's tracer rebinds them to its wrappers
@@ -224,10 +224,6 @@ def _evaluate_policy(samples: SampleSet, params: SystemParams,
     target, kw = policy.target, policy.options
     search = {}
     if params.theta == 0.0:
-        if target is None:
-            raise DomainError(
-                f"theta = 0 rows need an explicit {policy.target_name} target "
-                "(the ergodic limit is evaluated, not optimized)")
         est = ergodic(target, samples, params, **kw)
     elif target is None:
         est = optimum(samples, params, **kw)
@@ -257,6 +253,10 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
     for policy in policies:
         if not isinstance(policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {policy!r}")
+        if policy.target is None and any(p.theta == 0.0 for p in points):
+            raise DomainError(
+                f"theta = 0 rows need an explicit {policy.target_name} target "
+                "(the ergodic limit is evaluated, not optimized)")
     prefixes = SampleSet.draw(Rayleigh(), max(m_values), count, seed).prefixes(m_values, params)
     tasks = [(lambda sub=prefixes[p.m], p=p, policy=policy: _evaluate_policy(sub, p, policy))
              for p in points for policy in policies]

@@ -35,23 +35,23 @@ is fitted on.  So a run holds three chunk arrays, the 1025 bin counts and
 edges (16 KB) and those points, however many frames it simulates; per-frame
 values come only from a trace_every=1 trace.
 
-A frame's service depends only on (seed, frame index), so worker threads
-compute it in sub-chunks of 2^15 frames, one chunk ahead of the scan, into
-the two slots of a ring that `simulate_queue` makes once per run: the
-scan's chunk and the one being filled (a traced run's slots also hold the
-frames' mean gains).  Each worker adds one sub-chunk's padded stream
-windows and half a sub-chunk's rate statistics.  The workers are
-channel._executor's persistent pool, the one the sweeps use, so
-BLOCKRATE_THREADS caps both.
-The scan stays on the calling thread, in frame order and with unchanged
-chunk boundaries, so results are identical for any thread count.  The
-service's sum and sum of squares, behind drift_z, are numpy's pairwise sums
-per chunk, added in chunk order; no BLAS call is made, so OpenBLAS's thread
-count cannot change them either.
+A frame's service depends only on (seed, frame index), so it is filled in
+sub-chunks of 2^15 frames into the two slots of a ring that
+`simulate_queue` makes once per run (a traced run's slots also hold the
+frames' mean gains).  Each chunk is one channel._run_rows call, the sweeps'
+way onto the same worker pool, so BLOCKRATE_THREADS caps both: the chunk's
+scan beside the fills of the next chunk into the other slot, whose chunk is
+already scanned.  Each fill adds one sub-chunk's padded stream windows and
+half a sub-chunk's rate statistics.  The scans run one per call, in frame
+order and with unchanged chunk boundaries, so results are identical for
+any thread count.  The service's sum and sum of squares, behind drift_z,
+are numpy's pairwise sums per chunk, added in chunk order; no BLAS call is
+made, so OpenBLAS's thread count cannot change them either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +60,8 @@ import numpy as np
 from .channel import (
     SystemParams,
     _check_integer,
-    _executor,
     _exponential_from_uniform,
+    _run_rows,
     _window_width,
     uniform_windows,
 )
@@ -280,38 +280,36 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     work = np.empty(min(frames, _CHUNK_FRAMES))
     bins = work.view(np.intp)
     # chunk k's service, and its mean gains when traced, fill ring slot k % 2
-    chunks = range(0, frames, _CHUNK_FRAMES)
-    ring = np.empty((min(2, len(chunks)), 1 + (trace_every > 0), work.size))
-    pool = _executor(-(-frames // _SUB_FRAMES))
-    filling: list[list] = []  # sub-chunk futures of each chunk not yet scanned
+    ring = np.empty((1 + (frames > _CHUNK_FRAMES), 1 + (trace_every > 0), work.size))
     traced: list[np.ndarray] = []
-    q_prev = 0.0
-    service_sum = 0.0
-    service_sumsq = 0.0
-    for k, start in enumerate(chunks):
-        # chunks 0 and 1 first, then chunk k+1, go to the pool before chunk
-        # k is waited on; chunk k+1's slot held chunk k-1, already scanned
-        for ahead in chunks[k + len(filling):k + 2]:
-            slot = ring[ahead // _CHUNK_FRAMES % 2, :, :min(_CHUNK_FRAMES, frames - ahead)]
-            filling.append([pool.submit(_fill_service, config, ahead + lo,
-                                        slot[:, lo:lo + _SUB_FRAMES])
-                            for lo in range(0, slot.shape[1], _SUB_FRAMES)])
-        for future in filling.pop(0):
-            future.result()
-        chunk = ring[k % 2, :, :min(_CHUNK_FRAMES, frames - start)]
+
+    def slot(start: int) -> np.ndarray:
+        return ring[start // _CHUNK_FRAMES % 2, :, :min(_CHUNK_FRAMES, frames - start)]
+
+    def fills(start: int) -> list:
+        # the sub-chunk tasks of the chunk at start; none past the last frame
+        if start >= frames:
+            return []
+        out = slot(start)
+        return [functools.partial(_fill_service, config, start + lo, out[:, lo:lo + _SUB_FRAMES])
+                for lo in range(0, out.shape[1], _SUB_FRAMES)]
+
+    def scan(start: int, q_prev: float) -> tuple[float, float, float]:
+        """The chunk's last queue length, service sum and sum of squares."""
+        chunk = slot(start)
         service = chunk[0]
         count = service.size
-        service_sum += float(service.sum())
+        total = float(service.sum())
         # a pairwise sum in work, which the scan overwrites next: BLAS's dot
         # would wake its spinning threads and round by their count
-        service_sumsq += float(np.multiply(service, service, out=work[:count]).sum())
+        sumsq = float(np.multiply(service, service, out=work[:count]).sum())
         lo = max(burn - start, 0)
         if trace_every > 0 and lo < count:
             offset = (-(start + lo)) % trace_every
             idx = np.arange(lo + offset, count, trace_every, dtype=int)
             traced_service = service[idx]  # a copy: the steps overwrite service
         q = _lindley_chunk(q_prev, np.subtract(a, service, out=service), work[:count])
-        q_prev = float(q[-1])
+        q_last = float(q[-1])
         if lo < count:
             first = lo + (burn - start - lo) % step
             kept = q[first::step]
@@ -321,6 +319,17 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
                 traced.append(np.column_stack([
                     (start + idx).astype(float), chunk[1, idx], traced_service, q[idx]]))
             tail.add(q[lo:], bins)  # last use of q: binning overwrites it
+        return q_last, total, sumsq
+
+    _run_rows(fills(0))
+    q_prev = 0.0
+    service_sum = 0.0
+    service_sumsq = 0.0
+    for start in range(0, frames, _CHUNK_FRAMES):
+        (q_prev, total, sumsq), *_ = _run_rows(
+            [functools.partial(scan, start, q_prev), *fills(start + _CHUNK_FRAMES)])
+        service_sum += total
+        service_sumsq += sumsq
     t = np.arange(trend.size, dtype=float) * step
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0
     mean_service = service_sum / frames

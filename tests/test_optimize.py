@@ -15,7 +15,8 @@ from scipy.optimize import minimize_scalar
 from scipy.special import log_ndtr
 
 import blockrate
-from blockrate.channel import Rayleigh, SystemParams, _executor
+from blockrate import channel
+from blockrate.channel import Rayleigh, SystemParams
 from blockrate.effective_rate import (
     SampleSet,
     effective_rate_fixed,
@@ -376,6 +377,12 @@ class TestSweepM:
         with pytest.raises(DomainError):
             sweep_m(p0, [1], FixedRate(), count=100, seed=0)
 
+    def test_theta_zero_without_target_rejected_before_drawing(self):
+        # 10**17 samples cannot be allocated: the check must come first
+        p0 = SystemParams(1.0, 50, 1, 0.0)
+        with pytest.raises(DomainError, match="explicit epsilon target"):
+            sweep_m(p0, [1, 2], VariableRate(), count=10**17, seed=0)
+
     def test_theta_zero_with_target_takes_ergodic_path(self):
         p0 = SystemParams(1.0, 50, 1, 0.0)
         rows, _ = sweep_m(p0, [1], VariableRate(epsilon=0.03), count=3_000, seed=5)
@@ -516,9 +523,9 @@ class TestThreading:
         def caller(k):
             try:
                 for i in range(20):
-                    pools.add(id(_executor(4)))
                     tasks = [functools.partial(int, 100 * k + i + j) for j in range(6)]
                     assert _run_rows(tasks) == [100 * k + i + j for j in range(6)]
+                    pools.add(id(channel._POOLS[3]))
             except Exception as exc:  # a failure on a caller thread, reported below
                 errors.append(exc)
 

@@ -228,6 +228,32 @@ class TestServicePipeline:
         assert all(size <= _SUB_FRAMES for _, size, _ in calls)
         assert sum(size for _, size, _ in calls) == cfg.frames
 
+    def test_pool_is_reached_only_through_run_rows(self, monkeypatch):
+        # chunk 0's fills, then one call per chunk: its scan and the fills
+        # of the next chunk; no fill runs outside those calls
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        sizes, active, outside = [], [0], []
+        real_rows, real_fill = queue_sim._run_rows, queue_sim._fill_service
+
+        def rows(tasks):
+            sizes.append(len(tasks))
+            active[0] += 1
+            try:
+                return real_rows(tasks)
+            finally:
+                active[0] -= 1
+
+        def fill(config, start, out):
+            if not active[0]:
+                outside.append(start)
+            real_fill(config, start, out)
+        monkeypatch.setattr(queue_sim, "_run_rows", rows)
+        monkeypatch.setattr(queue_sim, "_fill_service", fill)
+        simulate_queue(_config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0))
+        subs = _CHUNK_FRAMES // _SUB_FRAMES
+        assert sizes == [subs, 1 + subs, 1 + subs, 1 + 1, 1]
+        assert outside == []
+
     def test_service_runs_on_workers_only_when_threads_allow(self, monkeypatch):
         cfg = _config(frames=4 * _SUB_FRAMES, burn_in_frames=0)
         calls = self._recording(monkeypatch)
