@@ -170,13 +170,14 @@ def _exponential_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> n
     return np.negative(z, out=out)
 
 
-def _gain_buffer(model: Rayleigh, m: int, count: int) -> np.ndarray:
-    """An unfilled (count, padded m) buffer for `_fill_gains`, once the
-    model, m and count are checked; ComputationError if it cannot be had."""
+def _gain_buffer(model: Rayleigh, m: int, count: int, seed: int) -> np.ndarray:
+    """An unfilled (count, padded m) buffer for `_fill_gains`, once model,
+    m, count and seed are checked; ComputationError if it cannot be had."""
     if not isinstance(model, Rayleigh):
         raise DomainError(f"model must be a Rayleigh, got {model!r}")
     _check_integer("m", m, 1)
     _check_integer("count", count, 1)
+    _check_integer("seed", seed, 0)
     try:
         return np.empty((count, _window_width(m)))
     except (MemoryError, ValueError) as exc:  # ValueError: "array is too big"
@@ -197,6 +198,6 @@ def draw_gain_matrix(model: Rayleigh, m: int, count: int, seed: int,
                      start: int = 0) -> np.ndarray:
     """(count, m) gains for sample indices [start, start+count), windowed as
     described in the module docstring."""
-    buf = _gain_buffer(model, m, count)
+    buf = _gain_buffer(model, m, count, seed)
     _fill_gains(m, seed, start, buf)
     return buf[:, :m]

@@ -13,13 +13,15 @@ converted where a command needs it.
 The commands are one table, `_COMMANDS`.  Each entry states, once, its
 handler and help line, its --snr-db and --n defaults, whether --m and
 --theta take one value or a list and their defaults, whether it transmits
-at a fixed rate, and its extra flags.  `build_parser` makes one subparser
-per entry.  Defaults are written as they would be typed and go through the
-flag's own parser, so --help prints them as given.  `main` builds the policy
-(`_policy_from_flags`) and the point (`SystemParams` at the largest m and the
-first theta) once and hands both to the handler, which reads the rest from
-the parsed namespace (`m` and `theta` are always tuples) and takes the
-target's name, and whether it is searched, from the policy.
+at a fixed rate, its extra flags and any check of them.  `build_parser`
+makes one subparser per entry.  Defaults are written as they would be typed
+and go through the flag's own parser, so --help prints them as given.  `main`
+runs the command's check (simulate's: `queue_sim._check_run`) before anything
+is drawn, then builds the policy (`_policy_from_flags`) and the point
+(`SystemParams` at the largest m and the first theta) once and hands both to
+the handler, which reads the rest from the parsed namespace (`m` and `theta`
+are always tuples) and takes the target's name, and whether it is searched,
+from the policy.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 2 runtime error (estimation failure, unstable queue, I/O).
@@ -40,7 +42,7 @@ from .channel import SystemParams
 from .errors import BlockrateError, DomainError, EstimationError
 from .fbl import FixedRate, RatePolicy, VariableRate
 from .optimize import sweep, sweep_m, sweep_theta
-from .queue_sim import QueueConfig, estimate_decay_rate, simulate_queue
+from .queue_sim import QueueConfig, _check_run, estimate_decay_rate, simulate_queue
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +230,6 @@ def _cmd_sweep_m(args: argparse.Namespace, params: SystemParams, policy: RatePol
 
 
 def _cmd_simulate(args: argparse.Namespace, params: SystemParams, policy: RatePolicy):
-    if params.theta <= 0.0:
-        raise DomainError("--theta must be > 0 for simulate (the tail exponent "
-                          "being validated is theta itself)")
     if args.trace_every > 0 and args.trace_output is None:
         raise DomainError("--trace-every needs --trace-output")
     # the target and the arrival rate are calibrated on --samples gains from --seed
@@ -244,9 +243,7 @@ def _cmd_simulate(args: argparse.Namespace, params: SystemParams, policy: RatePo
     qcfg = QueueConfig(arrival_bits_per_frame=arrival, frames=args.frames,
                        burn_in_frames=args.burn_in, seed=queue_seed,
                        policy=policy, params=params)
-    trace_every = args.trace_every
-    if args.trace_output is not None and trace_every == 0:
-        trace_every = 1000
+    trace_every = (args.trace_every or 1000) if args.trace_output is not None else 0
     result = simulate_queue(qcfg, trace_every=trace_every)
     meta = _base_meta(args, epsilon=args.epsilon, rate=args.rate,
                       policy=policy.describe(), frames=args.frames,
@@ -289,6 +286,7 @@ class _Command:
     theta_list: bool = False
     fixed_rate: bool = False            # FixedRate policy even without --rate
     extra: tuple = ()                   # (flag, type, default, help) per extra flag
+    check: Callable[[argparse.Namespace], None] = lambda args: None  # before any draw
 
 
 _TARGET_FLAGS = (("--epsilon", float, None, "fixed error target; omit to optimize it"),
@@ -331,7 +329,8 @@ _COMMANDS = {
             ("--burn-in", int, 10_000, "frames dropped before tail fitting (default %(default)s)"),
             ("--trace-output", str, None, "write a decimated per-frame trace table to this path"),
             ("--trace-every", int, 0,
-             "trace every k-th frame (default 1000 when --trace-output is set)"))),
+             "trace every k-th frame (default 1000 when --trace-output is set)")),
+        check=lambda a: _check_run(a.arrival, a.frames, a.burn_in, a.theta[0], a.trace_every)),
 }
 
 
@@ -377,14 +376,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    command = _COMMANDS[args.command]
     try:
-        if not np.isfinite(args.snr_db):
-            raise DomainError(f"--snr-db must be finite, got {args.snr_db!r}")
         if args.samples < 2:
             raise DomainError(f"--samples must be >= 2, got {args.samples}")
+        command.check(args)
         policy = _policy_from_flags(args)
         params = SystemParams.from_db(args.snr_db, args.n, max(args.m), args.theta[0])
-        meta, columns, rows = _COMMANDS[args.command].handler(args, params, policy)
+        meta, columns, rows = command.handler(args, params, policy)
         _write_text(args.output, _render(args.format, meta, columns, rows))
         return 0
     except DomainError as exc:

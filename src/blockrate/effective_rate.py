@@ -134,7 +134,7 @@ class SampleSet:
     def draw(cls, model: Rayleigh, m: int, count: int, seed: int) -> "SampleSet":
         """The gains `draw_gain_matrix` gives, drawn block by block into the
         padded master."""
-        master = _gain_buffer(model, m, count)
+        master = _gain_buffer(model, m, count, seed)
         # each gain is -log1p(-u) with u in [0, 1): finite and >= 0, unchecked
         _on_row_blocks(count, lambda lo, hi: _fill_gains(m, seed, lo, master[lo:hi]))
         drawn = object.__new__(cls)

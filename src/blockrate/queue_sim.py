@@ -80,10 +80,25 @@ _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
 _TAIL_WINDOW = (1e-4, 0.1)  # the tail probabilities theta_hat is fitted over
 
 
+def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
+    """The queue run's rules that need no rate target; arrival None is not yet set."""
+    if arrival is not None and not (np.isfinite(arrival) and arrival >= 0):
+        raise DomainError(f"arrival_bits_per_frame must be finite and >= 0, got {arrival!r}")
+    _check_integer("frames", frames, 1)
+    _check_integer("burn_in_frames", burn_in_frames, 0)
+    if burn_in_frames >= frames:
+        raise DomainError(f"burn_in_frames={burn_in_frames} must be < frames={frames}")
+    if not theta > 0.0:
+        raise DomainError(f"queue runs need theta > 0 (it scales the tail "
+                          f"histogram's bins), got {theta!r}")
+    _check_integer("trace_every", trace_every, 0)
+
+
 @dataclass(frozen=True)
 class QueueConfig:
     """Inputs of one queue run; one frame spans params.nm channel uses and
-    sees params.m unit-mean Rayleigh gains.  policy's target must be set."""
+    sees params.m unit-mean Rayleigh gains.  To `_check_run`'s rules it adds
+    those of a calibrated point: policy is a RatePolicy with its target set."""
 
     arrival_bits_per_frame: float
     frames: int
@@ -93,22 +108,12 @@ class QueueConfig:
     params: SystemParams
 
     def __post_init__(self):
-        a = self.arrival_bits_per_frame
-        if not (np.isfinite(a) and a >= 0):
-            raise DomainError(f"arrival_bits_per_frame must be finite and >= 0, got {a!r}")
-        _check_integer("frames", self.frames, 1)
-        _check_integer("burn_in_frames", self.burn_in_frames, 0)
-        if self.burn_in_frames >= self.frames:
-            raise DomainError(
-                f"burn_in_frames={self.burn_in_frames} must be < frames={self.frames}")
+        _check_run(self.arrival_bits_per_frame, self.frames, self.burn_in_frames, self.params.theta)
         if not isinstance(self.policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {self.policy!r}")
         if self.policy.target is None:
             raise DomainError(f"queue runs need an explicit {self.policy.target_name} "
                               "(optimize it first, then simulate)")
-        if not self.params.theta > 0.0:
-            raise DomainError(f"queue runs need theta > 0 (it scales the tail "
-                              f"histogram's bins), got {self.params.theta!r}")
 
 
 def _bin_edges(per_bit: float, bins: int) -> np.ndarray:
@@ -267,10 +272,10 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     frame, counted from frame 0, after the burn-in as (frame index, mean
     gain, service bits, queue bits).
     """
-    _check_integer("trace_every", trace_every, 0)
     frames = config.frames
     burn = config.burn_in_frames
     a = config.arrival_bits_per_frame
+    _check_run(a, frames, burn, config.params.theta, trace_every)
     # the trend is fitted on every step-th kept frame, kept index 0 first
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))
@@ -342,14 +347,8 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     else:
         drift_z = math.copysign(math.inf, drift) if drift else 0.0
     trace = np.concatenate(traced or [np.empty((0, 4))]) if trace_every > 0 else None
-    return QueueResult(
-        samples=tail,
-        unstable=unstable,
-        trend_slope=slope,
-        mean_service=mean_service,
-        drift_z=drift_z,
-        trace=trace,
-    )
+    return QueueResult(samples=tail, unstable=unstable, trend_slope=slope,
+                       mean_service=mean_service, drift_z=drift_z, trace=trace)
 
 
 def estimate_decay_rate(tail: TailHistogram) -> TailEstimate:

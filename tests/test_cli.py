@@ -23,6 +23,9 @@ import argparse
 from test_golden import GOLDEN
 
 
+THETA_RULE = "queue runs need theta > 0 (it scales the tail histogram's bins), got "
+
+
 def _python(args, **env):
     """Run this interpreter on args in a fresh process that imports this
     checkout's package, with env added to the environment."""
@@ -163,8 +166,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["fig1", "--samples", "1"], "--samples must be >= 2"),
-        (["optimize-epsilon", "--snr-db", "nan"], "--snr-db must be finite"),
-        (["simulate", "--snr-db", "inf"], "--snr-db must be finite"),
+        (["optimize-epsilon", "--snr-db", "nan"], "snr_db = nan gives no positive finite"),
+        (["simulate", "--snr-db", "inf"], "snr_db = inf gives no positive finite"),
         (["fig3", "--m", "1", "--seed", "-1", "--samples", "500"], "seed must be >= 0"),
         (["simulate", "--frames", "1000", "--burn-in", "10", "--seed", "-1",
           "--samples", "500"], "seed must be >= 0"),
@@ -214,15 +217,32 @@ class TestExitCodes:
         assert code == 1
         assert "target" in capsys.readouterr().err
 
-    # simulate checks its flags before calibration draws any gains: drawn
-    # first, 1e17 samples would exit 2 with "cannot allocate gains"
-    def test_simulate_rejects_theta_zero(self, capsys):
-        code = main(["simulate", "--theta", "0", "--epsilon", "0.01",
-                     "--samples", str(10**17), "--frames", "1000", "--burn-in", "10"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "blockrate: error: --theta must be > 0 for simulate (the tail exponent "
-            "being validated is theta itself)\n")
+    # simulate checks its queue flags, and every command its seed, before
+    # any gains are drawn: drawn first, 1e17 samples would exit 2 with
+    # "cannot allocate gains".  TRACE stands for a path in tmp_path.
+    @pytest.mark.parametrize("argv,message", [
+        (["--frames", "0"], "frames must be >= 1 and integral, got 0"),
+        (["--burn-in", "-1"], "burn_in_frames must be >= 0 and integral, got -1"),
+        (["--burn-in", "1000", "--frames", "1000"], "burn_in_frames=1000 must be < frames=1000"),
+        (["--trace-every", "-3", "--trace-output", "TRACE"],
+         "trace_every must be >= 0 and integral, got -3"),
+        (["--arrival", "-1"], "arrival_bits_per_frame must be finite and >= 0, got -1.0"),
+        (["--arrival", "nan"], "arrival_bits_per_frame must be finite and >= 0, got nan"),
+        (["--theta", "-1"], THETA_RULE + "-1.0"),
+        (["--theta", "0"], THETA_RULE + "0.0"),
+        (["--theta", "nan"], THETA_RULE + "nan"),
+        (["--seed", "-1"], "seed must be >= 0 and integral, got -1"),
+        (["fig2", "--seed", "-1"], "seed must be >= 0 and integral, got -1"),
+    ])
+    def test_rejected_before_drawing(self, argv, message, tmp_path, capsys):
+        if argv[0] != "fig2":
+            argv = ["simulate", "--epsilon", "0.01"] + argv
+        argv = [str(tmp_path / "trace.csv") if a == "TRACE" else a for a in argv]
+        assert main(argv + ["--samples", str(10**17)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"blockrate: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_every_needs_trace_output(self, capsys):
         code = main(["simulate", "--epsilon", "0.01", "--trace-every", "10",
