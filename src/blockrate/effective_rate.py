@@ -8,10 +8,12 @@ where R(z,eps) is the finite-blocklength rate lower bound; the expectation
 inside the log is psi.  Fixed-rate transmission replaces the summand with
 eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R); that expectation is `phi`.
 
-Expectations are sample averages over a SampleSet of channel realizations.
-One SampleSet is reused across all epsilon/rate/theta evaluation points
-(common random numbers), so differences between nearby points reflect the
-parameters and not fresh sampling noise — argmax detection depends on this.
+Expectations are sample averages over a SampleSet of channel realizations,
+drawn by `channel.draw_gain_matrix` and reduced to per-row statistics in
+row blocks on the worker pool (`channel._on_row_blocks`).  One SampleSet
+is reused across all epsilon/rate/theta evaluation points (common random
+numbers), so differences between nearby points reflect the parameters and
+not fresh sampling noise — argmax detection depends on this.
 Both are ln E[A + B*exp(-T)] with A + B = 1 on every row; one kernel,
 `_kernel`, computes it and its first two derivatives for all six
 estimators on one shift, so psi summands past the overflow point and phi
@@ -47,19 +49,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, roots_laguerre
 
-from .channel import (
-    Rayleigh,
-    SystemParams,
-    _check_gains,
-    _fill_gains,
-    _gain_buffer,
-    _run_rows,
-)
+from .channel import Rayleigh, SystemParams, _check_gains, _on_row_blocks, draw_gain_matrix
 from .errors import ComputationError, DomainError
 from .fbl import (
     _check_epsilon,
@@ -73,17 +68,6 @@ from .fbl import (
 from .special import SQRT_2PI, q_function, q_inverse
 
 _QUAD_NODES = 200
-# rows per pooled draw or statistics task.  On fig2's (1e5, 50) master with
-# two workers, 8192 and 16384 timed alike; 4096, 32768 and one unsplit block
-# were 10-75% slower.
-_BLOCK_ROWS = 8192
-
-
-def _on_row_blocks(count: int, task: Callable[[int, int], None]) -> None:
-    """task(lo, hi) for each block of _BLOCK_ROWS rows of [0, count), on the
-    worker pool; each task writes only its own rows."""
-    _run_rows([functools.partial(task, lo, min(lo + _BLOCK_ROWS, count))
-               for lo in range(0, count, _BLOCK_ROWS)])
 
 
 class SampleSet:
@@ -98,15 +82,16 @@ class SampleSet:
     common across the compared block counts; `prefixes` builds them with
     their statistics, all from one walk over the master's blocks.
 
-    `draw` fills one padded (count, 4*ceil(m/4)) master, as `draw_gain_matrix`
-    would, and its gains are the [:, :m] view.  The draw and every statistics
-    walk run in blocks of _BLOCK_ROWS rows on the worker pool, each block in
-    place on its own rows; the draw is counter-based and the statistics are
+    `draw` is `draw_gain_matrix`'s padded master, read through its [:, :m]
+    view.  That draw and every statistics walk run in blocks of _BLOCK_ROWS
+    rows on the worker pool (`channel._on_row_blocks`), each block in place
+    on its own rows; the draw is counter-based and the statistics are
     per-row sums, so the bits are those of one serial pass at any thread
     count.
 
     `weights` is None for a Monte Carlo set, whose rows are equally likely;
-    a quadrature set (`laguerre`) carries one weight per row instead.
+    a quadrature set (`laguerre`) carries one weight per row instead.  The
+    sets `draw`, `prefix` and `laguerre` build skip the gains check.
     """
 
     def __init__(self, gains: np.ndarray):
@@ -114,13 +99,17 @@ class SampleSet:
         if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] < 1:
             raise DomainError(f"gains must be a (count, m) matrix, got shape {gains.shape}")
         _check_gains(gains)
-        self._init(gains, None)
+        self._init(gains)
 
-    def _init(self, gains: np.ndarray, weights: np.ndarray | None) -> None:
-        gains.setflags(write=False)
+    def _init(self, gains: np.ndarray, weights: np.ndarray | None = None) -> "SampleSet":
+        """This set over gains and weights, both frozen, with no statistics."""
+        for a in (gains, weights):
+            if a is not None:
+                a.setflags(write=False)
         self.gains = gains
         self.weights = weights
         self._stats_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        return self
 
     @property
     def count(self) -> int:
@@ -132,27 +121,20 @@ class SampleSet:
 
     @classmethod
     def draw(cls, model: Rayleigh, m: int, count: int, seed: int) -> "SampleSet":
-        """The gains `draw_gain_matrix` gives, drawn block by block into the
-        padded master."""
-        master = _gain_buffer(model, m, count, seed)
-        # each gain is -log1p(-u) with u in [0, 1): finite and >= 0, unchecked
-        _on_row_blocks(count, lambda lo, hi: _fill_gains(m, seed, lo, master[lo:hi]))
-        drawn = object.__new__(cls)
-        drawn._init(master[:, :m], None)
-        return drawn
+        """The gains `draw_gain_matrix` gives: each is -log1p(-u) with u in
+        [0, 1), so finite and >= 0, and none is checked again."""
+        return object.__new__(cls)._init(draw_gain_matrix(model, m, count, seed))
 
     @classmethod
     def laguerre(cls) -> "SampleSet":
         """The 200-node Gauss-Laguerre rule for m = 1 Rayleigh gains.
 
         E_z f(z) for z ~ Exponential(1) is sum_i w_i f(x_i) over the
-        Laguerre nodes x_i and weights w_i (which sum to 1).
+        Laguerre nodes x_i (positive and finite) and weights w_i (which sum
+        to 1).
         """
         x, w = roots_laguerre(_QUAD_NODES)
-        rule = cls(x[:, np.newaxis])
-        w.setflags(write=False)
-        rule.weights = w
-        return rule
+        return object.__new__(cls)._init(x[:, np.newaxis], w)
 
     def prefix(self, m: int) -> "SampleSet":
         """Set built from the first m blocks of each realization."""
@@ -160,9 +142,8 @@ class SampleSet:
             raise DomainError(f"prefix length {m} outside 1..{self.m}")
         if m == self.m:
             return self
-        sub = object.__new__(SampleSet)
-        sub._init(self.gains[:, :m], self.weights)  # a view of validated gains
-        return sub
+        # a view of validated gains
+        return object.__new__(SampleSet)._init(self.gains[:, :m], self.weights)
 
     def prefixes(self, m_values: Sequence[int],
                  params: SystemParams) -> dict[int, "SampleSet"]:

@@ -234,7 +234,7 @@ def _fill_service(config: QueueConfig, start: int, out: np.ndarray) -> None:
     # each padded window holds m gain draws, then the decoding draw; that
     # draw is parked in service, which the rule reads before it writes, and
     # the whole rows become gains in place, a contiguous pass as in
-    # channel._fill_gains
+    # channel.draw_gain_matrix
     raw = np.empty((service.size, _window_width(m + 1)))
     service[:] = uniform_windows(config.seed, start, service.size, m + 1, out=raw)[:, m]
     gains = _exponential_from_uniform(raw, out=raw)[:, :m]

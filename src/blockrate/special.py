@@ -71,17 +71,20 @@ def _norm_quantile(p: float) -> float:
             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
 
 
-@functools.lru_cache(maxsize=256)
 def q_inverse(p: float) -> float:
-    """Solve Q(x) = p for x, 0 < p < 1.
+    """Solve Q(x) = p for x, 0 < p < 1 (any real scalar, 0-d arrays too).
 
     Safeguarded Newton: dQ/dx = -phi(x), so each step is
     x <- x + (Q(x) - p)/phi(x); steps that exit the running bracket fall
     back to bisection.  Converges to |Q(x) - p| at machine precision, in up
-    to about 30 steps, so the last 256 answers are kept: a queue run asks
-    for the same p on every 2^14 frames.
+    to about 30 steps, so the last 256 answers are kept, by float(p): a
+    queue run asks for the same p on every 2^14 frames.
     """
-    p = float(p)
+    return _q_inverse(float(p))
+
+
+@functools.lru_cache(maxsize=256)
+def _q_inverse(p: float) -> float:
     if not (0.0 < p < 1.0) or math.isnan(p):
         raise DomainError(f"q_inverse requires 0 < p < 1, got {p!r}")
     # Q^{-1}(p) = -Phi^{-1}(p); the lower-tail branch of the seed keeps full

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockrate.channel import (
+    _BLOCK_ROWS,
     Rayleigh,
     SystemParams,
     _exponential_from_uniform,
@@ -43,6 +44,13 @@ class TestSystemParams:
         with pytest.raises(DomainError):
             SystemParams(**base)
 
+    @pytest.mark.parametrize("field,rule", [("snr_linear", "finite and > 0"),
+                                            ("theta", "finite and >= 0")])
+    def test_infinity_names_the_finite_rule(self, field, rule):
+        base = {**dict(snr_linear=1.0, n=10, m=2, theta=0.01), field: float("inf")}
+        with pytest.raises(DomainError, match=f"^{field} must be {rule}, got inf$"):
+            SystemParams(**base)
+
     @pytest.mark.parametrize("field", ["n", "m"])
     @pytest.mark.parametrize("value", NOT_INTEGRAL)
     def test_integer_rule(self, field, value):
@@ -78,6 +86,15 @@ class TestWindowedSampling:
         full = draw_gain_matrix(Rayleigh(), 2, 100, seed=9)
         part = draw_gain_matrix(Rayleigh(), 2, 30, seed=9, start=37)
         np.testing.assert_array_equal(part, full[37:67])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_start_offset_slicing_across_blocks(self, monkeypatch, threads):
+        # past two row blocks: each block must draw its windows at start + lo
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        count = 2 * _BLOCK_ROWS + 5
+        full = draw_gain_matrix(Rayleigh(), 2, 37 + count, seed=9)
+        part = draw_gain_matrix(Rayleigh(), 2, count, seed=9, start=37)
+        np.testing.assert_array_equal(part, full[37:])
 
     def test_chunked_equals_whole(self):
         whole = uniform_windows(5, 0, 64, 7)

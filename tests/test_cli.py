@@ -182,6 +182,7 @@ class TestExitCodes:
         (["optimize-epsilon", "--theta", "1e308", "--samples", "500"], "theta * n * m overflows"),
         # n * m itself past float range
         (["optimize-epsilon", "--n", "1" + "0" * 400, "--samples", "500"], "n * m overflows"),
+        (["fig2", "--theta", "inf"], "theta must be finite and >= 0, got inf"),
     ])
     def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
@@ -233,6 +234,8 @@ class TestExitCodes:
         (["--theta", "nan"], THETA_RULE + "nan"),
         (["--seed", "-1"], "seed must be >= 0 and integral, got -1"),
         (["fig2", "--seed", "-1"], "seed must be >= 0 and integral, got -1"),
+        # inf passes the queue's theta > 0 rule; SystemParams names its own
+        (["--theta", "inf"], "theta must be finite and >= 0, got inf"),
     ])
     def test_rejected_before_drawing(self, argv, message, tmp_path, capsys):
         if argv[0] != "fig2":

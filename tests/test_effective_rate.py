@@ -15,9 +15,15 @@ import warnings
 import numpy as np
 import pytest
 
-from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix
-from blockrate.effective_rate import (
+from blockrate.channel import (
     _BLOCK_ROWS,
+    Rayleigh,
+    SystemParams,
+    _exponential_from_uniform,
+    draw_gain_matrix,
+    uniform_windows,
+)
+from blockrate.effective_rate import (
     _mean,
     _spread,
     EffectiveRateEstimate,
@@ -128,12 +134,13 @@ class TestSampleSet:
                                        3 * _BLOCK_ROWS + 5])
     def test_block_walk_matches_serial_reference(self, monkeypatch, count, m, threads):
         # the draw and the statistics run in row blocks on the pool; one
-        # serial draw and one walk over the whole matrix must give the same bits
+        # whole-range draw and one walk over the whole matrix must give the
+        # same bits
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         widths = sorted({1, (m + 1) // 2, m})
         subs = SampleSet.draw(Rayleigh(), m, count, seed=8).prefixes(
             widths, SystemParams(2.0, 50, m, 0.01))
-        gains = draw_gain_matrix(Rayleigh(), m, count, 8)
+        gains = _exponential_from_uniform(uniform_windows(8, 0, count, m))
         ref = rate_stats_widths(gains, widths, 2.0, 50)
         assert np.array_equal(subs[m].gains, gains)
         for w in widths:

@@ -12,7 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
+from blockrate.channel import Rayleigh, SystemParams
+from blockrate.effective_rate import SampleSet, effective_rate_variable
 from blockrate.errors import DomainError
+from blockrate.fbl import rate_lower_bound
 from blockrate.special import SQRT_2PI, q_function, q_inverse, q_inverse_deriv
 
 # (x, Q(x)) pairs, mpmath 40-digit evaluation rounded to double
@@ -143,6 +146,22 @@ def test_q_inverse_deriv_always_negative():
 def test_q_inverse_domain(bad):
     with pytest.raises(DomainError):
         q_inverse(bad)
+
+
+def test_q_inverse_takes_any_real_scalar():
+    # the answers are memoized by float(p), so a 0-d array (unhashable) is
+    # answered, and p = 0.01 in any scalar type is one entry
+    ref = q_inverse(0.01)
+    for p in (np.array(0.01), np.float64(0.01)):
+        assert q_inverse(p) == ref
+    assert q_inverse_deriv(np.array(0.01)) == q_inverse_deriv(0.01)
+    with pytest.raises(DomainError):
+        q_inverse(np.array(1.0))
+    z, params = np.ones(2), SystemParams(10.0, 50, 2, 0.01)
+    assert rate_lower_bound(z, params, np.array(0.01)) == rate_lower_bound(z, params, 0.01)
+    ss = SampleSet.draw(Rayleigh(), 2, 100, seed=1)
+    assert (effective_rate_variable(np.array(0.01), ss, params)
+            == effective_rate_variable(0.01, ss, params))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
