@@ -162,8 +162,9 @@ def _window_width(draws: int) -> int:
 def substream(seed: int, index: int, draws_per_sample: int) -> np.random.Generator:
     """Philox generator positioned at the start of sample `index`'s window."""
     _check_integer("seed", seed, 0)
+    _check_integer("index", index, 0)
     bg = np.random.Philox(seed)
-    bg.advance(index * _window_width(draws_per_sample) // _PHILOX_BLOCK)
+    bg.advance(int(index) * _window_width(draws_per_sample) // _PHILOX_BLOCK)
     return np.random.Generator(bg)
 
 
@@ -173,10 +174,18 @@ def uniform_windows(seed: int, start: int, count: int, draws_per_sample: int,
     sample start+i.  Identical to per-sample substream() draws.
 
     The padded windows are drawn into `out`, a C-contiguous (count, padded
-    width) array, or into a new one; the result is a view of it.
+    width) array, or into a new one; the result is a view of it.  A start
+    that is negative or not integral, or a last window past the stream's
+    2**256 counter blocks, where Philox's counter wraps, is a DomainError.
     """
-    raw = np.empty((count, _window_width(draws_per_sample))) if out is None else out
-    substream(seed, start, draws_per_sample).random(out=raw)
+    stream = substream(seed, start, draws_per_sample)
+    width = _window_width(draws_per_sample)
+    end = int(start) + count
+    if end * width > _PHILOX_BLOCK << 256:
+        raise DomainError(f"samples [{start}, {end}) of {draws_per_sample} draws "
+                          "run past the stream's 2**256 counter blocks")
+    raw = np.empty((count, width)) if out is None else out
+    stream.random(out=raw)
     return raw[:, :draws_per_sample]
 
 

@@ -15,8 +15,11 @@ operating point.  `estimate_decay_rate` fits the realized tail exponent.
 The trajectory itself is sequential, but within a chunk of frames the
 recursion has a closed scan form: with x_t = a - r_t and C the running sum
 of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks of
-2^19 frames are processed in order with the final value carried.  The scan
-is not bit-identical to the scalar loop, because the running sum rounds
+2^19 frames are processed in order with the final value carried.  Each
+chunk is scanned in blocks of 2^15 frames that carry the running sum and
+minimum, in the order one scan of the whole chunk takes them, so the
+blocks give that scan's queue lengths bit for bit.  The scan is not
+bit-identical to the scalar loop, because the running sum rounds
 differently: over a full chunk of service or Gaussian steps under 15% of
 entries match exactly, and the largest error measured is 3e-11 times the
 largest step |a - r_t|.  The tests hold it below 1e-10 times that step.
@@ -24,16 +27,16 @@ Frame t consumes the random-stream window of index t (its m gains, then its
 decoding draw), making trajectories reproducible and extendable without
 replaying.
 
-The run keeps no per-frame values.  Each chunk's post-burn-in queue lengths
+The run keeps no per-frame values.  Each block's post-burn-in queue lengths
 are counted into a TailHistogram: bins of width h = 1/(8*theta) bits up to a
 cap of 128/theta bits, past which one overflow bin counts the rest.  The
-scan works in place in the chunk's service array, which becomes its steps
-a - r_t and then its queue lengths, and has one chunk-sized buffer of its
-own, for the service's squares, the running sums and then (as intp) the bin
-numbers.  It keeps the 2048-odd points of the trajectory that `trend_slope`
-is fitted on.  So a run holds three chunk arrays, the 1025 bin counts and
-edges (16 KB) and those points, however many frames it simulates; per-frame
-values come only from a trace_every=1 trace.
+scan's two block-sized buffers hold a block's steps a - r_t, then its queue
+lengths, and its running sums, then (as intp) its bin numbers; once scanned,
+the chunk's service array is overwritten with its squares.  The run keeps
+the 2048-odd points of the trajectory that `trend_slope` is fitted on.  So
+it holds two chunk arrays, two blocks (1/8 of a chunk array), the 1025 bin
+counts and edges (16 KB) and those points, however many frames it
+simulates; per-frame values come only from a trace_every=1 trace.
 
 A frame's service depends only on (seed, frame index), so it is filled in
 sub-chunks of 2^15 frames into the two slots of a ring that
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +168,9 @@ class TailHistogram:
 
         values is overwritten with its scaled, clipped bin positions, so
         pass a copy to keep it.  index, an intp array at least values.size
-        long, receives the bin numbers; the Lindley scan passes one buffer
-        for every chunk, so binning allocates nothing per chunk.
+        long, receives the bin numbers; the Lindley scan passes a view of
+        its running-sum buffer for every block, so binning allocates
+        nothing but each block's bincount.
         """
         n = values.size
         index = index[:n]
@@ -192,8 +197,9 @@ class QueueResult:
     post-burn-in frame.  trace is None on an untraced run, else the decimated
     per-frame records (frame index, mean gain, service bits, queue bits), with
     no rows if no kept frame is on the grid, copied out of each chunk's ring
-    slot before the scan and the next fill overwrite it; trace_every=1 is the
-    only way to get every frame's queue length.
+    slot block by block as it is scanned, before its squares and the next
+    fill overwrite it; trace_every=1 is the only way to get every frame's
+    queue length.
     """
 
     samples: TailHistogram
@@ -248,20 +254,37 @@ def _fill_service(config: QueueConfig, start: int, out: np.ndarray) -> None:
                               params.nm, out=service[rows])
 
 
-def _lindley_chunk(q_prev: float, x: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Queue lengths after each step of x from q_prev, by the closed form of
-    the recursion (see module docstring).
+def _lindley_chunk(q_prev: float, a: float, service: np.ndarray, x: np.ndarray,
+                   c: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, q) for each block service[lo:lo + x.size] of a chunk: q,
+    a view of x, holds the queue lengths after those frames, from q_prev at
+    the chunk's start, by the closed form of the recursion (see module
+    docstring).
 
-    The result overwrites x, and work, a float buffer of x's size, is
-    clobbered, so a scan that passes the same two buffers for every chunk
-    allocates nothing.
+    x and c, float buffers of one size, hold each block's steps a - r and
+    running sums; both are the consumer's until it asks for the next block.
+    The queue lengths are those of one scan of the whole chunk, bit for bit.
     """
-    c = np.cumsum(x, out=work)
-    floor = np.minimum.accumulate(c, out=x)
-    np.minimum(floor, 0.0, out=floor)
-    np.subtract(c, floor, out=floor)
-    np.add(c, q_prev, out=c)
-    return np.maximum(c, floor, out=floor)
+    for lo in range(0, service.size, x.size):
+        block = service[lo:lo + x.size]
+        steps = np.subtract(a, block, out=x[:block.size])
+        sums = c[:block.size]
+        # a later block carries on the chunk's running sum and minimum as a
+        # whole-chunk cumsum and minimum.accumulate do: its first sum is
+        # run_sum + x[0], and its first floor minimum(run_min, that sum)
+        if lo:
+            steps[0] += run_sum
+        np.cumsum(steps, out=sums)
+        first = sums[0]
+        if lo:
+            sums[0] = np.minimum(run_min, first)
+        floor = np.minimum.accumulate(sums, out=steps)
+        sums[0] = first
+        run_sum, run_min = sums[-1], floor[-1]
+        np.minimum(floor, 0.0, out=floor)
+        np.subtract(sums, floor, out=floor)
+        np.add(sums, q_prev, out=sums)
+        yield lo, np.maximum(sums, floor, out=floor)
 
 
 def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
@@ -280,12 +303,14 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))
     tail = TailHistogram(config.params.theta)
-    # the scan's one buffer of its own, reused by every chunk: the service's
-    # squares, then the running sums, then (as intp) the bin numbers
-    work = np.empty(min(frames, _CHUNK_FRAMES))
-    bins = work.view(np.intp)
+    # the scan's scratch, reused by every block: the steps, then the queue
+    # lengths; the running sums, then (as intp) the bin numbers
+    x = np.empty(min(frames, _SUB_FRAMES))
+    c = np.empty_like(x)
+    bins = c.view(np.intp)
     # chunk k's service, and its mean gains when traced, fill ring slot k % 2
-    ring = np.empty((1 + (frames > _CHUNK_FRAMES), 1 + (trace_every > 0), work.size))
+    ring = np.empty((1 + (frames > _CHUNK_FRAMES), 1 + (trace_every > 0),
+                     min(frames, _CHUNK_FRAMES)))
     traced: list[np.ndarray] = []
 
     def slot(start: int) -> np.ndarray:
@@ -303,27 +328,24 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         """The chunk's last queue length, service sum and sum of squares."""
         chunk = slot(start)
         service = chunk[0]
-        count = service.size
         total = float(service.sum())
-        # a pairwise sum in work, which the scan overwrites next: BLAS's dot
-        # would wake its spinning threads and round by their count
-        sumsq = float(np.multiply(service, service, out=work[:count]).sum())
-        lo = max(burn - start, 0)
-        if trace_every > 0 and lo < count:
-            offset = (-(start + lo)) % trace_every
-            idx = np.arange(lo + offset, count, trace_every, dtype=int)
-            traced_service = service[idx]  # a copy: the steps overwrite service
-        q = _lindley_chunk(q_prev, np.subtract(a, service, out=service), work[:count])
-        q_last = float(q[-1])
-        if lo < count:
-            first = lo + (burn - start - lo) % step
-            kept = q[first::step]
-            at = (start + first - burn) // step
-            trend[at:at + kept.size] = kept
-            if trace_every > 0 and idx.size:
-                traced.append(np.column_stack([
-                    (start + idx).astype(float), chunk[1, idx], traced_service, q[idx]]))
-            tail.add(q[lo:], bins)  # last use of q: binning overwrites it
+        for lo, q in _lindley_chunk(q_prev, a, service, x, c):
+            at = start + lo  # the block's first frame
+            q_last = float(q[-1])
+            kept = max(burn - at, 0)
+            if kept < q.size:
+                first = kept + (burn - at - kept) % step
+                points = q[first::step]
+                i = (at + first - burn) // step
+                trend[i:i + points.size] = points
+                if trace_every > 0:
+                    idx = np.arange(kept + (-(at + kept)) % trace_every, q.size, trace_every)
+                    traced.append(np.column_stack([(at + idx).astype(float), chunk[1, lo + idx],
+                                                   service[lo + idx], q[idx]]))
+                tail.add(q[kept:], bins)  # last use of q: binning overwrites it
+        # a pairwise sum in place, now that the scan has read the service:
+        # BLAS's dot would wake its spinning threads and round by their count
+        sumsq = float(np.multiply(service, service, out=service).sum())
         return q_last, total, sumsq
 
     _run_rows(fills(0))

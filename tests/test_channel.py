@@ -125,6 +125,24 @@ class TestWindowedSampling:
         with pytest.raises(DomainError, match="integral"):
             draw_gain_matrix(Rayleigh(), 2, 4, seed=seed)
 
+    @pytest.mark.parametrize("start", [-1, 1.5, 10**80])
+    def test_start_off_the_stream_rejected(self, start):
+        # a negative start, or one past the 2**256 counter blocks, wrapped
+        # Philox's counter and drew rows from the far end of the stream
+        with pytest.raises(DomainError):
+            draw_gain_matrix(Rayleigh(), 2, 3, 1, start=start)
+        with pytest.raises(DomainError):
+            uniform_windows(1, start, 3, 2)
+
+    def test_last_window_of_the_stream(self):
+        # with one counter block per window, samples 2**256 - 3 .. 2**256 - 1
+        # end on the stream's last block; one sample more would wrap
+        last = 2**256 - 1
+        np.testing.assert_array_equal(uniform_windows(1, last - 2, 3, 2)[-1],
+                                      substream(1, last, 2).random(2))
+        with pytest.raises(DomainError, match=r"2\*\*256 counter blocks"):
+            uniform_windows(1, last - 1, 3, 2)
+
     def test_numpy_integer_seed_accepted(self):
         np.testing.assert_array_equal(uniform_windows(np.int64(5), 0, 8, 3),
                                       uniform_windows(5, 0, 8, 3))

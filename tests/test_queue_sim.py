@@ -207,19 +207,22 @@ class TestServicePipeline:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_fills_at_most_one_chunk_ahead(self, monkeypatch, threads):
-        # when the scan of the chunk at `start` begins, no fill has started
-        # at or past start + 2 chunks: the fill of the chunk after that
-        # would reuse the scanned chunk's ring slot
+        # while the chunk at `start` is scanned, block by block, no fill has
+        # started at or past start + 2 chunks: the fill of the chunk after
+        # that would reuse the scanned chunk's ring slot
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         calls = self._recording(monkeypatch)
         scans = []
         real_scan = queue_sim._lindley_chunk
 
-        def scan(q_prev, x, work):
+        def scan(q_prev, a, service, x, sums):
             start = len(scans) * _CHUNK_FRAMES
-            assert max(c[0] for c in calls) < start + 2 * _CHUNK_FRAMES
-            scans.append(x.size)
-            return real_scan(q_prev, x, work)
+            scans.append(0)
+            for lo, q in real_scan(q_prev, a, service, x, sums):
+                assert max(c[0] for c in calls) < start + 2 * _CHUNK_FRAMES
+                assert lo == scans[-1] and q.size <= _SUB_FRAMES
+                scans[-1] += q.size
+                yield lo, q
         monkeypatch.setattr(queue_sim, "_lindley_chunk", scan)
         cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0)
         simulate_queue(cfg)
@@ -230,10 +233,11 @@ class TestServicePipeline:
 
     def test_pool_is_reached_only_through_run_rows(self, monkeypatch):
         # chunk 0's fills, then one call per chunk: its scan and the fills
-        # of the next chunk; no fill runs outside those calls
+        # of the next chunk; no fill or scan runs outside those calls
         monkeypatch.setenv("BLOCKRATE_THREADS", "2")
         sizes, active, outside = [], [0], []
         real_rows, real_fill = queue_sim._run_rows, queue_sim._fill_service
+        real_scan = queue_sim._lindley_chunk
 
         def rows(tasks):
             sizes.append(len(tasks))
@@ -247,8 +251,15 @@ class TestServicePipeline:
             if not active[0]:
                 outside.append(start)
             real_fill(config, start, out)
+
+        def scan(q_prev, a, service, x, sums):
+            for lo, q in real_scan(q_prev, a, service, x, sums):
+                if not active[0]:
+                    outside.append(("scan", lo))
+                yield lo, q
         monkeypatch.setattr(queue_sim, "_run_rows", rows)
         monkeypatch.setattr(queue_sim, "_fill_service", fill)
+        monkeypatch.setattr(queue_sim, "_lindley_chunk", scan)
         simulate_queue(_config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=0))
         subs = _CHUNK_FRAMES // _SUB_FRAMES
         assert sizes == [subs, 1 + subs, 1 + subs, 1 + 1, 1]
@@ -275,7 +286,21 @@ class TestServicePipeline:
 
 
 def _lindley(q0, x):
-    return _lindley_chunk(q0, x.copy(), np.empty_like(x))  # leaves x as it was
+    # the steps 0 - (-x) are x; the scan leaves x as it was
+    buf = np.empty(min(x.size, _SUB_FRAMES))
+    return np.concatenate([q.copy() for _, q in _lindley_chunk(q0, 0.0, -x, buf, np.empty_like(buf))])
+
+
+def _whole_chunk_scan(q_prev, a, service):
+    # one scan of a whole chunk in seven numpy operations, the queue
+    # lengths the streamed scan must give bit for bit
+    x = np.subtract(a, service)
+    c = np.cumsum(x)
+    floor = np.minimum.accumulate(c, out=x)
+    np.minimum(floor, 0.0, out=floor)
+    np.subtract(c, floor, out=floor)
+    np.add(c, q_prev, out=c)
+    return np.maximum(c, floor, out=floor)
 
 
 class TestLindley:
@@ -327,6 +352,46 @@ class TestLindley:
         x = np.array([-5.0, 2.0, -10.0, 1.0])
         got = _lindley(0.0, x)
         np.testing.assert_array_equal(got, [0.0, 2.0, 0.0, 1.0])
+
+
+class TestStreamedScan:
+    """Each chunk is scanned in blocks of _SUB_FRAMES frames, carrying its
+    running sum and minimum; the queue lengths are those of one scan of the
+    whole chunk, signed zeros included."""
+
+    @staticmethod
+    def _service(kind, frames):
+        rng = np.random.default_rng(frames)
+        if kind == "gaussian":
+            return 1.0, rng.normal(1.04, 5.0, frames)
+        # two-point service, as a fixed rate gives: steps of +-50 tie the
+        # running sum with its minimum and with 0 exactly; steps of 0 and
+        # 100 tie every step after a success; an arrival of -0.0 (which
+        # QueueConfig accepts) makes steps of -0.0, and queue lengths of
+        # -0.0 from q_prev = 0, a sign that a shorter closed form loses
+        a = {"two-point": 50.0, "two-point-zero-steps": 100.0,
+             "two-point-negative-zero": -0.0}[kind]
+        return a, np.where(rng.random(frames) < 0.5, 100.0, 0.0)
+
+    @pytest.mark.parametrize("q0", [0.0, 37.25])
+    @pytest.mark.parametrize("frames", [1, _SUB_FRAMES - 1, _SUB_FRAMES + 1, _CHUNK_FRAMES,
+                                        3 * _CHUNK_FRAMES + 777])
+    @pytest.mark.parametrize("kind", ["two-point", "two-point-zero-steps",
+                                      "two-point-negative-zero", "gaussian"])
+    def test_bit_identical_to_whole_chunk_scan(self, kind, frames, q0):
+        a, service = self._service(kind, frames)
+        x = np.empty(min(frames, _SUB_FRAMES))
+        c = np.empty_like(x)
+        got, want = [], []
+        q_got = q_want = q0
+        for start in range(0, frames, _CHUNK_FRAMES):
+            chunk = service[start:start + _CHUNK_FRAMES]
+            blocks = [q.copy() for _, q in _lindley_chunk(q_got, a, chunk, x, c)]
+            got += blocks
+            want.append(_whole_chunk_scan(q_want, a, chunk))
+            q_got, q_want = float(blocks[-1][-1]), float(want[-1][-1])
+        np.testing.assert_array_equal(np.concatenate(got).view(np.int64),
+                                      np.concatenate(want).view(np.int64))
 
 
 class TestSimulateQueue:
@@ -438,8 +503,9 @@ class TestSimulateQueue:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_traced_service_survives_the_ring(self, monkeypatch, threads):
         # four chunks: the third and fourth are filled into the slots of the
-        # first two, and the scan overwrites each chunk's service with its
-        # steps, so the traced service bits must be gathered before either
+        # first two, and each chunk's service is overwritten with its squares
+        # once scanned, so the traced service bits must be gathered before
+        # either
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=_CHUNK_FRAMES // 2)
         res = simulate_queue(cfg, trace_every=97)
@@ -501,13 +567,14 @@ class TestMemory:
         assert four.samples.nbytes == one.samples.nbytes <= 16 * 1024 + 16
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_working_set_under_four_chunk_arrays(self, monkeypatch, threads):
-        # the scan's own buffer and the two service slots are three chunk
-        # arrays; each worker adds one sub-chunk's padded windows and half a
-        # sub-chunk's statistics, 3/8 of a chunk array at m = 2
+    def test_working_set_under_three_chunk_arrays(self, monkeypatch, threads):
+        # the two service slots are two chunk arrays, and the scan's two
+        # sub-chunk buffers 1/8 of one; each worker adds one sub-chunk's
+        # padded windows and half a sub-chunk's statistics, 3/8 of a chunk
+        # array at m = 2
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         chunk_arrays = _three_chunk_peak_mb() * 1e6 / (_CHUNK_FRAMES * 8)
-        assert chunk_arrays < 4, chunk_arrays
+        assert chunk_arrays < 3, chunk_arrays
 
 
 class TestNoSpinningThreads:
