@@ -8,9 +8,9 @@ exponential; the gains have unit mean and the SNR sets the received power.
 Sampling is counter-based: sample index i owns a fixed window of a Philox
 stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
 in one vectorized batch -- or concurrently in any chunking -- reproduces a
-serial full pass bit for bit.  `draw_gain_matrix` is the package's one gain
-draw: it fills one padded matrix in blocks of _BLOCK_ROWS rows on the worker
-pool (`_on_row_blocks`), and `SampleSet.draw` reads it.
+serial full pass bit for bit.  `draw_gain_matrix` is the one draw of a
+sample set: it fills one padded matrix in blocks of _BLOCK_ROWS rows on the
+worker pool (`_on_row_blocks`), and `SampleSet.draw` reads it.
 
 `_run_rows` is the package's one way onto its worker pool, and its one
 choice between a pool of at most BLOCKRATE_THREADS workers (default: the

@@ -223,25 +223,29 @@ def error_probability(z: np.ndarray, params: SystemParams, rate: float) -> float
 def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eps, z, spread) at a finite rate: z = (mu - rate)/spread in one new
-    array and eps = Q(z), with spread = delta, or inf on rows where delta = 0
-    (all-zero gains); those rows take the limit eps = 0 / 0.5 / 1 for rate
-    below / at / above mu."""
-    # one reduction: the min is nan if any entry is, and inf for no rows
-    pos = None if delta.min(initial=math.inf) > 0.0 else delta > 0.0
-    spread = delta if pos is None else np.where(pos, delta, math.inf)
+    array and eps = Q(z), with spread = delta, or inf on the rows where
+    (mu - rate)/delta is not finite: delta = 0 (all-zero gains), or a rate
+    so far above mu that the quotient overflows.  Those rows take the limit
+    eps = 0 / 0.5 / 1 for rate below / at / above mu, and add no slope."""
+    z = np.subtract(mu, rate)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z /= delta
+        # one reduction: finite unless a quotient is not (or their sum overflows)
+        finite = math.isfinite(z.sum())
+    if finite:
+        return q_function(z), z, delta
+    step = ~np.isfinite(z)
+    spread = np.where(step, math.inf, delta)
     z = np.subtract(mu, rate)
     z /= spread
-    eps = q_function(z)
-    if spread is not delta:
-        deg = ~pos
-        eps = np.asarray(eps)  # q_function gives a float for 0-d z
-        eps[deg] = np.where(rate < mu[deg], 0.0, np.where(rate > mu[deg], 1.0, 0.5))
+    eps = np.asarray(q_function(z))  # q_function gives a float for 0-d z
+    eps[step] = np.where(rate < mu[step], 0.0, np.where(rate > mu[step], 1.0, 0.5))
     return eps, z, spread
 
 
 def error_probability_arrays(mu: np.ndarray, delta: np.ndarray, rate: float) -> np.ndarray:
     """Vectorized error probability from precomputed (mu, delta) arrays at a
-    finite rate; see `_error_terms` for rows with delta = 0."""
+    finite rate; see `_error_terms` for the rows where it is a step."""
     return _error_terms(mu, delta, rate)[0]
 
 

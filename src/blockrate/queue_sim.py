@@ -14,11 +14,11 @@ operating point.  `estimate_decay_rate` fits the realized tail exponent.
 
 The trajectory itself is sequential, but within a chunk of frames the
 recursion has a closed scan form: with x_t = a - r_t and C the running sum
-of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks of
-2^19 frames are processed in order with the final value carried.  Each
-chunk is scanned in blocks of 2^15 frames that carry the running sum and
-minimum, in the order one scan of the whole chunk takes them, so the
-blocks give that scan's queue lengths bit for bit.  The scan is not
+of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks of 2^19
+frames are processed in order with the final value carried.  Each chunk is
+scanned in blocks of 2^15 frames that carry the running sum and its floor
+min(0, every sum so far); a minimum is exact in any order, so the blocks
+give one whole-chunk scan's queue lengths bit for bit.  The scan is not
 bit-identical to the scalar loop, because the running sum rounds
 differently: over a full chunk of service or Gaussian steps under 15% of
 entries match exactly, and the largest error measured is 3e-11 times the
@@ -101,8 +101,9 @@ def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
 @dataclass(frozen=True)
 class QueueConfig:
     """Inputs of one queue run; one frame spans params.nm channel uses and
-    sees params.m unit-mean Rayleigh gains.  To `_check_run`'s rules it adds
-    those of a calibrated point: policy is a RatePolicy with its target set."""
+    sees params.m unit-mean Rayleigh gains.  The one check of a run: to
+    `_check_run`'s rules it adds the seed's and those of a calibrated point,
+    a RatePolicy with its target set."""
 
     arrival_bits_per_frame: float
     frames: int
@@ -113,6 +114,7 @@ class QueueConfig:
 
     def __post_init__(self):
         _check_run(self.arrival_bits_per_frame, self.frames, self.burn_in_frames, self.params.theta)
+        _check_integer("seed", self.seed, 0)
         if not isinstance(self.policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {self.policy!r}")
         if self.policy.target is None:
@@ -186,10 +188,10 @@ class QueueResult:
 
     samples is the TailHistogram of the post-burn-in queue lengths; it and
     every other field have a size fixed by theta's bins, not by frames.
-    unstable means the trajectory diverges: the arrival rate exceeds the
-    measured mean service rate by more than three standard errors (service
-    is independent across frames, so the z-test is exact); drift_z is that
-    z-score, (arrival - mean service) / its standard error, and is +-inf
+    unstable is drift_z > 3: the trajectory diverges, as the arrival rate
+    exceeds the measured mean service rate by more than three standard
+    errors (service is independent across frames, so the z-test is exact);
+    drift_z is (arrival - mean service) / its standard error, and is +-inf
     (0 when they are equal) when every frame serves the same bits; the
     service's variance comes from per-chunk pairwise sums of its squares.
     Tail fitting is meaningless on an unstable run.  trend_slope is a
@@ -265,25 +267,23 @@ def _lindley_chunk(q_prev: float, a: float, service: np.ndarray, x: np.ndarray,
     running sums; both are the consumer's until it asks for the next block.
     The queue lengths are those of one scan of the whole chunk, bit for bit.
     """
+    low = 0.0  # min(0, every running sum so far)
     for lo in range(0, service.size, x.size):
         block = service[lo:lo + x.size]
         steps = np.subtract(a, block, out=x[:block.size])
         sums = c[:block.size]
-        # a later block carries on the chunk's running sum and minimum as a
-        # whole-chunk cumsum and minimum.accumulate do: its first sum is
-        # run_sum + x[0], and its first floor minimum(run_min, that sum)
-        if lo:
-            steps[0] += run_sum
-        np.cumsum(steps, out=sums)
-        first = sums[0]
-        if lo:
-            sums[0] = np.minimum(run_min, first)
-        floor = np.minimum.accumulate(sums, out=steps)
-        sums[0] = first
-        run_sum, run_min = sums[-1], floor[-1]
-        np.minimum(floor, 0.0, out=floor)
-        np.subtract(sums, floor, out=floor)
-        np.add(sums, q_prev, out=sums)
+        # a later block's first running sum is run_sum + x[0], as in a
+        # whole-chunk cumsum, and its floor takes low: a minimum is exact in
+        # any order.  An overflowing sum is +inf, a queue length in the
+        # overflow bin, on a run the drift test flags
+        with np.errstate(over="ignore"):
+            if lo:
+                steps[0] += run_sum
+            np.cumsum(steps, out=sums)
+            floor = np.minimum(np.minimum.accumulate(sums, out=steps), low, out=steps)
+            run_sum, low = sums[-1], floor[-1]
+            np.subtract(sums, floor, out=floor)
+            np.add(sums, q_prev, out=sums)
         yield lo, np.maximum(sums, floor, out=floor)
 
 
@@ -298,7 +298,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     frames = config.frames
     burn = config.burn_in_frames
     a = config.arrival_bits_per_frame
-    _check_run(a, frames, burn, config.params.theta, trace_every)
+    _check_integer("trace_every", trace_every, 0)  # config has checked the rest
     # the trend is fitted on every step-th kept frame, kept index 0 first
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))
@@ -349,9 +349,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         return q_last, total, sumsq
 
     _run_rows(fills(0))
-    q_prev = 0.0
-    service_sum = 0.0
-    service_sumsq = 0.0
+    q_prev = service_sum = service_sumsq = 0.0
     for start in range(0, frames, _CHUNK_FRAMES):
         (q_prev, total, sumsq), *_ = _run_rows(
             [functools.partial(scan, start, q_prev), *fills(start + _CHUNK_FRAMES)])
@@ -361,15 +359,10 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0
     mean_service = service_sum / frames
     var_service = max(service_sumsq / frames - mean_service**2, 0.0)
-    drift = a - mean_service
-    se = math.sqrt(var_service / frames)
-    unstable = drift > 3.0 * se if se > 0.0 else drift > 0.0
-    if se > 0.0:
-        drift_z = drift / se
-    else:
-        drift_z = math.copysign(math.inf, drift) if drift else 0.0
+    drift, se = a - mean_service, math.sqrt(var_service / frames)
+    drift_z = drift / se if se > 0.0 else math.copysign(math.inf, drift) if drift else 0.0
     trace = np.concatenate(traced or [np.empty((0, 4))]) if trace_every > 0 else None
-    return QueueResult(samples=tail, unstable=unstable, trend_slope=slope,
+    return QueueResult(samples=tail, unstable=drift_z > 3.0, trend_slope=slope,
                        mean_service=mean_service, drift_z=drift_z, trace=trace)
 
 

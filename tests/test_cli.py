@@ -151,6 +151,35 @@ class TestExitCodes:
         assert "rate must be finite and >= 0" in err
 
     @pytest.mark.parametrize("argv", [
+        ["fig4", "--m", "1", "--rate-grid", "0.5,RATE"],
+        ["sweep-m", "--m", "1,2", "--rate", "RATE"],
+        ["fig4", "--theta", "0", "--rate-grid", "RATE"],
+        ["simulate", "--rate", "RATE", "--frames", "1000", "--burn-in", "10"],
+    ])
+    def test_rate_past_float_range_of_z(self, argv, capsys):
+        # at 1e308, (mu - rate)/delta overflows: each such row is a step at
+        # eps = 1, so every command prints what it prints at 1e200 (simulate:
+        # the degenerate tail, exit 2), with no numpy warning
+        runs = []
+        for rate in ("1e200", "1e308"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main([a.replace("RATE", rate) for a in argv] + ["--samples", "500"])
+            assert caught == []
+            out, err = capsys.readouterr()
+            runs.append((code, out.replace("1e+200", "1e+308"), err))
+        assert runs[1] == runs[0]
+        code, out, err = runs[1]
+        if argv[0] == "simulate":
+            assert (code, out) == (2, "")
+            assert err.startswith("blockrate: error: degenerate tail window")
+            assert len(err.splitlines()) == 1
+        else:
+            rows = [r for r in out.splitlines() if "1e+308" in r and not r.startswith("#")]
+            assert code == 0 and rows
+            assert all(",0.0,0.0" in r for r in rows)  # throughput and its error
+
+    @pytest.mark.parametrize("argv", [
         ["fig4", "--m", "1", "--rate-grid", "0.5"],
         ["optimize-rate"],
         ["sweep-m", "--m", "1,2", "--rate", "0.5"],
@@ -210,6 +239,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("blockrate: error: snr_linear * gain overflows")
+        assert len(err.splitlines()) == 1
+
+    def test_overflowing_arrival_is_unstable(self, capsys):
+        # the scan's running sum overflows to +inf with no numpy warning, and
+        # the drift test flags the run
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--arrival", "1e308", "--frames", "1000", "--burn-in", "10",
+                         "--epsilon", "0.01", "--samples", "100"])
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("blockrate: error: queue is unstable: arrival 1e+308")
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])

@@ -21,6 +21,7 @@ from blockrate.fbl import (
     FixedRate,
     RateStats,
     VariableRate,
+    _error_terms,
     _laplace_from_uniform,
     _rate_at,
     error_probability,
@@ -277,6 +278,18 @@ class TestErrorProbability:
         out = error_probability_arrays(mu, delta, 0.7)
         for i in range(3):
             assert out[i] == error_probability(gains[i], P200, 0.7)
+
+    def test_rate_past_float_range_of_z(self, wide_draws):
+        # (mu - rate)/delta overflows on every row with delta < 0.55: those
+        # rows are steps at eps = 1, as rows with delta = 0 are, and give the
+        # slopes a finite z over an infinite spread
+        mu, delta = wide_draws
+        eps, z, spread = _error_terms(mu, delta, 1e308)
+        assert (eps == 1.0).all()
+        assert np.isfinite(z).all()
+        assert (spread[delta < 0.5] == math.inf).all()
+        i = int(np.argmin(delta))  # a 0-d row whose z overflows
+        assert error_probability_arrays(np.asarray(mu[i]), np.asarray(delta[i]), 1e308) == 1.0
 
     def test_all_positive_delta_matches_mixed_path(self):
         # appending one zero-gain row (spread inf there) leaves the bits of

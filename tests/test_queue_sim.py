@@ -75,6 +75,12 @@ class TestQueueConfig:
         with pytest.raises(DomainError, match=f"{field} must be >= {low} and integral"):
             _config(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_rule(self, seed):
+        # at construction, before a run allocates its ring
+        with pytest.raises(DomainError, match="seed must be >= 0 and integral"):
+            _config(seed=seed)
+
     @pytest.mark.parametrize("policy", ["variable", 0.01, None])
     def test_rejects_unknown_policy(self, policy):
         with pytest.raises(DomainError, match="unknown rate policy"):
@@ -356,8 +362,8 @@ class TestLindley:
 
 class TestStreamedScan:
     """Each chunk is scanned in blocks of _SUB_FRAMES frames, carrying its
-    running sum and minimum; the queue lengths are those of one scan of the
-    whole chunk, signed zeros included."""
+    running sum and its floor min(0, every sum so far); the queue lengths are
+    those of one scan of the whole chunk, signed zeros included."""
 
     @staticmethod
     def _service(kind, frames):
@@ -480,6 +486,15 @@ class TestSimulateQueue:
             res = simulate_queue(cfg)
             assert res.unstable is unstable
             assert (res.drift_z > 3.0) is unstable
+
+    def test_overflowing_arrival_counts_in_the_overflow_bin(self):
+        # from the second frame on, the running sum overflows to +inf (with
+        # no numpy warning, which the test settings make an error), in every
+        # block and chunk; every kept queue length is past the last edge
+        cfg = _config(arrival_bits_per_frame=1e308, frames=2 * _CHUNK_FRAMES + 5)
+        res = simulate_queue(cfg)
+        assert res.samples.counts[-1] == res.samples.total == cfg.frames - cfg.burn_in_frames
+        assert res.unstable and res.drift_z > 3.0
 
     def test_mean_service_deterministic_case(self, monkeypatch):
         self._constant_service(monkeypatch, P2.nm * 0.5)
