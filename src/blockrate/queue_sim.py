@@ -29,14 +29,15 @@ replaying.
 
 The run keeps no per-frame values.  Each block's post-burn-in queue lengths
 are counted into a TailHistogram: bins of width h = 1/(8*theta) bits up to a
-cap of 128/theta bits, past which one overflow bin counts the rest.  The
-scan's two block-sized buffers hold a block's steps a - r_t, then its queue
-lengths, and its running sums, then (as intp) its bin numbers; once scanned,
-the chunk's service array is overwritten with its squares.  The run keeps
-the 2048-odd points of the trajectory that `trend_slope` is fitted on.  So
-it holds two chunk arrays, two blocks (1/8 of a chunk array), the 1025 bin
-counts and edges (16 KB) and those points, however many frames it
-simulates; per-frame values come only from a trace_every=1 trace.
+cap of 128/theta bits, past which one overflow bin counts the rest.  Each
+chunk's scan makes two block-sized buffers, for a block's steps a - r_t,
+then its queue lengths, and its running sums; binning a block makes its
+own intp bin numbers.  Once scanned, the chunk's service array is
+overwritten with its squares.  The run keeps the 2048-odd points of the
+trajectory that `trend_slope` is fitted on.  So it holds two chunk arrays,
+at most three blocks (3/16 of a chunk array), the 1025 bin counts and
+edges (16 KB) and those points, however many frames it simulates;
+per-frame values come only from a trace_every=1 trace.
 
 A frame's service depends only on (seed, frame index), so it is filled in
 sub-chunks of 2^15 frames into the two slots of a ring that
@@ -165,21 +166,17 @@ class TailHistogram:
     def nbytes(self) -> int:
         return self.counts.nbytes + self.edges.nbytes
 
-    def add(self, values: np.ndarray, index: np.ndarray) -> None:
+    def add(self, values: np.ndarray) -> None:
         """Count float values into their bins.
 
         values is overwritten with its scaled, clipped bin positions, so
-        pass a copy to keep it.  index, an intp array at least values.size
-        long, receives the bin numbers; the Lindley scan passes a view of
-        its running-sum buffer for every block, so binning allocates
-        nothing but each block's bincount.
+        pass a copy to keep it.  Their bin numbers are one intp array per
+        call, as large as values, besides its bincount.
         """
-        n = values.size
-        index = index[:n]
         np.multiply(values, self._per_bit, out=values)
         np.clip(values, 0.0, self.counts.size - 1, out=values)
-        np.copyto(index, values, casting="unsafe")  # truncation is floor here
-        self.counts += np.bincount(index, minlength=self.counts.size)
+        bins = values.astype(np.intp)  # truncation is floor here
+        self.counts += np.bincount(bins, minlength=self.counts.size)
 
 
 @dataclass(frozen=True)
@@ -256,17 +253,19 @@ def _fill_service(config: QueueConfig, start: int, out: np.ndarray) -> None:
                               params.nm, out=service[rows])
 
 
-def _lindley_chunk(q_prev: float, a: float, service: np.ndarray, x: np.ndarray,
-                   c: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, q) for each block service[lo:lo + x.size] of a chunk: q,
-    a view of x, holds the queue lengths after those frames, from q_prev at
-    the chunk's start, by the closed form of the recursion (see module
-    docstring).
+def _lindley_chunk(q_prev: float, a: float,
+                   service: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, q) for each block service[lo:lo + _SUB_FRAMES] of a chunk:
+    q holds the queue lengths after those frames, from q_prev at the chunk's
+    start, by the closed form of the recursion (see module docstring).
 
-    x and c, float buffers of one size, hold each block's steps a - r and
-    running sums; both are the consumer's until it asks for the next block.
-    The queue lengths are those of one scan of the whole chunk, bit for bit.
+    The chunk's two block-sized buffers hold each block's steps a - r, then
+    its queue lengths, and its running sums; q is the consumer's until it
+    asks for the next block.  The queue lengths are those of one scan of
+    the whole chunk, bit for bit.
     """
+    x = np.empty(min(service.size, _SUB_FRAMES))
+    c = np.empty_like(x)
     low = 0.0  # min(0, every running sum so far)
     for lo in range(0, service.size, x.size):
         block = service[lo:lo + x.size]
@@ -293,7 +292,8 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     Returns the histogram of post-burn-in queue lengths (bits) and
     diagnostics.  trace_every > 0 additionally records every trace_every-th
     frame, counted from frame 0, after the burn-in as (frame index, mean
-    gain, service bits, queue bits).
+    gain, service bits, queue bits).  Raises DomainError when the service's
+    sum of squares, which drift_z needs, is past the float range.
     """
     frames = config.frames
     burn = config.burn_in_frames
@@ -303,11 +303,6 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))
     tail = TailHistogram(config.params.theta)
-    # the scan's scratch, reused by every block: the steps, then the queue
-    # lengths; the running sums, then (as intp) the bin numbers
-    x = np.empty(min(frames, _SUB_FRAMES))
-    c = np.empty_like(x)
-    bins = c.view(np.intp)
     # chunk k's service, and its mean gains when traced, fill ring slot k % 2
     ring = np.empty((1 + (frames > _CHUNK_FRAMES), 1 + (trace_every > 0),
                      min(frames, _CHUNK_FRAMES)))
@@ -328,8 +323,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         """The chunk's last queue length, service sum and sum of squares."""
         chunk = slot(start)
         service = chunk[0]
-        total = float(service.sum())
-        for lo, q in _lindley_chunk(q_prev, a, service, x, c):
+        for lo, q in _lindley_chunk(q_prev, a, service):
             at = start + lo  # the block's first frame
             q_last = float(q[-1])
             kept = max(burn - at, 0)
@@ -342,10 +336,13 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
                     idx = np.arange(kept + (-(at + kept)) % trace_every, q.size, trace_every)
                     traced.append(np.column_stack([(at + idx).astype(float), chunk[1, lo + idx],
                                                    service[lo + idx], q[idx]]))
-                tail.add(q[kept:], bins)  # last use of q: binning overwrites it
-        # a pairwise sum in place, now that the scan has read the service:
-        # BLAS's dot would wake its spinning threads and round by their count
-        sumsq = float(np.multiply(service, service, out=service).sum())
+                tail.add(q[kept:])  # last use of q: binning overwrites it
+        # pairwise sums, the squares in place now that the scan has read the
+        # service: BLAS's dot would wake its spinning threads and round by
+        # their count.  A sum past the float range is +inf, checked once below
+        with np.errstate(over="ignore"):
+            total = float(service.sum())
+            sumsq = float(np.multiply(service, service, out=service).sum())
         return q_last, total, sumsq
 
     _run_rows(fills(0))
@@ -355,9 +352,12 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
             [functools.partial(scan, start, q_prev), *fills(start + _CHUNK_FRAMES)])
         service_sum += total
         service_sumsq += sumsq
+    mean_service = service_sum / frames
+    if not math.isfinite(service_sumsq):
+        raise DomainError(f"service of {mean_service!r} bits per frame on average overflows "
+                          "the sum of its squares behind drift_z; use a smaller n * m")
     t = np.arange(trend.size, dtype=float) * step
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0
-    mean_service = service_sum / frames
     var_service = max(service_sumsq / frames - mean_service**2, 0.0)
     drift, se = a - mean_service, math.sqrt(var_service / frames)
     drift_z = drift / se if se > 0.0 else math.copysign(math.inf, drift) if drift else 0.0

@@ -254,6 +254,21 @@ class TestExitCodes:
         assert err.startswith("blockrate: error: queue is unstable: arrival 1e+308")
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_service_square_is_usage_error(self, capsys):
+        # n = 1e160 passes SystemParams, and each success serves 5e159 bits,
+        # whose square overflows: drift_z needs the sum of squares, so the run
+        # stops with one message and no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--rate", "0.5", "--n", str(10**160), "--frames", "1000",
+                         "--burn-in", "10", "--samples", "200"])
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("blockrate: error: service of ")
+        assert "bits per frame on average overflows the sum of its squares" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
     def test_cannot_optimize_at_theta_zero(self, command, capsys):
         code = main([command, "--theta", "0", "--m", "1", "--samples", "500"])

@@ -221,10 +221,10 @@ class TestServicePipeline:
         scans = []
         real_scan = queue_sim._lindley_chunk
 
-        def scan(q_prev, a, service, x, sums):
+        def scan(q_prev, a, service):
             start = len(scans) * _CHUNK_FRAMES
             scans.append(0)
-            for lo, q in real_scan(q_prev, a, service, x, sums):
+            for lo, q in real_scan(q_prev, a, service):
                 assert max(c[0] for c in calls) < start + 2 * _CHUNK_FRAMES
                 assert lo == scans[-1] and q.size <= _SUB_FRAMES
                 scans[-1] += q.size
@@ -258,8 +258,8 @@ class TestServicePipeline:
                 outside.append(start)
             real_fill(config, start, out)
 
-        def scan(q_prev, a, service, x, sums):
-            for lo, q in real_scan(q_prev, a, service, x, sums):
+        def scan(q_prev, a, service):
+            for lo, q in real_scan(q_prev, a, service):
                 if not active[0]:
                     outside.append(("scan", lo))
                 yield lo, q
@@ -293,8 +293,7 @@ class TestServicePipeline:
 
 def _lindley(q0, x):
     # the steps 0 - (-x) are x; the scan leaves x as it was
-    buf = np.empty(min(x.size, _SUB_FRAMES))
-    return np.concatenate([q.copy() for _, q in _lindley_chunk(q0, 0.0, -x, buf, np.empty_like(buf))])
+    return np.concatenate([q.copy() for _, q in _lindley_chunk(q0, 0.0, -x)])
 
 
 def _whole_chunk_scan(q_prev, a, service):
@@ -386,18 +385,30 @@ class TestStreamedScan:
                                       "two-point-negative-zero", "gaussian"])
     def test_bit_identical_to_whole_chunk_scan(self, kind, frames, q0):
         a, service = self._service(kind, frames)
-        x = np.empty(min(frames, _SUB_FRAMES))
-        c = np.empty_like(x)
         got, want = [], []
         q_got = q_want = q0
         for start in range(0, frames, _CHUNK_FRAMES):
             chunk = service[start:start + _CHUNK_FRAMES]
-            blocks = [q.copy() for _, q in _lindley_chunk(q_got, a, chunk, x, c)]
+            blocks = [q.copy() for _, q in _lindley_chunk(q_got, a, chunk)]
             got += blocks
             want.append(_whole_chunk_scan(q_want, a, chunk))
             q_got, q_want = float(blocks[-1][-1]), float(want[-1][-1])
         np.testing.assert_array_equal(np.concatenate(got).view(np.int64),
                                       np.concatenate(want).view(np.int64))
+
+    @pytest.mark.parametrize("sub", [1, 7])
+    def test_block_size_does_not_change_bits(self, monkeypatch, sub):
+        # blocks of one frame carry the running sum and its floor at every
+        # step; blocks of seven end in a partial block on two of these sizes
+        monkeypatch.setattr(queue_sim, "_SUB_FRAMES", sub)
+        for kind in ("two-point", "two-point-zero-steps", "two-point-negative-zero"):
+            for frames, q0 in ((300, 0.0), (343, 37.25), (401, 0.0)):
+                a, service = self._service(kind, frames)
+                blocks = [q.copy() for _, q in _lindley_chunk(q0, a, service)]
+                assert len(blocks) == -(-frames // sub)
+                np.testing.assert_array_equal(
+                    np.concatenate(blocks).view(np.int64),
+                    _whole_chunk_scan(q0, a, service).view(np.int64))
 
 
 class TestSimulateQueue:
@@ -496,6 +507,15 @@ class TestSimulateQueue:
         assert res.samples.counts[-1] == res.samples.total == cfg.frames - cfg.burn_in_frames
         assert res.unstable and res.drift_z > 3.0
 
+    def test_overflowing_service_square_rejected(self):
+        # a success serves 5e159 bits, a finite sum whose square is not: the
+        # run names the mean service instead of a drift_z it cannot compute
+        params = SystemParams(snr_linear=1.0, n=10**160, m=1, theta=0.05)
+        cfg = _config(params=params, policy=FixedRate(rate=0.5), arrival_bits_per_frame=1e159)
+        with pytest.raises(DomainError, match=r"service of \S+e\+159 bits per frame on average "
+                                              "overflows the sum of its squares"):
+            simulate_queue(cfg)
+
     def test_mean_service_deterministic_case(self, monkeypatch):
         self._constant_service(monkeypatch, P2.nm * 0.5)
         cfg = _config(policy=FixedRate(rate=0.5), frames=200,
@@ -584,9 +604,9 @@ class TestMemory:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_working_set_under_three_chunk_arrays(self, monkeypatch, threads):
         # the two service slots are two chunk arrays, and the scan's two
-        # sub-chunk buffers 1/8 of one; each worker adds one sub-chunk's
-        # padded windows and half a sub-chunk's statistics, 3/8 of a chunk
-        # array at m = 2
+        # sub-chunk buffers and the histogram's bin numbers 3/16 of one; each
+        # worker adds one sub-chunk's padded windows and half a sub-chunk's
+        # statistics, 3/8 of a chunk array at m = 2
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         chunk_arrays = _three_chunk_peak_mb() * 1e6 / (_CHUNK_FRAMES * 8)
         assert chunk_arrays < 3, chunk_arrays
@@ -649,7 +669,7 @@ class TestArrivalCalibration:
 def _histogram(values, theta):
     values = np.array(values, dtype=float)  # a copy: add overwrites it
     hist = TailHistogram(theta)
-    hist.add(values, np.empty(values.size, dtype=np.intp))
+    hist.add(values)
     return hist
 
 
@@ -682,9 +702,8 @@ class TestTailHistogram:
         rng = np.random.default_rng(5)
         s = rng.exponential(10.0, size=10_000)
         parts = TailHistogram(0.1)
-        index = np.empty(4_000, dtype=np.intp)
         for lo in range(0, s.size, 4_000):
-            parts.add(s[lo:lo + 4_000].copy(), index)
+            parts.add(s[lo:lo + 4_000].copy())
         np.testing.assert_array_equal(parts.counts, _histogram(s, 0.1).counts)
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
