@@ -9,8 +9,15 @@ Sampling is counter-based: sample index i owns a fixed window of a Philox
 stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
 in one vectorized batch -- or concurrently in any chunking -- reproduces a
 serial full pass bit for bit.  `draw_gain_matrix` is the one draw of a
-sample set: it fills one padded matrix in blocks of _BLOCK_ROWS rows on the
-worker pool (`_on_row_blocks`), and `SampleSet.draw` reads it.
+sample set: it fills one padded matrix in row blocks on the worker pool, and
+`SampleSet.draw` reads it.
+
+`_on_row_blocks` is the package's one rule for splitting rows across the
+pool, used by the draw, the statistics walk and the fixed-rate kernel's
+row sweep: each worker gets an equal share of the rows, and no block holds
+more than about 2^19 values, so fig2's (1e5, 52) master goes in 10 blocks
+on one or two workers while a 1e5-row phi sweep goes in one block per
+worker.
 
 `_run_rows` is the package's one way onto its worker pool, and its one
 choice between a pool of at most BLOCKRATE_THREADS workers (default: the
@@ -123,6 +130,12 @@ def _mark_worker() -> None:
     _WORKER.pooled = True
 
 
+def _pool_width() -> int:
+    """Workers a pool call made here may use: the BLOCKRATE_THREADS cap, or
+    one on a pool worker, where calls run inline."""
+    return 1 if getattr(_WORKER, "pooled", False) else _thread_cap()
+
+
 def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     """Each task's result, in input order.
 
@@ -130,8 +143,8 @@ def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     BLOCKRATE_THREADS cap is one, or the caller is a pool worker.  Otherwise
     they go to the process's pool for the cap, which is shared and
     persistent: callers wait on their own tasks and never shut it down."""
-    cap = _thread_cap()
-    if min(cap, len(tasks)) <= 1 or getattr(_WORKER, "pooled", False):
+    cap = _pool_width()
+    if min(cap, len(tasks)) <= 1:
         return [t() for t in tasks]
     with _POOLS_LOCK:
         if cap not in _POOLS:
@@ -141,17 +154,25 @@ def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     return [f.result() for f in futures]
 
 
-# rows per pooled draw or statistics task.  On fig2's (1e5, 50) master with
-# two workers, 8192 and 16384 timed alike; 4096, 32768 and one unsplit block
-# were 10-75% slower.
-_BLOCK_ROWS = 8192
+# values (4 MB of floats) a row block holds at most, so that its rows stay in
+# cache while a task walks them.  Drawing fig2's (1e5, 52) master and walking
+# its statistics took 80-94 ms in 2 to 14 blocks on two workers and 130 ms in
+# 40; on one thread, 124 ms in 10 blocks and 139 ms unsplit (2-vCPU VM).
+_BLOCK_VALUES = 1 << 19
 
 
-def _on_row_blocks(count: int, task: Callable[[int, int], None]) -> None:
-    """task(lo, hi) for each block of _BLOCK_ROWS rows of [0, count), on the
-    worker pool; each task writes only its own rows."""
-    _run_rows([functools.partial(task, lo, min(lo + _BLOCK_ROWS, count))
-               for lo in range(0, count, _BLOCK_ROWS)])
+def _on_row_blocks(count: int, width: int, task: Callable[[int, int], None]) -> None:
+    """task(lo, hi) for each row block of a (count, width) array, on the
+    worker pool; each task writes only its own rows.
+
+    The blocks are the fewest, in a multiple of the workers a pool call made
+    here may use, that keep each under about _BLOCK_VALUES values, and their
+    sizes differ by at most a row, so every worker gets an equal share."""
+    workers = _pool_width()
+    blocks = -(-count * width // _BLOCK_VALUES)
+    blocks = min(-(-blocks // workers) * workers, count)
+    edges = [i * count // blocks for i in range(blocks + 1)]
+    _run_rows([functools.partial(task, lo, hi) for lo, hi in zip(edges, edges[1:])])
 
 
 def _window_width(draws: int) -> int:
@@ -217,5 +238,5 @@ def draw_gain_matrix(model: Rayleigh, m: int, count: int, seed: int,
         uniform_windows(seed, start + lo, hi - lo, m, out=buf[lo:hi])
         _exponential_from_uniform(buf[lo:hi], out=buf[lo:hi])
 
-    _on_row_blocks(count, fill)
+    _on_row_blocks(count, buf.shape[1], fill)
     return buf[:, :m]

@@ -10,7 +10,8 @@ eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R); that expectation is `phi`.
 
 Expectations are sample averages over a SampleSet of channel realizations,
 drawn by `channel.draw_gain_matrix` and reduced to per-row statistics in
-row blocks on the worker pool (`channel._on_row_blocks`).  One SampleSet
+row blocks on the worker pool (`channel._on_row_blocks`); phi's per-row
+terms are filled the same way.  One SampleSet
 is reused across all epsilon/rate/theta evaluation points (common random
 numbers), so differences between nearby points reflect the parameters and
 not fresh sampling noise — argmax detection depends on this.
@@ -23,7 +24,7 @@ and `log_phi_slopes`.
 Every expectation is one deterministic pairwise sum over a fixed-layout
 array, so results do not depend on the worker-thread count; the cached
 statistics are read-only.  The kernel's per-row arithmetic, in place in
-one or two (count,) buffers, has the bits of the plain expressions
+one to three (count,) buffers, has the bits of the plain expressions
 (mu - delta*x, exp, (mu - R)/delta, erfc, delta*(delta*e)) except at two
 ends, psi where theta*n*m*|R| is below 2^-14 and phi where E[eps] is below
 the least normal float: there exact forms keep ln psi and ln phi within
@@ -83,11 +84,10 @@ class SampleSet:
     their statistics, all from one walk over the master's blocks.
 
     `draw` is `draw_gain_matrix`'s padded master, read through its [:, :m]
-    view.  That draw and every statistics walk run in blocks of _BLOCK_ROWS
-    rows on the worker pool (`channel._on_row_blocks`), each block in place
-    on its own rows; the draw is counter-based and the statistics are
-    per-row sums, so the bits are those of one serial pass at any thread
-    count.
+    view.  That draw and every statistics walk run in row blocks on the
+    worker pool, split by `channel._on_row_blocks`, each block in place on
+    its own rows; the draw is counter-based and the statistics are per-row
+    sums, so the bits are those of one serial pass at any thread count.
 
     `weights` is None for a Monte Carlo set, whose rows are equally likely;
     a quadrature set (`laguerre`) carries one weight per row instead.  The
@@ -159,7 +159,7 @@ class SampleSet:
         todo = [m for m, sub in subs.items() if key not in sub._stats_cache]
         if todo:
             stats = {m: (np.empty(self.count), np.empty(self.count)) for m in todo}
-            _on_row_blocks(self.count, lambda lo, hi: rate_stats_widths(
+            _on_row_blocks(self.count, max(todo), lambda lo, hi: rate_stats_widths(
                 self.gains[lo:hi], todo, params.snr_linear, params.n,
                 {m: (mu[lo:hi], delta[lo:hi]) for m, (mu, delta) in stats.items()}))
             for m in todo:
@@ -225,6 +225,18 @@ class _Expectation(NamedTuple):
     std_error: float = 0.0
 
 
+def _density_terms(z: np.ndarray, spread: np.ndarray, shift: float, p: np.ndarray) -> None:
+    """sqrt(2*pi) * pdf(z)/spread into p, and that times z/spread over z,
+    both times exp(-shift)."""
+    np.multiply(z, z, out=p)
+    p *= -0.5
+    p -= shift
+    np.exp(p, out=p)
+    p /= spread
+    z *= p
+    z /= spread
+
+
 def _kernel(samples: SampleSet, params: SystemParams, arg: float,
             eps_pair: tuple[float, float] | None = None, clamp: bool = False,
             want: str = "log") -> _Expectation:
@@ -252,6 +264,9 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
     -expm1(-T); phi, where E[eps] is below _LOG_FORM_BELOW (subnormal eps
     have cost the mean its digits), takes ln eps = log_ndtr(-z) per row and
     sums eps, p and z*p/delta on L = max(max ln eps, ln E[1-eps] - T).
+    phi's per-row terms on L = 0 are filled in row blocks on the pool, each
+    block on its own rows, and summed over the whole set; the log form,
+    rare, takes z again in one serial pass.
     """
     if params.theta <= 0.0:
         raise DomainError("theta must be > 0 here; use ergodic_rate_* for the theta = 0 limit")
@@ -302,33 +317,42 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
             a1, a2 = -g * lost, arg * g * lost
             b1, ab, b2 = -keep * c * mean_w, g * c * mean_w, keep * c * c * mean_ww
     else:
-        row, z, spread = _error_terms(mu, delta, arg)
-        shift, t, decay = 0.0, c * arg, -math.expm1(-c * arg)
-        a = _mean(samples, row)
+        slopes, count = want == "slopes", samples.count
+        # each row block fills its own rows of eps and z and, for slopes,
+        # sqrt(2*pi) * p and, over z, sqrt(2*pi) * z*p/delta
+        eps, zrow = np.empty(count), np.empty(count)
+        p = np.empty(count) if slopes else None
+
+        def sweep(lo: int, hi: int) -> None:
+            rows = slice(lo, hi)
+            _, z, spread = _error_terms(mu[rows], delta[rows], arg, (eps[rows], zrow[rows]))
+            if slopes:
+                _density_terms(z, spread, 0.0, p[rows])
+
+        _on_row_blocks(count, 1, sweep)
+        row, shift, t, decay = eps, 0.0, c * arg, -math.expm1(-c * arg)
         # E[1 - eps] is its own sum: 1 - E[eps] drops the last bits of the
-        # weights, or of every eps near 1
-        b = _mean(samples, np.subtract(1.0, row, out=None if want == "spread" else row))
+        # weights, or of every eps near 1.  The spread reads eps after it,
+        # so there 1 - eps goes over z
+        a = _mean(samples, eps)
+        b = _mean(samples, np.subtract(1.0, eps, out=zrow if want == "spread" else eps))
         if decay * b < 0.9:
             log = math.log1p(-decay * b)
         elif a >= _LOG_FORM_BELOW:
             log = float(np.logaddexp(math.log(a), math.log(b) - t))
-        else:
-            row = log_ndtr(np.negative(z))
+        else:  # rare: z again, serially, with every term on the shift
+            _, z, spread = _error_terms(mu, delta, arg, (eps, zrow))
+            row = log_ndtr(np.negative(z, out=eps), out=eps)
             shift = max(float(row.max()), math.log(b) - t)
             row -= shift
             a = _mean(samples, np.exp(row, out=row))
             log = shift + math.log(a + b * math.exp(-t - shift))
+            if slopes:
+                _density_terms(z, spread, shift, p)
         if want == "spread":
             se = decay * _spread(samples, row, a) / (root_n * math.exp(log - shift) * c)
-        if want == "slopes":
-            # the buffer becomes -z*z/2 - L, then sqrt(2*pi) * p and
-            # sqrt(2*pi) * z*p/delta, each on the shift
-            np.multiply(z, z, out=row)
-            row *= -0.5
-            row -= shift
-            dens = _mean(samples, np.divide(np.exp(row, out=row), spread, out=row)) / SQRT_2PI
-            np.multiply(row, z, out=row)
-            curv = _mean(samples, np.divide(row, spread, out=row)) / SQRT_2PI
+        if slopes:
+            dens, curv = _mean(samples, p) / SQRT_2PI, _mean(samples, zrow) / SQRT_2PI
 
             def over_v(s: float, by: float) -> float:  # s*exp(-by), by ~ ln V
                 return math.copysign(math.exp(math.log(abs(s)) - by), s) if s else 0.0

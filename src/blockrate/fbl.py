@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import SystemParams, _check_gains, _check_integer, uniform_windows
 from .errors import DomainError
-from .special import q_function, q_inverse
+from .special import _q_finite, q_inverse
 
 LOG2E = math.log2(math.e)
 
@@ -220,25 +220,29 @@ def error_probability(z: np.ndarray, params: SystemParams, rate: float) -> float
     return float(error_probability_arrays(mu, delta, rate)[0])
 
 
-def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float
+def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float,
+                 out: tuple[np.ndarray, np.ndarray] | None = None
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eps, z, spread) at a finite rate: z = (mu - rate)/spread in one new
-    array and eps = Q(z), with spread = delta, or inf on the rows where
-    (mu - rate)/delta is not finite: delta = 0 (all-zero gains), or a rate
-    so far above mu that the quotient overflows.  Those rows take the limit
-    eps = 0 / 0.5 / 1 for rate below / at / above mu, and add no slope."""
-    z = np.subtract(mu, rate)
+    """(eps, z, spread) at a finite rate: z = (mu - rate)/spread and eps =
+    Q(z), written into out = (eps, z), two arrays shaped like mu, or into two
+    new arrays, with spread = delta, or inf on the rows where (mu - rate)/delta
+    is not finite: delta = 0 (all-zero gains), or a rate so far above mu that
+    the quotient overflows.  Those rows take the limit eps = 0 / 0.5 / 1 for
+    rate below / at / above mu, and add no slope.  Every row's terms are its
+    own, so any split of the rows into blocks gives the same bits."""
+    eps, z = (np.empty(np.shape(mu)), np.empty(np.shape(mu))) if out is None else out
+    np.subtract(mu, rate, out=z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z /= delta
         # one reduction: finite unless a quotient is not (or their sum overflows)
         finite = math.isfinite(z.sum())
     if finite:
-        return q_function(z), z, delta
+        return _q_finite(z, eps), z, delta
     step = ~np.isfinite(z)
     spread = np.where(step, math.inf, delta)
-    z = np.subtract(mu, rate)
-    z /= spread
-    eps = np.asarray(q_function(z))  # q_function gives a float for 0-d z
+    np.subtract(mu, rate, out=z)
+    z /= spread  # finite on every row: the step rows' z is +-0
+    _q_finite(z, eps)
     eps[step] = np.where(rate < mu[step], 0.0, np.where(rate > mu[step], 1.0, 0.5))
     return eps, z, spread
 

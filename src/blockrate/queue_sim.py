@@ -292,8 +292,9 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     Returns the histogram of post-burn-in queue lengths (bits) and
     diagnostics.  trace_every > 0 additionally records every trace_every-th
     frame, counted from frame 0, after the burn-in as (frame index, mean
-    gain, service bits, queue bits).  Raises DomainError when the service's
-    sum of squares, which drift_z needs, is past the float range.
+    gain, service bits, queue bits).  Raises DomainError when a chunk's
+    service sum, before its scan, or the run's sum of squares, which drift_z
+    needs, is past the float range.
     """
     frames = config.frames
     burn = config.burn_in_frames
@@ -323,6 +324,15 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         """The chunk's last queue length, service sum and sum of squares."""
         chunk = slot(start)
         service = chunk[0]
+        # pairwise sums, not BLAS's dot, which would wake its spinning threads
+        # and round by their count.  The service's is taken before the scan,
+        # which only reads the service, so that a service past the float
+        # range, where no step a - r is a number, stops the run first
+        with np.errstate(over="ignore"):
+            total = float(service.sum())
+        if not math.isfinite(total):
+            raise DomainError(f"service of {total / service.size!r} bits per frame on average "
+                              "overflows a float; use a smaller n * m")
         for lo, q in _lindley_chunk(q_prev, a, service):
             at = start + lo  # the block's first frame
             q_last = float(q[-1])
@@ -337,11 +347,9 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
                     traced.append(np.column_stack([(at + idx).astype(float), chunk[1, lo + idx],
                                                    service[lo + idx], q[idx]]))
                 tail.add(q[kept:])  # last use of q: binning overwrites it
-        # pairwise sums, the squares in place now that the scan has read the
-        # service: BLAS's dot would wake its spinning threads and round by
-        # their count.  A sum past the float range is +inf, checked once below
+        # the squares in place, now that the scan has read the service; a sum
+        # past the float range is +inf, checked once below
         with np.errstate(over="ignore"):
-            total = float(service.sum())
             sumsq = float(np.multiply(service, service, out=service).sum())
         return q_last, total, sumsq
 

@@ -48,7 +48,13 @@ def q_function(x):
         raise DomainError("q_function requires finite input")
     if arr.ndim == 0:
         return float(0.5 * erfc(arr / _SQRT2))
-    out = np.divide(arr, _SQRT2)
+    return _q_finite(arr, np.empty(arr.shape))
+
+
+def _q_finite(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Q(x) written into out, which may be x: `q_function`'s arithmetic on
+    an array its caller has already found finite, without a second scan."""
+    np.divide(x, _SQRT2, out=out)
     erfc(out, out=out)
     out *= 0.5
     return out

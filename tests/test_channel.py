@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from blockrate.channel import (
-    _BLOCK_ROWS,
+    _BLOCK_VALUES,
     Rayleigh,
     SystemParams,
     _exponential_from_uniform,
+    _on_row_blocks,
+    _run_rows,
     draw_gain_matrix,
     substream,
     uniform_windows,
@@ -89,9 +91,10 @@ class TestWindowedSampling:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_start_offset_slicing_across_blocks(self, monkeypatch, threads):
-        # past two row blocks: each block must draw its windows at start + lo
+        # past two row blocks of padded width-4 rows at any worker count:
+        # each block must draw its windows at start + lo
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
-        count = 2 * _BLOCK_ROWS + 5
+        count = 2 * (_BLOCK_VALUES // 4) + 5
         full = draw_gain_matrix(Rayleigh(), 2, 37 + count, seed=9)
         part = draw_gain_matrix(Rayleigh(), 2, count, seed=9, start=37)
         np.testing.assert_array_equal(part, full[37:])
@@ -150,6 +153,40 @@ class TestWindowedSampling:
     def test_uniform_range(self):
         u = uniform_windows(13, 0, 10_000, 5)
         assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def _row_blocks(count: int, width: int) -> list[tuple[int, int]]:
+    seen = []  # appended from the pool's threads: list.append is atomic
+    _on_row_blocks(count, width, lambda lo, hi: seen.append((lo, hi)))
+    return sorted(seen)
+
+
+class TestRowBlocks:
+    # (count, width) -> blocks at 1, 2 and 3 workers: fig2's padded (1e5, 52)
+    # master stays in cache-sized blocks, while a 1e5-row draw with m <= 5,
+    # its statistics and a phi sweep take one block per worker
+    SPLITS = {(100_000, 52): (10, 10, 12), (100_000, 50): (10, 10, 12),
+              (100_000, 8): (2, 2, 3), (100_000, 1): (1, 2, 3),
+              (2**19 + 3, 1): (2, 2, 3), (1, 1): (1, 1, 1), (2, 1): (1, 2, 2),
+              (3, 52): (1, 2, 3)}
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_equal_shares_under_the_cap(self, monkeypatch, threads):
+        monkeypatch.setenv("BLOCKRATE_THREADS", str(threads))
+        for (count, width), counts in self.SPLITS.items():
+            blocks = _row_blocks(count, width)
+            assert len(blocks) == counts[threads - 1], (count, width)
+            # the blocks tile [0, count) in order, and differ by at most a row
+            assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+            assert blocks[-1][1] == count
+            sizes = [hi - lo for lo, hi in blocks]
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) * width <= _BLOCK_VALUES + width
+
+    def test_one_worker_inside_a_pool_task(self, monkeypatch):
+        # a call on a pool worker runs its tasks inline: one block suffices
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        assert _run_rows([lambda: _row_blocks(100_000, 1)] * 2) == [[(0, 100_000)]] * 2
 
 
 class TestExponentialTransform:

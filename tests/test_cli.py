@@ -269,6 +269,19 @@ class TestExitCodes:
         assert "bits per frame on average overflows the sum of its squares" in err
         assert len(err.splitlines()) == 1
 
+    def test_overflowing_service_is_usage_error(self, capsys):
+        # n = 1e308 passes SystemParams, but each success serves n*m*R = inf
+        # bits: the chunk's service sum is checked before the scan reads it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--rate", "2", "--n", str(10**308), "--frames", "1000",
+                         "--burn-in", "10", "--samples", "200"])
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == ("blockrate: error: service of inf bits per frame on average "
+                       "overflows a float; use a smaller n * m\n")
+
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
     def test_cannot_optimize_at_theta_zero(self, command, capsys):
         code = main([command, "--theta", "0", "--m", "1", "--samples", "500"])

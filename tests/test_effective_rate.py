@@ -9,14 +9,17 @@ convergence), and Monte Carlo agrees within sampling error.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
+from blockrate import channel
 from blockrate.channel import (
-    _BLOCK_ROWS,
+    _BLOCK_VALUES,
     Rayleigh,
     SystemParams,
     _exponential_from_uniform,
@@ -40,11 +43,13 @@ from blockrate.effective_rate import (
 from blockrate.errors import ComputationError, DomainError
 from blockrate.fbl import (
     LOG2E,
+    _error_terms,
     error_probability_arrays,
     rate_stats,
     rate_stats_arrays,
     rate_stats_widths,
 )
+from blockrate.optimize import optimal_rate
 from blockrate.special import SQRT_2PI, q_function, q_inverse
 
 P1 = SystemParams(snr_linear=1.0, n=200, m=1, theta=0.01)
@@ -130,13 +135,14 @@ class TestSampleSet:
 
     @pytest.mark.parametrize("threads", ["1", "2", "4"])  # 4: more workers than cores
     @pytest.mark.parametrize("m", [1, 3, 4, 50])  # 1, 3 and 50 pad their Philox windows
-    @pytest.mark.parametrize("count", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
-                                       3 * _BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 24581])
     def test_block_walk_matches_serial_reference(self, monkeypatch, count, m, threads):
         # the draw and the statistics run in row blocks on the pool; one
         # whole-range draw and one walk over the whole matrix must give the
-        # same bits
+        # same bits.  A cap of 4096 values per block puts 2 to 313 blocks,
+        # even and odd, into these counts at every m and worker count.
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        monkeypatch.setattr(channel, "_BLOCK_VALUES", 4096)
         widths = sorted({1, (m + 1) // 2, m})
         subs = SampleSet.draw(Rayleigh(), m, count, seed=8).prefixes(
             widths, SystemParams(2.0, 50, m, 0.01))
@@ -151,9 +157,10 @@ class TestSampleSet:
     def test_draw_allocates_only_the_master(self, monkeypatch, threads):
         # each block is drawn, transformed and checked in place on its own
         # rows of the padded master: no block-sized temporary, let alone a
-        # full-size one, is alive beside it
+        # full-size one, is alive beside it.  Here every block holds about
+        # a quarter of the master (four blocks at one or two workers).
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
-        count, m = 3 * _BLOCK_ROWS + 5, 50
+        count, m = 3 * (_BLOCK_VALUES // 52) + 5, 50
         master_bytes = count * 52 * 8
         tracemalloc.start()
         try:
@@ -162,7 +169,7 @@ class TestSampleSet:
         finally:
             tracemalloc.stop()
         assert ss.gains.base.nbytes == master_bytes
-        assert peak < master_bytes + _BLOCK_ROWS * 52 * 8
+        assert peak < master_bytes + master_bytes // 8
 
     def test_prefix_bounds(self):
         ss = SampleSet.draw(Rayleigh(), 2, 10, seed=0)
@@ -345,6 +352,112 @@ class TestInPlaceKernelsKeepBits:
         y = np.random.default_rng(5).normal(0.0, 20.0, size=shape)
         expected = float(np.std(y, ddof=1))
         assert _spread(SampleSet(np.ones((1, 1))), y, float(np.mean(y))) == expected
+
+
+def _serial_phi(rate, samples, params, want):
+    """The phi branch of `_kernel` as one serial pass: one `_error_terms`
+    over every row, then in-place passes over its eps buffer in the order
+    they ran before the rows were split into blocks.  (ln phi, standard
+    error) for want "spread", else (ln phi, d1, d2)."""
+    mu, delta = samples.stats(params)
+    c = params.theta * params.nm
+    row, z, spread = _error_terms(mu, delta, rate)
+    shift, t, decay = 0.0, c * rate, -math.expm1(-c * rate)
+    a = _mean(samples, row)
+    b = _mean(samples, np.subtract(1.0, row, out=None if want == "spread" else row))
+    if decay * b < 0.9:
+        log = math.log1p(-decay * b)
+    elif a >= sys.float_info.min:
+        log = float(np.logaddexp(math.log(a), math.log(b) - t))
+    else:
+        row = log_ndtr(np.negative(z))
+        shift = max(float(row.max()), math.log(b) - t)
+        row -= shift
+        a = _mean(samples, np.exp(row, out=row))
+        log = shift + math.log(a + b * math.exp(-t - shift))
+    if want == "spread":
+        return log, decay * _spread(samples, row, a) / (
+            math.sqrt(samples.count) * math.exp(log - shift) * c)
+    np.multiply(z, z, out=row)
+    row *= -0.5
+    row -= shift
+    dens = _mean(samples, np.divide(np.exp(row, out=row), spread, out=row)) / SQRT_2PI
+    np.multiply(row, z, out=row)
+    curv = _mean(samples, np.divide(row, spread, out=row)) / SQRT_2PI
+    kept = _literal_over(b, log + t)
+    a1, a2 = decay * _literal_over(dens, log - shift), decay * _literal_over(curv, log - shift)
+    b1, ab, b2 = c * kept, c * _literal_over(dens, log - shift + t), c * c * kept
+    d1 = a1 - b1
+    return log, d1, a2 + 2.0 * ab + b2 - d1 * d1
+
+
+class TestPhiSweepKeepsBits:
+    """phi's rows are filled in blocks on the pool; every split, at any
+    worker count, gives the bits of one serial pass."""
+
+    @staticmethod
+    def _check(ss, p, rate):
+        c = p.theta * p.nm
+        assert log_phi_slopes(rate, ss, p) == _serial_phi(rate, ss, p, "slopes")
+        assert phi(rate, ss, p) == math.exp(_serial_phi(rate, ss, p, "log")[0])
+        log, se = _serial_phi(rate, ss, p, "spread")
+        assert effective_rate_fixed(rate, ss, p) == EffectiveRateEstimate(-log / c, se)
+
+    @staticmethod
+    def _set(count):
+        # every 7th row from the second has all-zero gains (delta = 0)
+        gains = draw_gain_matrix(Rayleigh(), 2, count, seed=12)
+        gains[1::7] = 0.0
+        return SampleSet(gains)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("count", [1, 2, 3, 1001, 2**19 + 3])
+    def test_matches_serial_reference(self, monkeypatch, count, threads):
+        # one block per worker, two per worker past 2^19 rows; at 1e308
+        # (mu - R)/delta overflows on every row with 0 < delta < 0.55, a step
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        ss, p = self._set(count), SystemParams(10 ** -0.5, 50, 2, 0.05)
+        for rate in (0.0, 0.05, 0.3, 1.1, 4.0, 1e308):
+            self._check(ss, p, rate)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_many_blocks_match_serial_reference(self, monkeypatch, threads):
+        # a cap of 64 values per block splits 1001 rows into 16 or 18 blocks
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        monkeypatch.setattr(channel, "_BLOCK_VALUES", 64)
+        ss, p = self._set(1001), SystemParams(10 ** -0.5, 50, 2, 0.05)
+        for rate in (0.05, 1.1, 1e308):
+            self._check(ss, p, rate)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_log_form_matches_serial_reference(self, monkeypatch, threads):
+        # a point of the probe grid (tests/test_optimize.py) where, at the
+        # optimum, every row's eps underflows: ln phi takes the log form
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        ss = SampleSet.draw(Rayleigh(), 10, 20_000, seed=1).prefix(5)
+        p = SystemParams.from_db(20.0, 500, 5, 1.0)
+        rate = optimal_rate(ss, p).argument
+        eps = error_probability_arrays(*ss.stats(p), rate)
+        assert _mean(ss, eps) < sys.float_info.min
+        assert -math.expm1(-p.theta * p.nm * rate) * _mean(ss, 1.0 - eps) >= 0.9
+        self._check(ss, p, rate)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_sweep_holds_at_most_three_set_length_arrays(self, monkeypatch, threads):
+        # slopes: eps (then 1 - eps), p and z (then z*p/delta), one array
+        # more than one serial pass's z and eps; phi and effective_rate_fixed
+        # hold eps and z (then 1 - eps)
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        ss, p = SampleSet.draw(Rayleigh(), 2, 100_000, seed=4), SystemParams(1.0, 200, 2, 0.01)
+        ss.stats(p)  # cached before tracing
+        for f, arrays in ((log_phi_slopes, 3), (phi, 2), (effective_rate_fixed, 2)):
+            tracemalloc.start()
+            try:
+                f(0.3, ss, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (arrays + 0.05) * ss.count * 8, f.__name__
 
 
 def _atom_samples(z0: float, count: int = 64) -> SampleSet:

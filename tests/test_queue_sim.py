@@ -516,6 +516,14 @@ class TestSimulateQueue:
                                               "overflows the sum of its squares"):
             simulate_queue(cfg)
 
+    def test_overflowing_service_rejected_before_the_scan(self):
+        # a success serves n*m*R = inf bits: no step a - r is a number
+        params = SystemParams(snr_linear=1.0, n=10**308, m=1, theta=0.05)
+        cfg = _config(params=params, policy=FixedRate(rate=2.0), arrival_bits_per_frame=1.0)
+        with pytest.raises(DomainError, match="service of inf bits per frame on average "
+                                              "overflows a float"):
+            simulate_queue(cfg)
+
     def test_mean_service_deterministic_case(self, monkeypatch):
         self._constant_service(monkeypatch, P2.nm * 0.5)
         cfg = _config(policy=FixedRate(rate=0.5), frames=200,
