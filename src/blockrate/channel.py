@@ -13,26 +13,31 @@ sample set: it fills one padded matrix in row blocks on the worker pool, and
 `SampleSet.draw` reads it.
 
 `_on_row_blocks` is the package's one rule for splitting rows across the
-pool, used by the draw, the statistics walk and the fixed-rate kernel's
-row sweep: each worker gets an equal share of the rows, and no block holds
-more than about 2^19 values, so fig2's (1e5, 52) master goes in 10 blocks
-on one or two workers while a 1e5-row phi sweep goes in one block per
-worker.
+pool, used by the draw, the statistics walk, the fixed-rate kernel's row
+sweep and `fbl`'s exact information-density sampler: each worker gets an
+equal share of the rows, and no block holds more than about 2^19 values,
+so fig2's (1e5, 52) master goes in 10 blocks on one or two workers while a
+1e5-row phi sweep goes in one block per worker.  The queue's frame fill
+keeps its own 2^15-frame tasks (`queue_sim._SUB_FRAMES`), sized by
+measurement against malloc's trim behaviour.
 
 `_run_rows` is the package's one way onto its worker pool, and its one
 choice between a pool of at most BLOCKRATE_THREADS workers (default: the
 core count) and running inline.  The cap is read on every call, and each
 cap gets one pool that lives as long as the process, so no call starts or
 joins threads once its pool exists.  A call made on a worker of one of
-those pools runs inline.  No current path nests (`sweep` fills every
-prefix's statistics before its rows go to the pool), but the rule keeps a
-future one from waiting on a worker that is waiting for it.
+those pools runs inline.  Work does nest: a multi-row fixed-rate sweep
+(fig4, `sweep-m --rate`) evaluates each row on a pool worker, and that
+row's phi sweep calls `_run_rows` from there.  Its blocks, one up to 2^19
+rows, run inline on that worker, so the call never waits on a worker of
+its own pool that may be waiting for it.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +70,9 @@ class SystemParams:
     and QoS exponent theta (1/bits).
 
     The one check of a point.  Besides each field's range, theta * n * m
-    must be finite: every throughput kernel's exponent scales with it."""
+    must be finite, and zero or at least the least normal float: every
+    throughput kernel's exponent scales with it, and a subnormal one keeps
+    only a few bits."""
 
     snr_linear: float
     n: int
@@ -85,6 +92,10 @@ class SystemParams:
             raise DomainError("n * m overflows a float") from None
         if not np.isfinite(scale):
             raise DomainError(f"theta * n * m overflows: theta = {self.theta!r}, n * m = {self.nm}")
+        if 0.0 < scale < sys.float_info.min:
+            raise DomainError(f"theta * n * m = {scale!r} is subnormal, which the kernels hold "
+                              f"to a few bits: theta = {self.theta!r}, n * m = {self.nm}; "
+                              "use theta = 0 for the ergodic limit")
 
     @property
     def nm(self) -> int:

@@ -14,6 +14,8 @@ conversely a fixed rate R fails with probability Q((mu - R)/delta), which
 `_error_terms` computes for every caller.  The Gaussian model behind these
 formulas is validated here by an exact sampler: the centered density equals
 a weighted sum of nm i.i.d. Laplace variates (zero mean, variance 2).
+Its rows go to the worker pool in `channel._on_row_blocks`'s blocks, so it
+holds one block's stream windows per worker, besides its count x m sums.
 
 R can be negative for small epsilon and deep fades; the formula is evaluated
 as printed by default, and `clamp` floors it at zero (zero service).  The
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SystemParams, _check_gains, _check_integer, uniform_windows
+from .channel import SystemParams, _check_gains, _check_integer, _on_row_blocks, uniform_windows
 from .errors import DomainError
 from .special import _q_finite, q_inverse
 
@@ -279,21 +281,24 @@ def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def mi_density_samples_exact(z: np.ndarray, params: SystemParams, count: int,
-                             seed: int, start: int = 0) -> np.ndarray:
-    """Exact mutual-information-density samples (bits/use), one per index in
-    [start, start+count), from Laplace-sum windows of nm draws each."""
+                             seed: int) -> np.ndarray:
+    """count exact mutual-information-density samples (bits/use): sample i
+    is the weighted Laplace sum of stream window i's nm draws.
+
+    Each row's m per-block sums are arithmetic on its own window, filled in
+    `channel._on_row_blocks`'s blocks on the worker pool; their weighted sum
+    is one matrix-vector product over all rows, since OpenBLAS rounds a row
+    by the number of rows in its call.  So no split moves a bit."""
     z = _check_realization(z, params)
     _check_integer("count", count, 1)
     st = rate_stats(z, params)
     s = params.snr_linear * z
     weights = np.sqrt(s / (1.0 + s))  # per-block Laplace weights
-    scale = LOG2E / params.nm
-    out = np.empty(count)
-    chunk = max(1, (1 << 24) // params.nm)  # cap the uniform buffer at ~128 MB
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        u = uniform_windows(seed, start + lo, hi - lo, params.nm)
-        w = _laplace_from_uniform(u).reshape(hi - lo, params.m, params.n)
-        out[lo:hi] = st.mu + scale * (w.sum(axis=2) @ weights)
-    return out
+    sums = np.empty((count, params.m))
 
+    def fill(lo: int, hi: int) -> None:
+        u = uniform_windows(seed, lo, hi - lo, params.nm)
+        _laplace_from_uniform(u).reshape(hi - lo, params.m, params.n).sum(axis=2, out=sums[lo:hi])
+
+    _on_row_blocks(count, params.nm, fill)
+    return st.mu + LOG2E / params.nm * (sums @ weights)

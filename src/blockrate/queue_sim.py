@@ -85,6 +85,14 @@ _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
 _TAIL_WINDOW = (1e-4, 0.1)  # the tail probabilities theta_hat is fitted over
 
 
+def _check_theta(theta) -> None:
+    """The queue's theta rule: finite and > 0, with the tail histogram's
+    span 128/theta finite, so that none of its bin edges overflows."""
+    if not (theta > 0.0 and math.isfinite(theta) and math.isfinite(_TAIL_SPAN / float(theta))):
+        raise DomainError(f"queue runs need theta > 0 (it scales the tail histogram's bins), "
+                          f"finite and with {_TAIL_SPAN}/theta finite, got {theta!r}")
+
+
 def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
     """The queue run's rules that need no rate target; arrival None is not yet set."""
     if arrival is not None and not (np.isfinite(arrival) and arrival >= 0):
@@ -93,9 +101,7 @@ def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
     _check_integer("burn_in_frames", burn_in_frames, 0)
     if burn_in_frames >= frames:
         raise DomainError(f"burn_in_frames={burn_in_frames} must be < frames={frames}")
-    if not theta > 0.0:
-        raise DomainError(f"queue runs need theta > 0 (it scales the tail "
-                          f"histogram's bins), got {theta!r}")
+    _check_theta(theta)
     _check_integer("trace_every", trace_every, 0)
 
 
@@ -147,12 +153,12 @@ class TailHistogram:
     count in bin 0.  The last bin, counts[bins], is the overflow bin: every
     value >= edges[bins] = 128/theta.  counts[i:].sum() is therefore the
     exact number of values >= edges[i].  Memory is the 1025 counts and edges
-    (16 KB), however many values are added.
+    (16 KB), however many values are added.  theta must pass the queue's
+    theta rule, `_check_theta`, which keeps every edge finite.
     """
 
     def __init__(self, theta: float):
-        if not (math.isfinite(theta) and theta > 0.0):
-            raise DomainError(f"theta must be finite and > 0, got {theta!r}")
+        _check_theta(theta)
         self._per_bit = _BINS_PER_THETA * float(theta)
         bins = _BINS_PER_THETA * _TAIL_SPAN
         self.edges = _bin_edges(self._per_bit, bins)

@@ -1,5 +1,7 @@
 """Fading model, parameter validation, and reproducible windowed sampling."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,16 @@ class TestSystemParams:
         base = {**dict(snr_linear=1.0, n=10, m=2, theta=0.01), field: float("inf")}
         with pytest.raises(DomainError, match=f"^{field} must be {rule}, got inf$"):
             SystemParams(**base)
+
+    def test_subnormal_theta_nm_rejected(self):
+        # theta * n * m below the least normal float keeps a few bits in
+        # every kernel; the least normal one itself and zero are points
+        tiny = sys.float_info.min
+        assert SystemParams(1.0, 1, 1, tiny).theta == tiny
+        assert SystemParams(1.0, 4, 2, tiny / 8).theta == tiny / 8
+        for theta, n in ((np.nextafter(tiny, 0.0), 1), (tiny / 8, 7), (5e-324, 10**6)):
+            with pytest.raises(DomainError, match="is subnormal.*use theta = 0 for the ergodic"):
+                SystemParams(1.0, n, 1, theta)
 
     @pytest.mark.parametrize("field", ["n", "m"])
     @pytest.mark.parametrize("value", NOT_INTEGRAL)

@@ -23,7 +23,8 @@ import argparse
 from test_golden import GOLDEN
 
 
-THETA_RULE = "queue runs need theta > 0 (it scales the tail histogram's bins), got "
+THETA_RULE = ("queue runs need theta > 0 (it scales the tail histogram's bins), "
+              "finite and with 128/theta finite, got ")
 
 
 def _python(args, **env):
@@ -212,6 +213,13 @@ class TestExitCodes:
         # n * m itself past float range
         (["optimize-epsilon", "--n", "1" + "0" * 400, "--samples", "500"], "n * m overflows"),
         (["fig2", "--theta", "inf"], "theta must be finite and >= 0, got inf"),
+        # a subnormal theta * n * m, which every kernel holds to a few bits:
+        # 1e-320 read 1.2e-5 (fig2) and 2.7e-5 (fig3) relative off theta -> 0
+        (["fig2", "--m", "1", "--samples", "2000", "--theta", "0,1e-310,1e-320"],
+         "theta * n * m = 4.999999999999985e-309 is subnormal, which the kernels hold to a "
+         "few bits: theta = 1e-310, n * m = 50; use theta = 0 for the ergodic limit"),
+        (["fig3", "--m", "1", "--samples", "2000", "--theta", "1e-16,1e-320"],
+         "theta * n * m = 4.99994e-319 is subnormal"),
     ])
     def test_bad_parameter_value_is_usage_error(self, argv, message, capsys):
         assert main(argv) == 1
@@ -304,8 +312,9 @@ class TestExitCodes:
         (["--theta", "nan"], THETA_RULE + "nan"),
         (["--seed", "-1"], "seed must be >= 0 and integral, got -1"),
         (["fig2", "--seed", "-1"], "seed must be >= 0 and integral, got -1"),
-        # inf passes the queue's theta > 0 rule; SystemParams names its own
-        (["--theta", "inf"], "theta must be finite and >= 0, got inf"),
+        (["--theta", "inf"], THETA_RULE + "inf"),
+        # 128/theta, the tail histogram's span, overflows
+        (["--theta", "1e-310", "--frames", "1000", "--burn-in", "10"], THETA_RULE + "1e-310"),
     ])
     def test_rejected_before_drawing(self, argv, message, tmp_path, capsys):
         if argv[0] != "fig2":

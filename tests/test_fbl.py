@@ -7,6 +7,7 @@ delta = log2(e) * sqrt(2/(n m^2) * sum s_l/(1+s_l)), s_l = SNR z_l.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
-from blockrate.channel import Rayleigh, SystemParams, draw_gain_matrix, substream
+from blockrate.channel import (
+    _BLOCK_VALUES,
+    Rayleigh,
+    SystemParams,
+    _pool_width,
+    draw_gain_matrix,
+    substream,
+    uniform_windows,
+)
 from blockrate.errors import DomainError
 from blockrate.fbl import (
     LOG2E,
@@ -359,12 +368,6 @@ class TestExactDensitySampler:
         assert x.mean() == pytest.approx(st_.mu, abs=3 * st_.delta / math.sqrt(x.size))
         assert x.std() == pytest.approx(st_.delta, rel=0.01)
 
-    def test_batch_start_offset(self):
-        z = np.array([1.0, 0.5])
-        whole = mi_density_samples_exact(z, P50X2, 50, seed=3)
-        tail = mi_density_samples_exact(z, P50X2, 20, seed=3, start=30)
-        np.testing.assert_array_equal(tail, whole[30:])
-
     def test_single_draw_matches_batch(self):
         z = np.array([1.0, 0.5])
         batch = mi_density_samples_exact(z, P50X2, 10, seed=3)
@@ -376,6 +379,47 @@ class TestExactDensitySampler:
             u = substream(3, i, P50X2.nm).random(P50X2.nm)
             w = _laplace_from_uniform(u).reshape(P50X2.m, P50X2.n)
             assert st_.mu + (LOG2E / P50X2.nm) * (w.sum(axis=1) @ weights) == batch[i]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("n,m", [(200, 1), (25, 8), (7, 1), (1, 7)])
+    def test_row_blocks_keep_every_draw(self, monkeypatch, threads, n, m):
+        # counts 1 to 7, which split into blocks of one to three rows on
+        # two or three workers, and three blocks' worth of rows plus five,
+        # which split in 4 or 6: every draw is the weighted sum, in one
+        # matrix-vector product over all rows, of the per-block Laplace sums
+        # of its own substream's window.  Those sums are checked against a
+        # draw made alone on every row beside a block edge (every row of
+        # the small counts).  OpenBLAS rounds a row of a product by the rows
+        # in its call, so a product per block would fail here at m = 8
+        monkeypatch.setenv("BLOCKRATE_THREADS", threads)
+        p = SystemParams(2.0, n, m, 0.01)
+        z = np.linspace(0.3, 1.7, m)
+        mu = rate_stats(z, p).mu
+        s = p.snr_linear * z
+        weights = np.sqrt(s / (1.0 + s))
+        for count in (*range(1, 8), 3 * -(-_BLOCK_VALUES // p.nm) + 5):
+            draws = mi_density_samples_exact(z, p, count, seed=8)
+            w = _laplace_from_uniform(uniform_windows(8, 0, count, p.nm))
+            sums = w.reshape(count, m, n).sum(axis=2)
+            np.testing.assert_array_equal(draws, mu + LOG2E / p.nm * (sums @ weights))
+            edges = {i * count // b for b in range(1, 13) for i in range(b + 1)}
+            for i in {min(max(e + d, 0), count - 1) for e in edges for d in (-1, 0)}:
+                one = _laplace_from_uniform(substream(8, i, p.nm).random(p.nm))
+                np.testing.assert_array_equal(one.reshape(m, n).sum(axis=1), sums[i])
+
+    def test_memory_is_one_block_per_worker(self):
+        # 1e5 draws at n*m = 200: one block of about 2^19 values (4 MB) and
+        # its Laplace temporaries per worker, 20 MB on one; in 2^24-value
+        # chunks the peak was 641 MB
+        z = np.array([1.0])
+        mi_density_samples_exact(z, P200, 10, seed=1)  # the pool and its threads
+        tracemalloc.start()
+        try:
+            mi_density_samples_exact(z, P200, 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20 * _pool_width()
 
     def test_validation(self):
         with pytest.raises(DomainError):

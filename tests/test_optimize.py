@@ -503,6 +503,23 @@ class TestThreading:
                                                "BLOCKRATE_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
 
+    def test_fixed_rate_sweep_nests_one_task_per_worker_call(self, monkeypatch):
+        # a four-row fixed-rate sweep evaluates each row on a pool worker,
+        # and each row's phi sweep calls _run_rows from there: one block of
+        # 2e4 rows, run inline on that worker
+        monkeypatch.setenv("BLOCKRATE_THREADS", "2")
+        calls = []
+        run_rows = channel._run_rows
+
+        def spy(tasks):
+            calls.append((getattr(channel._WORKER, "pooled", False), len(tasks)))
+            return run_rows(tasks)
+
+        monkeypatch.setattr(channel, "_run_rows", spy)
+        policies = [FixedRate(rate) for rate in (0.2, 0.4, 0.6, 0.8)]
+        rows = sweep(P1, [1], [0.01], policies, count=20_000, seed=5)
+        assert [n for pooled, n in calls if pooled] == [1] * len(rows) == [1] * 4
+
     def test_sweeps_start_no_threads_once_the_pool_exists(self, monkeypatch):
         monkeypatch.setenv("BLOCKRATE_THREADS", "2")
 

@@ -719,6 +719,24 @@ class TestTailHistogram:
         with pytest.raises(DomainError):
             TailHistogram(theta)
 
+    def test_smallest_theta_has_finite_edges(self):
+        # the queue's theta rule holds 128/theta finite: at the least theta
+        # it accepts, every edge is finite and no numpy warning is raised
+        # (RuntimeWarnings are errors here); the float below it is rejected
+        # by QueueConfig and TailHistogram alike
+        theta = 128.0 / sys.float_info.max
+        while math.isfinite(128.0 / math.nextafter(theta, 0.0)):
+            theta = math.nextafter(theta, 0.0)
+        hist = TailHistogram(theta)
+        assert np.isfinite(hist.edges).all() and hist.edges[-1] == 128.0 / theta
+        hist.add(np.array([0.0, hist.edges[1], sys.float_info.max]))
+        assert hist.counts[0] == hist.counts[1] == hist.counts[-1] == 1
+        below = math.nextafter(theta, 0.0)
+        with pytest.raises(DomainError, match=r"with 128/theta finite, got 7\.12"):
+            TailHistogram(below)
+        with pytest.raises(DomainError, match=r"with 128/theta finite, got 7\.12"):
+            _config(params=SystemParams(1.0, 50, 2, below))
+
 
 class TestEstimateDecayRate:
     def test_recovers_exponential_tail(self):
