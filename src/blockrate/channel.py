@@ -17,7 +17,9 @@ pool, used by the draw, the statistics walk, the fixed-rate kernel's row
 sweep and `fbl`'s exact information-density sampler: each worker gets an
 equal share of the rows, and no block holds more than about 2^19 values,
 so fig2's (1e5, 52) master goes in 10 blocks on one or two workers while a
-1e5-row phi sweep goes in one block per worker.  The queue's frame fill
+1e5-row phi sweep goes in one block per worker.  Each of them computes a
+row from that row alone, in elementwise numpy arithmetic inside its block,
+so neither the split nor the row count moves a bit.  The queue's frame fill
 keeps its own 2^15-frame tasks (`queue_sim._SUB_FRAMES`), sized by
 measurement against malloc's trim behaviour.
 

@@ -16,8 +16,9 @@ handler and help line, its --snr-db and --n defaults, whether --m and
 at a fixed rate, its extra flags and any check of them.  `build_parser`
 makes one subparser per entry.  Defaults are written as they would be typed
 and go through the flag's own parser, so --help prints them as given.  `main`
-runs the command's check (simulate's: `queue_sim._check_run`) before anything
-is drawn, then builds the policy (`_policy_from_flags`) and the point
+parses with one parser per process, built on its first call, and runs the
+command's check (simulate's: `queue_sim._check_run`) before anything is
+drawn, then builds the policy (`_policy_from_flags`) and the point
 (`SystemParams` at the largest m and the first theta) once and hands both to
 the handler, which reads the rest from the parsed namespace (`m` and `theta`
 are always tuples) and takes the target's name, and whether it is searched,
@@ -30,6 +31,7 @@ Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -370,10 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the one parser every main call of the process reads, built on the first
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     command = _COMMANDS[args.command]

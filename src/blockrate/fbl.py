@@ -14,8 +14,9 @@ conversely a fixed rate R fails with probability Q((mu - R)/delta), which
 `_error_terms` computes for every caller.  The Gaussian model behind these
 formulas is validated here by an exact sampler: the centered density equals
 a weighted sum of nm i.i.d. Laplace variates (zero mean, variance 2).
-Its rows go to the worker pool in `channel._on_row_blocks`'s blocks, so it
-holds one block's stream windows per worker, besides its count x m sums.
+Its rows go to the worker pool in `channel._on_row_blocks`'s blocks, each
+written straight into its slice of the draws, so it holds one block's stream
+windows per worker besides the draws themselves.
 
 R can be negative for small epsilon and deep fades; the formula is evaluated
 as printed by default, and `clamp` floors it at zero (zero service).  The
@@ -285,20 +286,25 @@ def mi_density_samples_exact(z: np.ndarray, params: SystemParams, count: int,
     """count exact mutual-information-density samples (bits/use): sample i
     is the weighted Laplace sum of stream window i's nm draws.
 
-    Each row's m per-block sums are arithmetic on its own window, filled in
-    `channel._on_row_blocks`'s blocks on the worker pool; their weighted sum
-    is one matrix-vector product over all rows, since OpenBLAS rounds a row
-    by the number of rows in its call.  So no split moves a bit."""
+    Each row takes its m per-block sums, weights them and adds them left to
+    right, in elementwise arithmetic on its own window only, filled in
+    `channel._on_row_blocks`'s blocks on the worker pool.  So sample i
+    depends on (z, params, seed, i) alone: no count or split moves a bit."""
     z = _check_realization(z, params)
     _check_integer("count", count, 1)
     st = rate_stats(z, params)
     s = params.snr_linear * z
     weights = np.sqrt(s / (1.0 + s))  # per-block Laplace weights
-    sums = np.empty((count, params.m))
+    out = np.zeros(count)
 
     def fill(lo: int, hi: int) -> None:
         u = uniform_windows(seed, lo, hi - lo, params.nm)
-        _laplace_from_uniform(u).reshape(hi - lo, params.m, params.n).sum(axis=2, out=sums[lo:hi])
+        sums = _laplace_from_uniform(u).reshape(hi - lo, params.m, params.n).sum(axis=2)
+        x = out[lo:hi]
+        for block in range(params.m):
+            x += sums[:, block] * weights[block]
+        x *= LOG2E / params.nm
+        x += st.mu
 
     _on_row_blocks(count, params.nm, fill)
-    return st.mu + LOG2E / params.nm * (sums @ weights)
+    return out

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import blockrate
+from blockrate import cli
 from blockrate.cli import (
     _parse_arrival,
     _parse_float_list,
@@ -121,6 +122,17 @@ def test_help_lists_same_flags_and_defaults(command, capsys, monkeypatch):
         default = re.search(r"\(default:? ?(.*)\)$", " ".join(entry.split()))
         surface[flag] = default and default.group(1)
     assert surface == HELP_SURFACE[command]
+
+
+def test_main_builds_one_parser(capsys):
+    # the first main call builds the parser; later calls, a usage error's
+    # among them, parse with that one
+    cli._parser.cache_clear()
+    assert main(["--version"]) == 0
+    assert main(["fig1", "--bogus"]) == 1
+    assert main(["--version"]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 class TestExitCodes:

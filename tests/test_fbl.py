@@ -343,6 +343,19 @@ class TestPolicies:
             FixedRate(rate=rate)
 
 
+def _weights(z: np.ndarray, p: SystemParams) -> np.ndarray:
+    s = p.snr_linear * z
+    return np.sqrt(s / (1.0 + s))
+
+
+def _left_to_right(sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's block sums (the last axis) weighted and added left to right."""
+    total = sums[..., 0] * weights[0]
+    for block in range(1, weights.size):
+        total = total + sums[..., block] * weights[block]
+    return total
+
+
 class TestExactDensitySampler:
     def test_laplace_transform_moments_and_tail(self):
         u = np.random.default_rng(5).random(1_000_000)
@@ -368,40 +381,50 @@ class TestExactDensitySampler:
         assert x.mean() == pytest.approx(st_.mu, abs=3 * st_.delta / math.sqrt(x.size))
         assert x.std() == pytest.approx(st_.delta, rel=0.01)
 
-    def test_single_draw_matches_batch(self):
-        z = np.array([1.0, 0.5])
-        batch = mi_density_samples_exact(z, P50X2, 10, seed=3)
-        st_ = rate_stats(z, P50X2)
-        s = P50X2.snr_linear * z
-        weights = np.sqrt(s / (1.0 + s))
+    @pytest.mark.parametrize("n,m", [(50, 2), (25, 8), (1, 7), (40, 5)])
+    def test_single_draw_matches_batch(self, n, m):
+        p = SystemParams(1.0, n, m, 0.01)
+        z = np.random.default_rng(7).exponential(1.0, m)
+        batch = mi_density_samples_exact(z, p, 10, seed=3)
+        mu = rate_stats(z, p).mu
+        weights = _weights(z, p)
         for i in range(10):
             # one draw made alone from sample i's own substream
-            u = substream(3, i, P50X2.nm).random(P50X2.nm)
-            w = _laplace_from_uniform(u).reshape(P50X2.m, P50X2.n)
-            assert st_.mu + (LOG2E / P50X2.nm) * (w.sum(axis=1) @ weights) == batch[i]
+            u = substream(3, i, p.nm).random(p.nm)
+            sums = _laplace_from_uniform(u).reshape(m, n).sum(axis=1)
+            assert mu + LOG2E / p.nm * _left_to_right(sums, weights) == batch[i]
+
+    @pytest.mark.parametrize("n,m", [(25, 8), (1, 7), (40, 5), (100, 2)])
+    def test_draws_do_not_depend_on_count(self, n, m):
+        # a draw is arithmetic on its own row alone, so the first c draws of
+        # a c-draw call are those of a 16-draw call, even at the counts
+        # under a block's worth of rows per worker
+        p = SystemParams(1.0, n, m, 0.01)
+        z = np.random.default_rng(7).exponential(1.0, m)
+        for seed in range(20):
+            ref = mi_density_samples_exact(z, p, 16, seed)
+            for c in (1, 2, 3, 5):
+                np.testing.assert_array_equal(mi_density_samples_exact(z, p, c, seed), ref[:c])
 
     @pytest.mark.parametrize("threads", ["1", "2", "3"])
     @pytest.mark.parametrize("n,m", [(200, 1), (25, 8), (7, 1), (1, 7)])
     def test_row_blocks_keep_every_draw(self, monkeypatch, threads, n, m):
         # counts 1 to 7, which split into blocks of one to three rows on
         # two or three workers, and three blocks' worth of rows plus five,
-        # which split in 4 or 6: every draw is the weighted sum, in one
-        # matrix-vector product over all rows, of the per-block Laplace sums
-        # of its own substream's window.  Those sums are checked against a
-        # draw made alone on every row beside a block edge (every row of
-        # the small counts).  OpenBLAS rounds a row of a product by the rows
-        # in its call, so a product per block would fail here at m = 8
+        # which split in 4 or 6: every draw is the weighted sum, left to
+        # right, of the per-block Laplace sums of its own substream's window.
+        # Those sums are checked against a draw made alone on every row
+        # beside a block edge (every row of the small counts)
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
         p = SystemParams(2.0, n, m, 0.01)
         z = np.linspace(0.3, 1.7, m)
         mu = rate_stats(z, p).mu
-        s = p.snr_linear * z
-        weights = np.sqrt(s / (1.0 + s))
+        weights = _weights(z, p)
         for count in (*range(1, 8), 3 * -(-_BLOCK_VALUES // p.nm) + 5):
             draws = mi_density_samples_exact(z, p, count, seed=8)
             w = _laplace_from_uniform(uniform_windows(8, 0, count, p.nm))
             sums = w.reshape(count, m, n).sum(axis=2)
-            np.testing.assert_array_equal(draws, mu + LOG2E / p.nm * (sums @ weights))
+            np.testing.assert_array_equal(draws, mu + LOG2E / p.nm * _left_to_right(sums, weights))
             edges = {i * count // b for b in range(1, 13) for i in range(b + 1)}
             for i in {min(max(e + d, 0), count - 1) for e in edges for d in (-1, 0)}:
                 one = _laplace_from_uniform(substream(8, i, p.nm).random(p.nm))
