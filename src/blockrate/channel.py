@@ -9,30 +9,9 @@ Sampling is counter-based: sample index i owns a fixed window of a Philox
 stream (padded to whole 4-draw counter blocks), so drawing samples [a, b)
 in one vectorized batch -- or concurrently in any chunking -- reproduces a
 serial full pass bit for bit.  `draw_gain_matrix` is the one draw of a
-sample set: it fills one padded matrix in row blocks on the worker pool, and
-`SampleSet.draw` reads it.
-
-`_on_row_blocks` is the package's one rule for splitting rows across the
-pool, used by the draw, the statistics walk, the fixed-rate kernel's row
-sweep and `fbl`'s exact information-density sampler: each worker gets an
-equal share of the rows, and no block holds more than about 2^19 values,
-so fig2's (1e5, 52) master goes in 10 blocks on one or two workers while a
-1e5-row phi sweep goes in one block per worker.  Each of them computes a
-row from that row alone, in elementwise numpy arithmetic inside its block,
-so neither the split nor the row count moves a bit.  The queue's frame fill
-keeps its own 2^15-frame tasks (`queue_sim._SUB_FRAMES`), sized by
-measurement against malloc's trim behaviour.
-
-`_run_rows` is the package's one way onto its worker pool, and its one
-choice between a pool of at most BLOCKRATE_THREADS workers (default: the
-core count) and running inline.  The cap is read on every call, and each
-cap gets one pool that lives as long as the process, so no call starts or
-joins threads once its pool exists.  A call made on a worker of one of
-those pools runs inline.  Work does nest: a multi-row fixed-rate sweep
-(fig4, `sweep-m --rate`) evaluates each row on a pool worker, and that
-row's phi sweep calls `_run_rows` from there.  Its blocks, one up to 2^19
-rows, run inline on that worker, so the call never waits on a worker of
-its own pool that may be waiting for it.
+sample set.  `_run_rows` is the package's one way onto its worker pool,
+and `_on_row_blocks` its one rule for splitting rows across that pool;
+neither the split nor the thread count moves a bit.
 """
 
 from __future__ import annotations
@@ -152,10 +131,15 @@ def _pool_width() -> int:
 def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     """Each task's result, in input order.
 
-    The tasks run inline, in order, when there is one task, the
-    BLOCKRATE_THREADS cap is one, or the caller is a pool worker.  Otherwise
-    they go to the process's pool for the cap, which is shared and
-    persistent: callers wait on their own tasks and never shut it down."""
+    The tasks run inline, in order, when there is one task, the caller is a
+    pool worker, or the BLOCKRATE_THREADS cap (default: the core count, read
+    on every call) is one.  Otherwise they go to the process's pool for the
+    cap.  Each cap gets one pool that lives as long as the process: callers
+    wait on their own tasks, never shut it down, and start or join no
+    threads once it exists.  Work does nest: a multi-row fixed-rate sweep
+    (fig4, `sweep-m --rate`) evaluates each row on a pool worker, and that
+    row's phi sweep runs its blocks inline there, so a call never waits on a
+    worker of its own pool that may be waiting for it."""
     cap = _pool_width()
     if min(cap, len(tasks)) <= 1:
         return [t() for t in tasks]
@@ -167,20 +151,20 @@ def _run_rows(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     return [f.result() for f in futures]
 
 
-# values (4 MB of floats) a row block holds at most, so that its rows stay in
-# cache while a task walks them.  Drawing fig2's (1e5, 52) master and walking
-# its statistics took 80-94 ms in 2 to 14 blocks on two workers and 130 ms in
-# 40; on one thread, 124 ms in 10 blocks and 139 ms unsplit (2-vCPU VM).
-_BLOCK_VALUES = 1 << 19
+_BLOCK_VALUES = 1 << 19  # values (4 MB of floats) a row block holds at most
 
 
 def _on_row_blocks(count: int, width: int, task: Callable[[int, int], None]) -> None:
     """task(lo, hi) for each row block of a (count, width) array, on the
     worker pool; each task writes only its own rows.
 
-    The blocks are the fewest, in a multiple of the workers a pool call made
-    here may use, that keep each under about _BLOCK_VALUES values, and their
-    sizes differ by at most a row, so every worker gets an equal share."""
+    The package's one rule for splitting rows, used by the draw, the
+    statistics walk, phi's per-row terms and `fbl`'s exact sampler.  The
+    blocks are the fewest, in a multiple of the workers a pool call made
+    here may use, that keep each under about _BLOCK_VALUES values, so that a
+    block's rows stay in cache, and their sizes differ by at most a row, so
+    every worker gets an equal share.  Every caller computes a row from that
+    row alone, in elementwise numpy arithmetic, so no split moves a bit."""
     workers = _pool_width()
     blocks = -(-count * width // _BLOCK_VALUES)
     blocks = min(-(-blocks // workers) * workers, count)

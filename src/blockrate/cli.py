@@ -10,19 +10,8 @@ Grids on the command line are comma lists; integer grids also accept
 inclusive ranges like 1..50 (mixable: "1,2,5..10").  SNR is given in dB and
 converted where a command needs it.
 
-The commands are one table, `_COMMANDS`.  Each entry states, once, its
-handler and help line, its --snr-db and --n defaults, whether --m and
---theta take one value or a list and their defaults, whether it transmits
-at a fixed rate, its extra flags and any check of them.  `build_parser`
-makes one subparser per entry.  Defaults are written as they would be typed
-and go through the flag's own parser, so --help prints them as given.  `main`
-parses with one parser per process, built on its first call, and runs the
-command's check (simulate's: `queue_sim._check_run`) before anything is
-drawn, then builds the policy (`_policy_from_flags`) and the point
-(`SystemParams` at the largest m and the first theta) once and hands both to
-the handler, which reads the rest from the parsed namespace (`m` and `theta`
-are always tuples) and takes the target's name, and whether it is searched,
-from the policy.
+The commands are one table, `_COMMANDS`, of one `_Command` entry each;
+`build_parser` makes one subparser per entry, and `main` runs them.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values),
 2 runtime error (estimation failure, unstable queue, I/O).
@@ -100,6 +89,8 @@ def _parse_arrival(text: str) -> float | None:
 
 
 def _cell(value) -> str:
+    if isinstance(value, (tuple, list)):  # a metadata line's grid
+        return ",".join(_cell(v) for v in value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -111,17 +102,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _meta_value(value) -> str:
-    if isinstance(value, (tuple, list)):
-        return ",".join(_cell(v) for v in value)
-    return _cell(value)
-
-
 def _render(fmt: str, meta: dict, columns: list[str], rows: list[tuple]) -> str:
     if fmt == "json":
         payload = {"metadata": meta, "columns": columns, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# {key} = {_meta_value(value)}" for key, value in meta.items()]
+    lines = [f"# {key} = {_cell(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -276,7 +261,9 @@ def _cmd_simulate(args: argparse.Namespace, params: SystemParams, policy: RatePo
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: what it runs and every default it does not share."""
+    """One command: what it runs and every default it does not share, each
+    written as it would be typed and parsed by its flag's own type, so that
+    --help prints it as given."""
 
     handler: Callable[[argparse.Namespace, SystemParams, RatePolicy], tuple]
     help: str
@@ -377,6 +364,9 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command argv names: its flag check (simulate's:
+    `queue_sim._check_run`) before anything is drawn, then its handler, with
+    the policy and the point (`SystemParams` at the largest m, first theta)."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -391,12 +381,9 @@ def main(argv: list[str] | None = None) -> int:
         meta, columns, rows = command.handler(args, params, policy)
         _write_text(args.output, _render(args.format, meta, columns, rows))
         return 0
-    except DomainError as exc:
-        print(f"blockrate: error: {exc}", file=sys.stderr)
-        return 1
     except (BlockrateError, OSError) as exc:
         print(f"blockrate: error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

@@ -6,42 +6,20 @@ Variable-rate transmission with error target epsilon has throughput
 
 where R(z,eps) is the finite-blocklength rate lower bound; the expectation
 inside the log is psi.  Fixed-rate transmission replaces the summand with
-eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R); that expectation is `phi`.
+eps(z,R) + (1-eps(z,R))*exp(-theta*n*m*R); that expectation is `phi`.  One
+kernel, `_kernel`, computes both, with their first two derivatives, for all
+six estimators.  theta = 0, where the formula divides by zero, is the
+ergodic limit E[(1-eps)*R] (`ergodic_rate_variable`, `ergodic_rate_fixed`).
 
 Expectations are sample averages over a SampleSet of channel realizations,
-drawn by `channel.draw_gain_matrix` and reduced to per-row statistics in
-row blocks on the worker pool (`channel._on_row_blocks`); phi's per-row
-terms are filled the same way.  One SampleSet
-is reused across all epsilon/rate/theta evaluation points (common random
-numbers), so differences between nearby points reflect the parameters and
-not fresh sampling noise — argmax detection depends on this.
-Both are ln E[A + B*exp(-T)] with A + B = 1 on every row; one kernel,
-`_kernel`, computes it and its first two derivatives for all six
-estimators on one shift, so psi summands past the overflow point and phi
-far below 1e-16 stay finite.  The optimizers search on `log_psi_slopes`
-and `log_phi_slopes`.
-
-Every expectation is one deterministic pairwise sum over a fixed-layout
-array, so results do not depend on the worker-thread count; the cached
-statistics are read-only.  The kernel's per-row arithmetic, in place in
-one to three (count,) buffers, has the bits of the plain expressions
-(mu - delta*x, exp, (mu - R)/delta, erfc, delta*(delta*e)) except at two
-ends, psi where theta*n*m*|R| is below 2^-14 and phi where E[eps] is below
-the least normal float: there exact forms keep ln psi and ln phi within
-4.2e-16 relative of 50-digit references (the plain ln psi: 1.3e-12 just
-above its switch).  psi's row means are multiplied by eps and 1-eps as
-scalars, so its bits are not those of a mean of per-row summands.  A set
-may instead carry row weights: then each expectation is the weighted sum
-over its rows, and the standard error is 0.
-
-theta = 0 is not evaluated through the formula above (it divides by theta);
-`ergodic_rate_variable` / `ergodic_rate_fixed` compute the limiting
-throughput E[(1-eps)*R] directly.
-
-For m = 1 under Rayleigh fading, `SampleSet.laguerre` builds the 200-node
-Gauss-Laguerre rule as such a weighted set (the exponential weight matches
-the gain density), so the same estimators give a quadrature oracle that
-cross-checks the Monte Carlo path.
+or weighted sums over a quadrature rule's (`SampleSet.laguerre`), reused
+across all epsilon/rate/theta points (common random numbers), so
+differences between nearby points reflect the parameters and not fresh
+sampling noise — argmax detection depends on this.  Every expectation is
+one deterministic pairwise sum over a fixed-layout array, so no result
+depends on the thread count.  The kernel has the bits of the plain
+expressions except at two ends, where exact forms keep ln psi and ln phi
+within 4.2e-16 relative of 50-digit references.
 """
 
 from __future__ import annotations
@@ -78,20 +56,11 @@ class SampleSet:
     statistics (mu, delta) are cached per (snr_linear, n), since optimizers
     re-evaluate the same set at many epsilon/rate points.  `prefix(m)` returns
     a set whose gains are a read-only view of the leading m blocks of each
-    row, neither copied nor validated again.  Sweeps over m draw one master
-    set at the largest m and compare prefixes, so per-realization gains are
-    common across the compared block counts; `prefixes` builds them with
-    their statistics, all from one walk over the master's blocks.
-
-    `draw` is `draw_gain_matrix`'s padded master, read through its [:, :m]
-    view.  That draw and every statistics walk run in row blocks on the
-    worker pool, split by `channel._on_row_blocks`, each block in place on
-    its own rows; the draw is counter-based and the statistics are per-row
-    sums, so the bits are those of one serial pass at any thread count.
-
-    `weights` is None for a Monte Carlo set, whose rows are equally likely;
-    a quadrature set (`laguerre`) carries one weight per row instead.  The
-    sets `draw`, `prefix` and `laguerre` build skip the gains check.
+    row, neither copied nor validated again; `prefixes` builds several, with
+    their statistics.  `weights` is None for a Monte Carlo set, whose rows
+    are equally likely; a quadrature set (`laguerre`) carries one weight per
+    row instead.  The sets `draw`, `prefix` and `laguerre` build skip the
+    gains check.
     """
 
     def __init__(self, gains: np.ndarray):
@@ -127,12 +96,9 @@ class SampleSet:
 
     @classmethod
     def laguerre(cls) -> "SampleSet":
-        """The 200-node Gauss-Laguerre rule for m = 1 Rayleigh gains.
-
-        E_z f(z) for z ~ Exponential(1) is sum_i w_i f(x_i) over the
-        Laguerre nodes x_i (positive and finite) and weights w_i (which sum
-        to 1).
-        """
+        """The 200-node Gauss-Laguerre rule for m = 1 Rayleigh gains: E_z f(z)
+        for z ~ Exponential(1) is sum_i w_i f(x_i) over the Laguerre nodes
+        x_i (positive and finite) and weights w_i (which sum to 1)."""
         x, w = roots_laguerre(_QUAD_NODES)
         return object.__new__(cls)._init(x[:, np.newaxis], w)
 
@@ -180,11 +146,8 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class EffectiveRateEstimate:
-    """Throughput estimate in bits per channel use.
-
-    std_error is the Monte Carlo standard error; it is 0 on a quadrature set,
-    which has no sampling error.
-    """
+    """Throughput estimate in bits per channel use, with its Monte Carlo
+    standard error, 0 on a quadrature set, which has no sampling error."""
 
     value: float
     std_error: float
@@ -211,8 +174,7 @@ def _spread(samples: SampleSet, y: np.ndarray, mean: float) -> float:
     return math.sqrt(np.sum(y) / (y.size - 1))
 
 
-# where `_kernel` takes its end forms: psi where max(-T) and |E[1 - e]| are
-# at most the first, phi where E[eps] is below the second
+# the thresholds of `_kernel`'s end forms, psi's and phi's
 _COMPLEMENT_BELOW, _LOG_FORM_BELOW = 2.0 ** -14, sys.float_info.min
 
 
@@ -264,9 +226,8 @@ def _kernel(samples: SampleSet, params: SystemParams, arg: float,
     -expm1(-T); phi, where E[eps] is below _LOG_FORM_BELOW (subnormal eps
     have cost the mean its digits), takes ln eps = log_ndtr(-z) per row and
     sums eps, p and z*p/delta on L = max(max ln eps, ln E[1-eps] - T).
-    phi's per-row terms on L = 0 are filled in row blocks on the pool, each
-    block on its own rows, and summed over the whole set; the log form,
-    rare, takes z again in one serial pass.
+    phi's per-row terms on L = 0 go in `channel._on_row_blocks` blocks; the
+    log form, rare, takes z again in one serial pass.
     """
     if params.theta <= 0.0:
         raise DomainError("theta must be > 0 here; use ergodic_rate_* for the theta = 0 limit")

@@ -12,11 +12,9 @@ their m-column copy bit for bit.  A decoding error probability target
 epsilon buys the rate lower bound R = mu - delta*Q^{-1}(epsilon);
 conversely a fixed rate R fails with probability Q((mu - R)/delta), which
 `_error_terms` computes for every caller.  The Gaussian model behind these
-formulas is validated here by an exact sampler: the centered density equals
-a weighted sum of nm i.i.d. Laplace variates (zero mean, variance 2).
-Its rows go to the worker pool in `channel._on_row_blocks`'s blocks, each
-written straight into its slice of the draws, so it holds one block's stream
-windows per worker besides the draws themselves.
+formulas is validated here by an exact sampler, `mi_density_samples_exact`:
+the centered density equals a weighted sum of nm i.i.d. Laplace variates
+(zero mean, variance 2).
 
 R can be negative for small epsilon and deep fades; the formula is evaluated
 as printed by default, and `clamp` floors it at zero (zero service).  The
@@ -155,9 +153,8 @@ def rate_stats_widths(gains: np.ndarray, widths: list[int], snr_linear: float, n
     taken over the gain columns left to right.
 
     Each pair is written into out[m], two (count,) arrays (slices of larger
-    arrays, say), or into new arrays; out is returned.  Every row's sums are
-    its own, so any split of the rows into blocks gives the same bits.
-    DomainError if snr_linear*gain overflows on some row.
+    arrays, say), or into new arrays; out is returned.  DomainError if
+    snr_linear*gain overflows on some row.
     """
     count, blocks = gains.shape
     if not widths or not all(1 <= m <= blocks for m in widths):
@@ -231,8 +228,7 @@ def _error_terms(mu: np.ndarray, delta: np.ndarray, rate: float,
     new arrays, with spread = delta, or inf on the rows where (mu - rate)/delta
     is not finite: delta = 0 (all-zero gains), or a rate so far above mu that
     the quotient overflows.  Those rows take the limit eps = 0 / 0.5 / 1 for
-    rate below / at / above mu, and add no slope.  Every row's terms are its
-    own, so any split of the rows into blocks gives the same bits."""
+    rate below / at / above mu, and add no slope."""
     eps, z = (np.empty(np.shape(mu)), np.empty(np.shape(mu))) if out is None else out
     np.subtract(mu, rate, out=z)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -274,22 +270,21 @@ def rate_lower_bound_arrays(mu: np.ndarray, delta: np.ndarray, epsilon: float,
 
 
 def _laplace_from_uniform(u: np.ndarray) -> np.ndarray:
-    # unit-scale Laplace (zero mean, variance 2) by inverse CDF; the clip
-    # only guards the measure-zero u=0 corner of the [0,1) draw.
-    c = u - 0.5
-    t = np.maximum(-2.0 * np.abs(c), -1.0 + 2.0 ** -53)
-    return -np.sign(c) * np.log1p(t)
+    # unit-scale Laplace (zero mean, variance 2) by inverse CDF, in place in
+    # u; the clip guards only the measure-zero u=0 corner of the [0,1) draw
+    t = np.abs(np.subtract(u, 0.5, out=u))
+    np.log1p(np.maximum(np.multiply(t, -2.0, out=t), -1.0 + 2.0 ** -53, out=t), out=t)
+    return np.multiply(np.negative(np.sign(u, out=u), out=u), t, out=u)
 
 
 def mi_density_samples_exact(z: np.ndarray, params: SystemParams, count: int,
                              seed: int) -> np.ndarray:
     """count exact mutual-information-density samples (bits/use): sample i
-    is the weighted Laplace sum of stream window i's nm draws.
-
-    Each row takes its m per-block sums, weights them and adds them left to
-    right, in elementwise arithmetic on its own window only, filled in
-    `channel._on_row_blocks`'s blocks on the worker pool.  So sample i
-    depends on (z, params, seed, i) alone: no count or split moves a bit."""
+    is the weighted Laplace sum of stream window i's nm draws, its m
+    per-block sums weighted and added left to right in elementwise
+    arithmetic on that window alone, so no count or split moves a bit.  Each
+    `channel._on_row_blocks` block turns its stream windows into Laplace
+    variates in place, with one more buffer of their size."""
     z = _check_realization(z, params)
     _check_integer("count", count, 1)
     st = rate_stats(z, params)

@@ -2,29 +2,17 @@
 
 Both inner objectives are unimodal in their argument — psi(eps) is strictly
 convex and phi(R) has a unique interior minimizer — so the slope of each
-log-objective changes sign once, from - to +, and its root is the optimum.
-`newton_minimize` finds that root by Newton's method on the slopes that
-effective_rate computes in the same pass as the value (`log_psi_slopes`,
-`log_phi_slopes`), inside a bracket shrunk on the slope's sign, with a
-bisection step wherever a Newton step leaves the bracket or stops halving.
-The error target is searched in x = Q^{-1}(eps), where the rate bound is
-affine and a fixed tolerance is relative in eps; the fixed rate is searched
-on ln(phi), which stays resolved where phi is far below 1e-16.  An edge is
-read only when the search heads for it, and an optimum is flagged
-at_boundary exactly when the slope at an edge shows the root at or beyond
-it; that edge is then reported as the argument.
+log-objective changes sign once, from - to +, and its root is the optimum,
+which `newton_minimize` finds on the slopes effective_rate computes in the
+same pass as the value.
 
 Sweeps over m (`sweep`, and `sweep_m` / `sweep_theta`, which call it) reuse
 one master gain set drawn at the largest m; each smaller m evaluates the
-leading blocks of the same rows (SampleSet.prefixes: views of the master,
-whose statistics for every m come from one running sum over its blocks).
-With gains common across block counts, the m-comparison — the central
-tradeoff here — is not polluted by independent sampling noise.
-
-Sweep rows are independent and run through `channel._run_rows` on the
-package's worker pool, which `channel` describes.  Results come in input
-order and each row's sample set derives deterministically from (seed,
-largest m), so output is identical for any worker count.
+leading blocks of the same rows (`SampleSet.prefixes`).  With gains common
+across block counts, the m-comparison — the central tradeoff here — is not
+polluted by independent sampling noise.  Sweep rows run through
+`channel._run_rows` and come in input order, each row's sample set fixed by
+(seed, largest m), so output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -82,11 +70,8 @@ class Optimum:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One (m, theta) point of a sweep.
-
-    iterations and at_boundary are those of the row's Optimum when its
-    target was optimized, and 0 and False when the target was given.
-    """
+    """One (m, theta) point of a sweep; iterations and at_boundary are those
+    of the row's Optimum when its target was optimized, else 0 and False."""
 
     m: int
     theta: float
@@ -104,13 +89,16 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
 
     slopes(x) returns (f(x), f'(x), f''(x)); f' changes sign at most once,
     from - to +.  The search starts at `start` and keeps a bracket [a, b]
-    around the root, shrunk on the sign of f'.  A Newton step that leaves the
-    bracket (the safeguard of special.q_inverse), or is over half the step
-    before last, becomes a bisection step.  The edges are read lazily: before the first
-    step toward an edge that is not a Newton step, the slope at that edge is
-    evaluated, and if it shows the root at or beyond the edge the search
-    stops there with at_edge set.  Otherwise the search stops once a step is
-    at most _TOL.  Returns (argmin, number of slope evaluations, at_edge).
+    around the root, shrunk on the sign of f'.  A Newton step becomes a
+    bisection step when it leaves the bracket (the safeguard of
+    special.q_inverse), is over half the step before last, or is at most
+    _TOL but does not follow a Newton step: where f is nearly piecewise
+    linear, f'' at a kink rounds such a step to 0 far from the root.  The
+    edges are read lazily: before the first step toward an edge that is not
+    a Newton step, the slope at that edge is evaluated, and if it shows the
+    root at or beyond the edge the search stops there with at_edge set.
+    Otherwise the search stops once a step is at most _TOL.  Returns
+    (argmin, number of slope evaluations, at_edge).
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -118,7 +106,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
         raise DomainError(f"start {start!r} outside [{lo!r}, {hi!r}]")
     a, b = lo, hi
     unread = {lo, hi}  # edges whose slope sign is not known yet
-    x, evals = start, 0
+    x, evals, chained = start, 0, False  # chained: the last step was Newton's
     step = before = hi - lo
     while True:
         _, d1, d2 = slopes(x)
@@ -137,7 +125,9 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
         # Newton's estimate of the root; where f'' <= 0 there is none, and the
         # root is taken to lie beyond the bracket in the descent direction
         guess = x - d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1)
-        newton = a <= guess <= b and abs(guess - x) <= 0.5 * abs(before)
+        newton = (a <= guess <= b and abs(guess - x) <= 0.5 * abs(before)
+                  and (chained or abs(guess - x) > _TOL))
+        chained = newton
         edge = b if d1 < 0.0 else a
         if edge in unread and not newton:
             x = edge
@@ -155,10 +145,10 @@ def optimal_epsilon(samples: SampleSet, params: SystemParams,
 
     Minimizes ln(psi) (strictly convex in eps) by `newton_minimize` over
     x = Q^{-1}(eps), x in [Q^{-1}(1 - 1e-10), Q^{-1}(1e-10)], on the slopes
-    of `log_psi_slopes`.  A fixed tolerance on x is a relative tolerance on
-    eps, so optima near 1e-9 are resolved as finely as those near 0.1.  An
-    optimum on an edge of the x bracket is reported as the matching edge of
-    EPSILON_BRACKET, with at_boundary set.
+    of `log_psi_slopes`.  In x the rate bound is affine, and a fixed
+    tolerance is relative in eps, so optima near 1e-9 are resolved as finely
+    as those near 0.1.  An optimum on an edge of the x bracket is reported
+    as the matching edge of EPSILON_BRACKET, with at_boundary set.
     """
     eps_lo, eps_hi = EPSILON_BRACKET
     x_lo, x_hi = _X_BRACKET
@@ -266,11 +256,8 @@ def sweep(params: SystemParams, m_values: Sequence[int], theta_grid: Sequence[fl
 def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
             count: int, seed: int) -> tuple[list[SweepRow], int]:
     """Throughput versus blocks-per-codeword at params.theta, on gains common
-    across m.
-
-    Returns the rows (in the given m order) and the m attaining the highest
-    effective rate (first hit on ties).
-    """
+    across m: the rows, in the given m order, and the m attaining the
+    highest effective rate (the first on ties)."""
     rows = sweep(params, m_values, [params.theta], [policy], count, seed)
     best = max(range(len(rows)), key=lambda i: (rows[i].effective_rate, -i))
     return rows, rows[best].m
@@ -279,9 +266,7 @@ def sweep_m(params: SystemParams, m_values: Sequence[int], policy: RatePolicy,
 def sweep_theta(params: SystemParams, theta_grid: Sequence[float],
                 m_values: Sequence[int], policy: RatePolicy,
                 count: int, seed: int) -> list[SweepRow]:
-    """Optimized (or evaluated) throughput over a theta grid for several m.
-
-    Rows are grouped by m (outer) with theta ascending as given (inner); all
-    (theta, m) points with equal m share one prefix of the master gain set.
-    """
+    """Optimized (or evaluated) throughput over a theta grid for several m,
+    grouped by m (outer) with theta as given (inner); all points with equal
+    m share one prefix of the master gain set."""
     return sweep(params, m_values, theta_grid, [policy], count, seed)

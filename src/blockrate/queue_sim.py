@@ -12,45 +12,12 @@ queue tail should decay exponentially at the configured QoS exponent theta,
 because E[exp(theta*(a - r))] = exp(theta*a) * psi(eps) = 1 exactly at that
 operating point.  `estimate_decay_rate` fits the realized tail exponent.
 
-The trajectory itself is sequential, but within a chunk of frames the
-recursion has a closed scan form: with x_t = a - r_t and C the running sum
-of x, Q_t = max(q_prev + C_t, C_t - min(0, min_{s<=t} C_s)).  Chunks of 2^19
-frames are processed in order with the final value carried.  Each chunk is
-scanned in blocks of 2^15 frames that carry the running sum and its floor
-min(0, every sum so far); a minimum is exact in any order, so the blocks
-give one whole-chunk scan's queue lengths bit for bit.  The scan is not
-bit-identical to the scalar loop, because the running sum rounds
-differently: over a full chunk of service or Gaussian steps under 15% of
-entries match exactly, and the largest error measured is 3e-11 times the
-largest step |a - r_t|.  The tests hold it below 1e-10 times that step.
-Frame t consumes the random-stream window of index t (its m gains, then its
-decoding draw), making trajectories reproducible and extendable without
-replaying.
-
-The run keeps no per-frame values.  Each block's post-burn-in queue lengths
-are counted into a TailHistogram: bins of width h = 1/(8*theta) bits up to a
-cap of 128/theta bits, past which one overflow bin counts the rest.  Each
-chunk's scan makes two block-sized buffers, for a block's steps a - r_t,
-then its queue lengths, and its running sums; binning a block makes its
-own intp bin numbers.  Once scanned, the chunk's service array is
-overwritten with its squares.  The run keeps the 2048-odd points of the
-trajectory that `trend_slope` is fitted on.  So it holds two chunk arrays,
-at most three blocks (3/16 of a chunk array), the 1025 bin counts and
-edges (16 KB) and those points, however many frames it simulates;
-per-frame values come only from a trace_every=1 trace.
-
-A frame's service depends only on (seed, frame index), so it is filled in
-sub-chunks of 2^15 frames into the two slots of a ring that
-`simulate_queue` makes once per run (a traced run's slots also hold the
-frames' mean gains).  Each chunk is one channel._run_rows call, the sweeps'
-way onto the same worker pool, so BLOCKRATE_THREADS caps both: the chunk's
-scan beside the fills of the next chunk into the other slot, whose chunk is
-already scanned.  Each fill adds one sub-chunk's padded stream windows and
-half a sub-chunk's rate statistics.  The scans run one per call, in frame
-order and with unchanged chunk boundaries, so results are identical for
-any thread count.  The service's sum and sum of squares, behind drift_z,
-are numpy's pairwise sums per chunk, added in chunk order; no BLAS call is
-made, so OpenBLAS's thread count cannot change them either.
+Frame t consumes the random-stream window of index t, so a run is
+reproducible, extendable without replaying and identical for any thread
+count.  The chunked scan (`_lindley_chunk`) is not bit-identical to the
+scalar loop: the largest error measured is 3e-11 times the largest step
+|a - r_t|, and the tests hold it below 1e-10 times that step.  An untraced
+run keeps no per-frame values, so its memory does not grow with its frames.
 """
 
 from __future__ import annotations
@@ -71,18 +38,17 @@ from .channel import (
     uniform_windows,
 )
 from .errors import DomainError, EstimationError
-from .fbl import RatePolicy, rate_stats_arrays
+from .fbl import LOG2E, FixedRate, RatePolicy, rate_stats_arrays
+from .special import q_inverse
 
 _CHUNK_FRAMES = 1 << 19
-# frames per service task on the worker threads.  A task's temporaries
-# (about 1 MB each) stay in malloc's heaps between tasks; at 2^17 frames
-# glibc handed them back to the OS and faulted them in again, 400 MB of
-# page faults per 1e7 frames.
-_SUB_FRAMES = 1 << 15
+_SUB_FRAMES = 1 << 15  # frames per fill task and per scan block
 _TREND_POINTS = 2048
 _BINS_PER_THETA = 8  # tail bins per 1/theta bits: h = 1/(8*theta)
 _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
 _TAIL_WINDOW = (1e-4, 0.1)  # the tail probabilities theta_hat is fitted over
+# the largest gain a draw gives: -log1p(-u) at the largest uniform, 1 - 2^-53
+_GAIN_CAP = 53 * math.log(2)
 
 
 def _check_theta(theta) -> None:
@@ -105,12 +71,25 @@ def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
     _check_integer("trace_every", trace_every, 0)
 
 
+def _service_bound(policy: RatePolicy, params: SystemParams) -> float:
+    """A bound on every frame's |service| bits: nm*R at a fixed rate, else
+    nm*(log2(1 + snr*_GAIN_CAP) + |Q^{-1}(eps)|*LOG2E*sqrt(2/nm)), since mu
+    is at most the first term and delta < LOG2E*sqrt(2/nm) on every row."""
+    nm = float(params.nm)  # Python floats: numpy's would warn on an overflow
+    if isinstance(policy, FixedRate):
+        return nm * float(policy.rate)
+    return nm * (math.log2(1.0 + float(params.snr_linear) * _GAIN_CAP)
+                 + abs(q_inverse(policy.epsilon)) * LOG2E * math.sqrt(2.0 / nm))
+
+
 @dataclass(frozen=True)
 class QueueConfig:
     """Inputs of one queue run; one frame spans params.nm channel uses and
     sees params.m unit-mean Rayleigh gains.  The one check of a run: to
-    `_check_run`'s rules it adds the seed's and those of a calibrated point,
-    a RatePolicy with its target set."""
+    `_check_run`'s rules it adds the seed's, a RatePolicy with its target set
+    and the run's one float-range rule, frames*(arrival + `_service_bound`)^2
+    finite, which keeps every step, running sum, queue length and service
+    sum or sum of squares of the run finite."""
 
     arrival_bits_per_frame: float
     frames: int
@@ -127,6 +106,12 @@ class QueueConfig:
         if self.policy.target is None:
             raise DomainError(f"queue runs need an explicit {self.policy.target_name} "
                               "(optimize it first, then simulate)")
+        a, top = self.arrival_bits_per_frame, _service_bound(self.policy, self.params)
+        reach = float(a) + top  # x*x below: a float's ** raises on overflow
+        if not (self.frames < 2 ** 1023 and math.isfinite(float(self.frames) * (reach * reach))):
+            raise DomainError(f"frames * (arrival + largest service)^2 overflows a float: "
+                              f"{self.frames} frames, arrival {a!r} and service up to {top!r} "
+                              "bits per frame; use a smaller n * m, arrival or frame count")
 
 
 def _bin_edges(per_bit: float, bins: int) -> np.ndarray:
@@ -179,7 +164,8 @@ class TailHistogram:
         pass a copy to keep it.  Their bin numbers are one intp array per
         call, as large as values, besides its bincount.
         """
-        np.multiply(values, self._per_bit, out=values)
+        with np.errstate(over="ignore"):  # +inf, clipped into the overflow bin
+            np.multiply(values, self._per_bit, out=values)
         np.clip(values, 0.0, self.counts.size - 1, out=values)
         bins = values.astype(np.intp)  # truncation is floor here
         self.counts += np.bincount(bins, minlength=self.counts.size)
@@ -189,22 +175,16 @@ class TailHistogram:
 class QueueResult:
     """Post-burn-in queue-length histogram plus run diagnostics.
 
-    samples is the TailHistogram of the post-burn-in queue lengths; it and
-    every other field have a size fixed by theta's bins, not by frames.
-    unstable is drift_z > 3: the trajectory diverges, as the arrival rate
-    exceeds the measured mean service rate by more than three standard
-    errors (service is independent across frames, so the z-test is exact);
-    drift_z is (arrival - mean service) / its standard error, and is +-inf
-    (0 when they are equal) when every frame serves the same bits; the
-    service's variance comes from per-chunk pairwise sums of its squares.
-    Tail fitting is meaningless on an unstable run.  trend_slope is a
-    diagnostic linear trend fitted to every max(1, kept // 2048)-th
-    post-burn-in frame.  trace is None on an untraced run, else the decimated
-    per-frame records (frame index, mean gain, service bits, queue bits), with
-    no rows if no kept frame is on the grid, copied out of each chunk's ring
-    slot block by block as it is scanned, before its squares and the next
-    fill overwrite it; trace_every=1 is the only way to get every frame's
-    queue length.
+    samples is the TailHistogram of the post-burn-in queue lengths, of a
+    size fixed by theta's bins, not by frames.  drift_z is (arrival - mean
+    service) / its standard error, +-inf (0 when they are equal) when every
+    frame serves the same bits; unstable is drift_z > 3, where the
+    trajectory diverges and tail fitting is meaningless (service is
+    independent across frames, so the z-test is exact).  trend_slope is a
+    linear trend fitted to every max(1, kept // 2048)-th post-burn-in frame.
+    trace is None on an untraced run, else the decimated per-frame records
+    (frame index, mean gain, service bits, queue bits), with no rows if no
+    kept frame is on the grid.
     """
 
     samples: TailHistogram
@@ -263,12 +243,15 @@ def _lindley_chunk(q_prev: float, a: float,
                    service: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, q) for each block service[lo:lo + _SUB_FRAMES] of a chunk:
     q holds the queue lengths after those frames, from q_prev at the chunk's
-    start, by the closed form of the recursion (see module docstring).
+    start.
 
-    The chunk's two block-sized buffers hold each block's steps a - r, then
-    its queue lengths, and its running sums; q is the consumer's until it
-    asks for the next block.  The queue lengths are those of one scan of
-    the whole chunk, bit for bit.
+    With x_t = a - r_t and C the running sum of x over the chunk, the
+    recursion has the closed form Q_t = max(q_prev + C_t, C_t - min(0,
+    min_{s<=t} C_s)).  Each block carries the running sum and its floor,
+    min(0, every sum so far), into the next; a minimum is exact in any
+    order, so q has the bits of one whole-chunk scan.  Two block-sized
+    buffers hold each block's steps, then q, and its running sums; q is the
+    consumer's until it asks for the next block.
     """
     x = np.empty(min(service.size, _SUB_FRAMES))
     c = np.empty_like(x)
@@ -277,18 +260,14 @@ def _lindley_chunk(q_prev: float, a: float,
         block = service[lo:lo + x.size]
         steps = np.subtract(a, block, out=x[:block.size])
         sums = c[:block.size]
-        # a later block's first running sum is run_sum + x[0], as in a
-        # whole-chunk cumsum, and its floor takes low: a minimum is exact in
-        # any order.  An overflowing sum is +inf, a queue length in the
-        # overflow bin, on a run the drift test flags
-        with np.errstate(over="ignore"):
-            if lo:
-                steps[0] += run_sum
-            np.cumsum(steps, out=sums)
-            floor = np.minimum(np.minimum.accumulate(sums, out=steps), low, out=steps)
-            run_sum, low = sums[-1], floor[-1]
-            np.subtract(sums, floor, out=floor)
-            np.add(sums, q_prev, out=sums)
+        # as in a whole-chunk cumsum, a later block's first sum is run_sum + x[0]
+        if lo:
+            steps[0] += run_sum
+        np.cumsum(steps, out=sums)
+        floor = np.minimum(np.minimum.accumulate(sums, out=steps), low, out=steps)
+        run_sum, low = sums[-1], floor[-1]
+        np.subtract(sums, floor, out=floor)
+        np.add(sums, q_prev, out=sums)
         yield lo, np.maximum(sums, floor, out=floor)
 
 
@@ -297,10 +276,17 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
 
     Returns the histogram of post-burn-in queue lengths (bits) and
     diagnostics.  trace_every > 0 additionally records every trace_every-th
-    frame, counted from frame 0, after the burn-in as (frame index, mean
-    gain, service bits, queue bits).  Raises DomainError when a chunk's
-    service sum, before its scan, or the run's sum of squares, which drift_z
-    needs, is past the float range.
+    frame, counted from frame 0, after the burn-in (`QueueResult.trace`).
+
+    Chunks of 2^19 frames fill the two slots of a ring made once per run (a
+    traced run's slots also hold the mean gains).  Each chunk is one
+    `channel._run_rows` call: its scan beside the fills of the next chunk
+    into the other slot, in 2^15-frame sub-chunks.  A frame's service
+    depends only on (seed, frame index), and the scans run one per call, in
+    frame order, so results are identical for any thread count.  A scanned
+    chunk's trace rows are copied out, then its service is overwritten with
+    its squares; the sums behind drift_z are numpy's pairwise sums per
+    chunk, added in chunk order, with no BLAS call.
     """
     frames = config.frames
     burn = config.burn_in_frames
@@ -331,14 +317,8 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         chunk = slot(start)
         service = chunk[0]
         # pairwise sums, not BLAS's dot, which would wake its spinning threads
-        # and round by their count.  The service's is taken before the scan,
-        # which only reads the service, so that a service past the float
-        # range, where no step a - r is a number, stops the run first
-        with np.errstate(over="ignore"):
-            total = float(service.sum())
-        if not math.isfinite(total):
-            raise DomainError(f"service of {total / service.size!r} bits per frame on average "
-                              "overflows a float; use a smaller n * m")
+        # and round by their count
+        total = float(service.sum())
         for lo, q in _lindley_chunk(q_prev, a, service):
             at = start + lo  # the block's first frame
             q_last = float(q[-1])
@@ -353,11 +333,8 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
                     traced.append(np.column_stack([(at + idx).astype(float), chunk[1, lo + idx],
                                                    service[lo + idx], q[idx]]))
                 tail.add(q[kept:])  # last use of q: binning overwrites it
-        # the squares in place, now that the scan has read the service; a sum
-        # past the float range is +inf, checked once below
-        with np.errstate(over="ignore"):
-            sumsq = float(np.multiply(service, service, out=service).sum())
-        return q_last, total, sumsq
+        # the squares in place, now that the scan has read the service
+        return q_last, total, float(np.multiply(service, service, out=service).sum())
 
     _run_rows(fills(0))
     q_prev = service_sum = service_sumsq = 0.0
@@ -367,9 +344,6 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
         service_sum += total
         service_sumsq += sumsq
     mean_service = service_sum / frames
-    if not math.isfinite(service_sumsq):
-        raise DomainError(f"service of {mean_service!r} bits per frame on average overflows "
-                          "the sum of its squares behind drift_z; use a smaller n * m")
     t = np.arange(trend.size, dtype=float) * step
     slope = float(np.polyfit(t, trend, 1)[0]) if trend.size > 1 else 0.0
     var_service = max(service_sumsq / frames - mean_service**2, 0.0)

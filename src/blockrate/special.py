@@ -3,10 +3,8 @@
 Q(x) is evaluated as 0.5*erfc(x/sqrt(2)) through SciPy's Cephes erfc
 (published rational approximations; relative error stays below ~1e-13 for
 |x| <= 8 and the far tail underflows gracefully), so results are
-bit-reproducible for a pinned SciPy build.  The inverse is a safeguarded
-Newton iteration seeded with Acklam's rational approximation of the normal
-quantile; any Newton step that leaves the maintained bracket is replaced by
-a bisection step.
+bit-reproducible for a pinned SciPy build.  The inverse, `q_inverse`, is a
+safeguarded Newton iteration seeded with Acklam's normal quantile.
 """
 
 from __future__ import annotations
@@ -63,14 +61,11 @@ def _q_finite(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _norm_quantile(p: float) -> float:
     """Acklam's approximation of Phi^{-1}(p), |error| < 1.15e-9."""
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if p > 1.0 - _ACKLAM_SPLIT:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                 / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+    if p < _ACKLAM_SPLIT or p > 1.0 - _ACKLAM_SPLIT:  # a tail, by the one formula
+        q = math.sqrt(-2.0 * math.log(p if p < 0.5 else 1.0 - p))
+        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
+             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+        return x if p < 0.5 else -x
     q = p - 0.5
     r = q * q
     return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q

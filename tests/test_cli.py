@@ -171,8 +171,9 @@ class TestExitCodes:
     ])
     def test_rate_past_float_range_of_z(self, argv, capsys):
         # at 1e308, (mu - rate)/delta overflows: each such row is a step at
-        # eps = 1, so every command prints what it prints at 1e200 (simulate:
-        # the degenerate tail, exit 2), with no numpy warning
+        # eps = 1, so every command prints what it prints at 1e200, with no
+        # numpy warning.  simulate calibrates on those rows, then its queue's
+        # float-range rule rejects the run: n*m*rate squared overflows
         runs = []
         for rate in ("1e200", "1e308"):
             with warnings.catch_warnings(record=True) as caught:
@@ -181,16 +182,18 @@ class TestExitCodes:
             assert caught == []
             out, err = capsys.readouterr()
             runs.append((code, out.replace("1e+200", "1e+308"), err))
+        if argv[0] == "simulate":
+            for (code, out, err), top in zip(runs, ("2e+202", "inf")):
+                assert (code, out) == (1, "")
+                assert err == ("blockrate: error: frames * (arrival + largest service)^2 "
+                               "overflows a float: 1000 frames, arrival 0.0 and service up to "
+                               f"{top} bits per frame; use a smaller n * m, arrival or frame count\n")
+            return
         assert runs[1] == runs[0]
         code, out, err = runs[1]
-        if argv[0] == "simulate":
-            assert (code, out) == (2, "")
-            assert err.startswith("blockrate: error: degenerate tail window")
-            assert len(err.splitlines()) == 1
-        else:
-            rows = [r for r in out.splitlines() if "1e+308" in r and not r.startswith("#")]
-            assert code == 0 and rows
-            assert all(",0.0,0.0" in r for r in rows)  # throughput and its error
+        rows = [r for r in out.splitlines() if "1e+308" in r and not r.startswith("#")]
+        assert code == 0 and rows
+        assert all(",0.0,0.0" in r for r in rows)  # throughput and its error
 
     @pytest.mark.parametrize("argv", [
         ["fig4", "--m", "1", "--rate-grid", "0.5"],
@@ -261,46 +264,57 @@ class TestExitCodes:
         assert err.startswith("blockrate: error: snr_linear * gain overflows")
         assert len(err.splitlines()) == 1
 
-    def test_overflowing_arrival_is_unstable(self, capsys):
-        # the scan's running sum overflows to +inf with no numpy warning, and
-        # the drift test flags the run
+    @staticmethod
+    def _one_error_line(argv, capsys):
+        """main's exit code and its one stderr line, with no numpy warning."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["simulate", "--arrival", "1e308", "--frames", "1000", "--burn-in", "10",
-                         "--epsilon", "0.01", "--samples", "100"])
+            code = main(argv)
         assert caught == []
         out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert err.startswith("blockrate: error: queue is unstable: arrival 1e+308")
-        assert len(err.splitlines()) == 1
+        assert out == "" and len(err.splitlines()) == 1
+        return code, err
+
+    def test_overflowing_arrival_is_usage_error(self, capsys):
+        # frames * (arrival + largest service)^2 overflows at an arrival of
+        # 1e308, so QueueConfig rejects the run before any frame is filled
+        code, err = self._one_error_line(
+            ["simulate", "--arrival", "1e308", "--frames", "1000", "--burn-in", "10",
+             "--epsilon", "0.01", "--samples", "100"], capsys)
+        assert code == 1
+        assert err.startswith("blockrate: error: frames * (arrival + largest service)^2 "
+                              "overflows a float: 1000 frames, arrival 1e+308 and service up to ")
 
     def test_overflowing_service_square_is_usage_error(self, capsys):
         # n = 1e160 passes SystemParams, and each success serves 5e159 bits,
-        # whose square overflows: drift_z needs the sum of squares, so the run
-        # stops with one message and no numpy warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["simulate", "--rate", "0.5", "--n", str(10**160), "--frames", "1000",
-                         "--burn-in", "10", "--samples", "200"])
-        assert caught == []
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err.startswith("blockrate: error: service of ")
-        assert "bits per frame on average overflows the sum of its squares" in err
-        assert len(err.splitlines()) == 1
+        # whose square overflows: the run stops before any frame is filled
+        code, err = self._one_error_line(
+            ["simulate", "--rate", "0.5", "--n", str(10**160), "--frames", "1000",
+             "--burn-in", "10", "--samples", "200"], capsys)
+        assert code == 1
+        assert err.startswith("blockrate: error: frames * (arrival + largest service)^2 "
+                              "overflows a float: 1000 frames, arrival ")
+        assert "and service up to 5e+159 bits per frame; use a smaller n * m" in err
 
     def test_overflowing_service_is_usage_error(self, capsys):
-        # n = 1e308 passes SystemParams, but each success serves n*m*R = inf
-        # bits: the chunk's service sum is checked before the scan reads it
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["simulate", "--rate", "2", "--n", str(10**308), "--frames", "1000",
-                         "--burn-in", "10", "--samples", "200"])
-        assert caught == []
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, "")
-        assert err == ("blockrate: error: service of inf bits per frame on average "
-                       "overflows a float; use a smaller n * m\n")
+        # n = 1e308 passes SystemParams, but each success serves n*m*R = inf bits
+        code, err = self._one_error_line(
+            ["simulate", "--rate", "2", "--n", str(10**308), "--frames", "1000",
+             "--burn-in", "10", "--samples", "200"], capsys)
+        assert code == 1
+        assert err.startswith("blockrate: error: frames * (arrival + largest service)^2 ")
+        assert err.endswith(" and service up to inf bits per frame; use a smaller n * m, "
+                            "arrival or frame count\n")
+
+    def test_overflowing_bin_position_prints_no_warning(self, capsys):
+        # the run passes the float-range rule, but its queue lengths times
+        # 8*theta overflow in the tail histogram, into its overflow bin
+        code, err = self._one_error_line(
+            ["simulate", "--theta", "1e250", "--n", "1", "--m", "1", "--epsilon", "0.01",
+             "--arrival", "1e70", "--frames", "1000", "--burn-in", "10", "--samples", "200"],
+            capsys)
+        assert code == 2
+        assert err.startswith("blockrate: error: queue is unstable: arrival 1e+70")
 
     @pytest.mark.parametrize("command", ["fig3", "optimize-epsilon", "optimize-rate"])
     def test_cannot_optimize_at_theta_zero(self, command, capsys):

@@ -156,6 +156,19 @@ class TestOptimalEpsilon:
         assert opt.value == pytest.approx(-best.fun, rel=1e-9)
         assert opt.value <= -best.fun + opt.std_error
 
+    @pytest.mark.parametrize("theta", [1e20, 1e50, 1e150])
+    def test_kinked_psi_at_huge_theta_is_searched(self, theta):
+        # at huge theta*n*m ln psi is nearly piecewise linear in x: the
+        # curvature at the start rounds the first Newton step to 0, which
+        # must not end the search there.  eps* tends to Q(min mu/delta),
+        # where the first row's rate reaches 0
+        ss = SampleSet.draw(Rayleigh(), 1, 200, seed=1)
+        p = SystemParams(1.0, 1, 1, theta)
+        mu, delta = ss.stats(p)
+        opt = optimal_epsilon(ss, p)
+        assert opt.argument == pytest.approx(q_function(float(np.min(mu / delta))), rel=1e-8)
+        assert opt.value > 0.0 and not opt.at_boundary
+
     def test_optimum_below_bracket_reports_edge(self, samples10):
         opt = optimal_epsilon(samples10, SystemParams(1.0, 200, 10, 0.05))
         assert opt.at_boundary

@@ -27,11 +27,13 @@ from blockrate.fbl import (
     rate_lower_bound,
     rate_lower_bound_arrays,
     rate_stats,
+    rate_stats_arrays,
 )
 from blockrate.optimize import optimal_epsilon
 from blockrate import queue_sim
 from blockrate.queue_sim import (
     _CHUNK_FRAMES,
+    _GAIN_CAP,
     _SUB_FRAMES,
     QueueConfig,
     QueueResult,
@@ -39,6 +41,7 @@ from blockrate.queue_sim import (
     TailHistogram,
     _fill_service,
     _lindley_chunk,
+    _service_bound,
     estimate_decay_rate,
     simulate_queue,
 )
@@ -88,6 +91,43 @@ class TestQueueConfig:
 
     def test_zero_arrival_allowed(self):
         assert _config(arrival_bits_per_frame=0.0).arrival_bits_per_frame == 0.0
+
+
+class TestFloatRangeRule:
+    """QueueConfig's one float-range rule: frames*(arrival + service bound)^2
+    is finite, where the bound holds every frame's |service|."""
+
+    def test_gain_cap_holds_the_largest_draw(self):
+        top = 1.0 - 2.0 ** -53  # the largest uniform a window can hold
+        assert -math.log1p(-top) <= _GAIN_CAP
+        assert _exponential_from_uniform(np.array([top]))[0] == _GAIN_CAP
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("policy", [
+        VariableRate(0.3), VariableRate(1e-9), VariableRate(1e-9, clamp_negative=True),
+        VariableRate(1.0 - 1e-9), FixedRate(0.5), FixedRate(4.0)])
+    def test_every_filled_service_is_within_the_bound(self, m, policy):
+        params = SystemParams(snr_linear=10.0, n=20, m=m, theta=0.05)
+        cfg = _config(params=params, policy=policy)
+        bound = _service_bound(policy, params)
+        assert np.abs(_service(cfg, count=20_000)).max() <= bound
+        # and at the cap itself, on the rows the rule can serve most on
+        gains = np.array([[_GAIN_CAP] * m, [0.0] * m])
+        mu, delta = rate_stats_arrays(gains, params)
+        served = policy.service(mu, delta, np.full(2, 1.0 - 2.0 ** -53), params.nm)
+        assert np.abs(served).max() <= bound
+
+    def test_frames_past_the_float_range_rejected(self):
+        # an int that no float holds is a DomainError, not an OverflowError
+        with pytest.raises(DomainError, match="overflows a float: 1000000"):
+            _config(frames=10**400)
+
+    def test_rejected_before_any_fill(self, monkeypatch):
+        def fill(*args):
+            raise AssertionError("a frame was filled")
+        monkeypatch.setattr(queue_sim, "_fill_service", fill)
+        with pytest.raises(DomainError, match="overflows a float"):
+            simulate_queue(_config(arrival_bits_per_frame=1e200))
 
 
 def _service(cfg, start=0, count=None, rows=1):
@@ -498,31 +538,28 @@ class TestSimulateQueue:
             assert res.unstable is unstable
             assert (res.drift_z > 3.0) is unstable
 
-    def test_overflowing_arrival_counts_in_the_overflow_bin(self):
-        # from the second frame on, the running sum overflows to +inf (with
-        # no numpy warning, which the test settings make an error), in every
-        # block and chunk; every kept queue length is past the last edge
-        cfg = _config(arrival_bits_per_frame=1e308, frames=2 * _CHUNK_FRAMES + 5)
-        res = simulate_queue(cfg)
-        assert res.samples.counts[-1] == res.samples.total == cfg.frames - cfg.burn_in_frames
-        assert res.unstable and res.drift_z > 3.0
+    def test_overflowing_arrival_rejected(self):
+        # frames * (1e308 + the service bound)^2 overflows; the run used to
+        # scan running sums of +inf into the overflow bin
+        with pytest.raises(DomainError, match=r"^frames \* \(arrival \+ largest service\)\^2 "
+                           r"overflows a float: 1048581 frames, arrival 1e\+308 and service "
+                           r"up to \S+ bits per frame; use a smaller n \* m, arrival or frame"):
+            _config(arrival_bits_per_frame=1e308, frames=2 * _CHUNK_FRAMES + 5)
 
     def test_overflowing_service_square_rejected(self):
         # a success serves 5e159 bits, a finite sum whose square is not: the
-        # run names the mean service instead of a drift_z it cannot compute
+        # config, which drift_z's sum of squares relies on, rejects the run
         params = SystemParams(snr_linear=1.0, n=10**160, m=1, theta=0.05)
-        cfg = _config(params=params, policy=FixedRate(rate=0.5), arrival_bits_per_frame=1e159)
-        with pytest.raises(DomainError, match=r"service of \S+e\+159 bits per frame on average "
-                                              "overflows the sum of its squares"):
-            simulate_queue(cfg)
+        with pytest.raises(DomainError, match=r"overflows a float: 1000 frames, arrival 1e\+159 "
+                                              r"and service up to 5e\+159 bits per frame"):
+            _config(params=params, policy=FixedRate(rate=0.5), arrival_bits_per_frame=1e159)
 
     def test_overflowing_service_rejected_before_the_scan(self):
         # a success serves n*m*R = inf bits: no step a - r is a number
         params = SystemParams(snr_linear=1.0, n=10**308, m=1, theta=0.05)
-        cfg = _config(params=params, policy=FixedRate(rate=2.0), arrival_bits_per_frame=1.0)
-        with pytest.raises(DomainError, match="service of inf bits per frame on average "
-                                              "overflows a float"):
-            simulate_queue(cfg)
+        with pytest.raises(DomainError, match=r"overflows a float: 1000 frames, arrival 1\.0 and "
+                                              r"service up to inf bits per frame"):
+            _config(params=params, policy=FixedRate(rate=2.0), arrival_bits_per_frame=1.0)
 
     def test_mean_service_deterministic_case(self, monkeypatch):
         self._constant_service(monkeypatch, P2.nm * 0.5)
@@ -705,6 +742,13 @@ class TestTailHistogram:
         assert hist.counts[0] == 4 and hist.counts[1] == 1
         assert hist.counts[-2] == 1 and hist.counts[-1] == 2
         assert hist.edges[-1] == 128.0
+
+    def test_overflowing_bin_position_counts_in_the_overflow_bin(self):
+        # 1e300 * 8e10 overflows to +inf, which the clip puts in the last
+        # bin, with no numpy warning (RuntimeWarnings are errors here)
+        hist = TailHistogram(1e10)
+        hist.add(np.array([1e300]))
+        assert hist.counts[-1] == hist.total == 1
 
     def test_chunks_add_up(self):
         rng = np.random.default_rng(5)
