@@ -227,11 +227,10 @@ def _cmd_simulate(args: argparse.Namespace, params: SystemParams, policy: RatePo
                               " is negative; give --arrival, a larger --epsilon or --clamp-rate")
     arrival = args.arrival if args.arrival is not None else cal.effective_rate * params.nm
     queue_seed = args.seed + 1  # decouple the trajectory from the rate estimate
-    qcfg = QueueConfig(arrival_bits_per_frame=arrival, frames=args.frames,
-                       burn_in_frames=args.burn_in, seed=queue_seed,
-                       policy=policy, params=params)
     trace_every = (args.trace_every or 1000) if args.trace_output is not None else 0
-    result = simulate_queue(qcfg, trace_every=trace_every)
+    result = simulate_queue(QueueConfig(
+        arrival_bits_per_frame=arrival, frames=args.frames, burn_in_frames=args.burn_in,
+        seed=queue_seed, policy=policy, params=params, trace_every=trace_every))
     meta = _base_meta(args, epsilon=args.epsilon, rate=args.rate,
                       policy=policy.describe(), frames=args.frames,
                       burn_in=args.burn_in, arrival_bits_per_frame=arrival,

@@ -397,6 +397,13 @@ def log_phi_slopes(rate: float, samples: SampleSet, params: SystemParams
     return _kernel(samples, params, rate, want="slopes")[:3]
 
 
+def _ergodic(samples: SampleSet, y: np.ndarray, scale: float) -> EffectiveRateEstimate:
+    """E[scale*y] with its standard error, overwriting y."""
+    y *= scale
+    mean_y = _mean(samples, y)
+    return EffectiveRateEstimate(mean_y, _spread(samples, y, mean_y) / math.sqrt(y.size))
+
+
 def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemParams,
                           clamp: bool = False) -> EffectiveRateEstimate:
     """theta -> 0 limit of variable-rate throughput: E[(1-eps)*R(z,eps)].
@@ -405,20 +412,12 @@ def ergodic_rate_variable(epsilon: float, samples: SampleSet, params: SystemPara
     """
     _check_epsilon(epsilon)
     mu, delta = samples.stats(params)
-    y = rate_lower_bound_arrays(mu, delta, epsilon, clamp)
-    y *= 1.0 - epsilon
-    mean_y = _mean(samples, y)
-    se = _spread(samples, y, mean_y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(mean_y, se)
+    return _ergodic(samples, rate_lower_bound_arrays(mu, delta, epsilon, clamp), 1.0 - epsilon)
 
 
 def ergodic_rate_fixed(rate: float, samples: SampleSet, params: SystemParams) -> EffectiveRateEstimate:
     """theta -> 0 limit of fixed-rate throughput: E[(1-eps(z,R))]*R."""
     _check_rate(rate)
     eps_z = error_probability_arrays(*samples.stats(params), rate)
-    y = np.subtract(1.0, eps_z, out=eps_z)
-    y *= rate
-    mean_y = _mean(samples, y)
-    se = _spread(samples, y, mean_y) / math.sqrt(y.size)
-    return EffectiveRateEstimate(mean_y, se)
+    return _ergodic(samples, np.subtract(1.0, eps_z, out=eps_z), rate)
 

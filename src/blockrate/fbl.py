@@ -34,6 +34,8 @@ from .errors import DomainError
 from .special import _q_finite, q_inverse
 
 LOG2E = math.log2(math.e)
+# the largest gain a draw gives: -log1p(-u) at the largest uniform, 1 - 2^-53
+_GAIN_CAP = 53 * math.log(2)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -89,6 +91,13 @@ class VariableRate:
         np.copyto(bits, 0.0, where=failed)
         return bits
 
+    def service_bound(self, params: SystemParams) -> float:
+        """A bound on every frame's |service| bits: on every row mu is at most
+        log2(1 + snr*_GAIN_CAP) and delta is below LOG2E*sqrt(2/nm)."""
+        nm = float(params.nm)  # Python floats: numpy's would warn on an overflow
+        return nm * (math.log2(1.0 + float(params.snr_linear) * _GAIN_CAP)
+                     + abs(q_inverse(self.epsilon)) * LOG2E * math.sqrt(2.0 / nm))
+
     def describe(self) -> str:
         target = "optimized-epsilon" if self.epsilon is None else f"epsilon={self.epsilon!r}"
         suffix = ", clamped" if self.clamp_negative else ""
@@ -128,6 +137,10 @@ class FixedRate:
         bits.fill(nm * self.rate)
         np.copyto(bits, 0.0, where=failed)
         return bits
+
+    def service_bound(self, params: SystemParams) -> float:
+        """A frame serves nm*rate bits or none, so nm*rate bounds its |service|."""
+        return float(params.nm) * float(self.rate)
 
     def describe(self) -> str:
         target = "optimized-rate" if self.rate is None else f"rate={self.rate!r}"

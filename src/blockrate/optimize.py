@@ -40,7 +40,7 @@ from .special import q_function, q_inverse
 # where the searches start: eps = Q(1) ~ 0.16, and a tenth of the rate bracket
 _X_START = 1.0
 _R_START = 0.1
-_TOL = 1e-8  # newton_minimize stops once a step is at most this
+_TOL = 1e-8  # newton_minimize's stop step on a bracket at least 1 wide
 
 EPSILON_BRACKET = (1e-10, 1.0 - 1e-10)
 # the same bracket in x = Q^{-1}(eps), which decreases in eps
@@ -92,19 +92,20 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
     around the root, shrunk on the sign of f'.  A Newton step becomes a
     bisection step when it leaves the bracket (the safeguard of
     special.q_inverse), is over half the step before last, or is at most
-    _TOL but does not follow a Newton step: where f is nearly piecewise
+    tol but does not follow a Newton step: where f is nearly piecewise
     linear, f'' at a kink rounds such a step to 0 far from the root.  The
     edges are read lazily: before the first step toward an edge that is not
     a Newton step, the slope at that edge is evaluated, and if it shows the
     root at or beyond the edge the search stops there with at_edge set.
-    Otherwise the search stops once a step is at most _TOL.  Returns
-    (argmin, number of slope evaluations, at_edge).
+    Otherwise it stops on a step of at most tol = _TOL*min(1, hi - lo), so a
+    bracket narrower than _TOL is still searched, not ended by its first
+    step.  Returns (argmin, number of slope evaluations, at_edge).
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not lo <= start <= hi:
         raise DomainError(f"start {start!r} outside [{lo!r}, {hi!r}]")
-    a, b = lo, hi
+    a, b, tol = lo, hi, _TOL * min(1.0, hi - lo)
     unread = {lo, hi}  # edges whose slope sign is not known yet
     x, evals, chained = start, 0, False  # chained: the last step was Newton's
     step = before = hi - lo
@@ -126,7 +127,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
         # root is taken to lie beyond the bracket in the descent direction
         guess = x - d1 / d2 if d2 > 0.0 else math.copysign(math.inf, -d1)
         newton = (a <= guess <= b and abs(guess - x) <= 0.5 * abs(before)
-                  and (chained or abs(guess - x) > _TOL))
+                  and (chained or abs(guess - x) > tol))
         chained = newton
         edge = b if d1 < 0.0 else a
         if edge in unread and not newton:
@@ -134,7 +135,7 @@ def newton_minimize(slopes: Callable[[float], tuple[float, float, float]],
             continue
         new = guess if newton else 0.5 * (a + b)
         before, step = step, new - x
-        if abs(step) <= _TOL:
+        if abs(step) <= tol:
             return new, evals, False
         x = new
 

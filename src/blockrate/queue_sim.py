@@ -38,8 +38,7 @@ from .channel import (
     uniform_windows,
 )
 from .errors import DomainError, EstimationError
-from .fbl import LOG2E, FixedRate, RatePolicy, rate_stats_arrays
-from .special import q_inverse
+from .fbl import RatePolicy, rate_stats_arrays
 
 _CHUNK_FRAMES = 1 << 19
 _SUB_FRAMES = 1 << 15  # frames per fill task and per scan block
@@ -47,8 +46,6 @@ _TREND_POINTS = 2048
 _BINS_PER_THETA = 8  # tail bins per 1/theta bits: h = 1/(8*theta)
 _TAIL_SPAN = 128     # the overflow bin starts at 128/theta bits
 _TAIL_WINDOW = (1e-4, 0.1)  # the tail probabilities theta_hat is fitted over
-# the largest gain a draw gives: -log1p(-u) at the largest uniform, 1 - 2^-53
-_GAIN_CAP = 53 * math.log(2)
 
 
 def _check_theta(theta) -> None:
@@ -59,7 +56,7 @@ def _check_theta(theta) -> None:
                           f"finite and with {_TAIL_SPAN}/theta finite, got {theta!r}")
 
 
-def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
+def _check_run(arrival, frames, burn_in_frames, theta, trace_every) -> None:
     """The queue run's rules that need no rate target; arrival None is not yet set."""
     if arrival is not None and not (np.isfinite(arrival) and arrival >= 0):
         raise DomainError(f"arrival_bits_per_frame must be finite and >= 0, got {arrival!r}")
@@ -71,25 +68,14 @@ def _check_run(arrival, frames, burn_in_frames, theta, trace_every=0) -> None:
     _check_integer("trace_every", trace_every, 0)
 
 
-def _service_bound(policy: RatePolicy, params: SystemParams) -> float:
-    """A bound on every frame's |service| bits: nm*R at a fixed rate, else
-    nm*(log2(1 + snr*_GAIN_CAP) + |Q^{-1}(eps)|*LOG2E*sqrt(2/nm)), since mu
-    is at most the first term and delta < LOG2E*sqrt(2/nm) on every row."""
-    nm = float(params.nm)  # Python floats: numpy's would warn on an overflow
-    if isinstance(policy, FixedRate):
-        return nm * float(policy.rate)
-    return nm * (math.log2(1.0 + float(params.snr_linear) * _GAIN_CAP)
-                 + abs(q_inverse(policy.epsilon)) * LOG2E * math.sqrt(2.0 / nm))
-
-
 @dataclass(frozen=True)
 class QueueConfig:
-    """Inputs of one queue run; one frame spans params.nm channel uses and
-    sees params.m unit-mean Rayleigh gains.  The one check of a run: to
-    `_check_run`'s rules it adds the seed's, a RatePolicy with its target set
-    and the run's one float-range rule, frames*(arrival + `_service_bound`)^2
-    finite, which keeps every step, running sum, queue length and service
-    sum or sum of squares of the run finite."""
+    """Inputs of one queue run, traced as `simulate_queue` says; a frame spans
+    params.nm channel uses and sees params.m unit-mean Rayleigh gains.  The
+    one check of a run: to `_check_run`'s rules it adds the seed's, a
+    RatePolicy with its target set and the run's one float-range rule,
+    frames*(arrival + `policy.service_bound`)^2 finite, which keeps every
+    step, running sum, queue length and service sum or sum of squares finite."""
 
     arrival_bits_per_frame: float
     frames: int
@@ -97,16 +83,18 @@ class QueueConfig:
     seed: int
     policy: RatePolicy
     params: SystemParams
+    trace_every: int = 0
 
     def __post_init__(self):
-        _check_run(self.arrival_bits_per_frame, self.frames, self.burn_in_frames, self.params.theta)
+        _check_run(self.arrival_bits_per_frame, self.frames, self.burn_in_frames,
+                   self.params.theta, self.trace_every)
         _check_integer("seed", self.seed, 0)
         if not isinstance(self.policy, RatePolicy):
             raise DomainError(f"unknown rate policy: {self.policy!r}")
         if self.policy.target is None:
             raise DomainError(f"queue runs need an explicit {self.policy.target_name} "
                               "(optimize it first, then simulate)")
-        a, top = self.arrival_bits_per_frame, _service_bound(self.policy, self.params)
+        a, top = self.arrival_bits_per_frame, self.policy.service_bound(self.params)
         reach = float(a) + top  # x*x below: a float's ** raises on overflow
         if not (self.frames < 2 ** 1023 and math.isfinite(float(self.frames) * (reach * reach))):
             raise DomainError(f"frames * (arrival + largest service)^2 overflows a float: "
@@ -271,11 +259,11 @@ def _lindley_chunk(q_prev: float, a: float,
         yield lo, np.maximum(sums, floor, out=floor)
 
 
-def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
+def simulate_queue(config: QueueConfig) -> QueueResult:
     """Run the queue for config.frames frames from an empty buffer.
 
     Returns the histogram of post-burn-in queue lengths (bits) and
-    diagnostics.  trace_every > 0 additionally records every trace_every-th
+    diagnostics.  config.trace_every > 0 also records every trace_every-th
     frame, counted from frame 0, after the burn-in (`QueueResult.trace`).
 
     Chunks of 2^19 frames fill the two slots of a ring made once per run (a
@@ -291,7 +279,7 @@ def simulate_queue(config: QueueConfig, trace_every: int = 0) -> QueueResult:
     frames = config.frames
     burn = config.burn_in_frames
     a = config.arrival_bits_per_frame
-    _check_integer("trace_every", trace_every, 0)  # config has checked the rest
+    trace_every = config.trace_every
     # the trend is fitted on every step-th kept frame, kept index 0 first
     step = max(1, (frames - burn) // _TREND_POINTS)
     trend = np.empty(-(-(frames - burn) // step))

@@ -103,6 +103,11 @@ class TestRateStats:
         with pytest.raises(DomainError):
             rate_stats_widths(np.ones((3, 3)), widths, 1.0, 50)
 
+    @pytest.mark.parametrize("gains", [np.ones((3, 3)), np.ones((3, 1)), np.ones(2)])
+    def test_arrays_width_must_match_m(self, gains):
+        with pytest.raises(DomainError, match="does not match m=2"):
+            rate_stats_arrays(gains, P50X2)
+
     def test_snr_to_infinity_dispersion_limit(self):
         # s/(1+s) -> 1 per block, so delta -> log2(e)*sqrt(2/(n m))
         p = SystemParams(snr_linear=1e12, n=100, m=4, theta=0.01)

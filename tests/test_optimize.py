@@ -243,6 +243,18 @@ class TestOptimalRate:
         assert grid[k] == pytest.approx(4.04, abs=0.01)
         assert values[k] == pytest.approx(2.849, abs=1e-3)
 
+    def test_bracket_narrower_than_the_tolerance_is_searched(self):
+        # `blockrate optimize-rate --snr-db -200 --samples 2000`: R_hi is
+        # 4.4e-10, under an absolute step of 1e-8, which stopped the search
+        # after 2 evaluations at R = 2.19e-11, 34% below the grid's best
+        ss = SampleSet.draw(Rayleigh(), 1, 2_000, seed=1)
+        p = SystemParams.from_db(-200.0, 200, 1, 0.01)
+        opt = optimal_rate(ss, p)
+        assert opt.bracket[1] < 1e-9 and not opt.at_boundary
+        grid = np.linspace(0.0, opt.bracket[1], 4001)[1:]
+        best = max((effective_rate_fixed(r, ss, p) for r in grid), key=lambda e: e.value)
+        assert opt.value >= best.value - best.std_error
+
     def test_zero_gains_flat_objective(self):
         ss = SampleSet(np.zeros((8, 1)))
         opt = optimal_rate(ss, P1)

@@ -21,6 +21,7 @@ from blockrate.channel import (
 from blockrate.effective_rate import SampleSet, log_psi
 from blockrate.errors import DomainError, EstimationError
 from blockrate.fbl import (
+    _GAIN_CAP,
     FixedRate,
     VariableRate,
     error_probability_arrays,
@@ -33,7 +34,6 @@ from blockrate.optimize import optimal_epsilon
 from blockrate import queue_sim
 from blockrate.queue_sim import (
     _CHUNK_FRAMES,
-    _GAIN_CAP,
     _SUB_FRAMES,
     QueueConfig,
     QueueResult,
@@ -41,7 +41,6 @@ from blockrate.queue_sim import (
     TailHistogram,
     _fill_service,
     _lindley_chunk,
-    _service_bound,
     estimate_decay_rate,
     simulate_queue,
 )
@@ -94,8 +93,8 @@ class TestQueueConfig:
 
 
 class TestFloatRangeRule:
-    """QueueConfig's one float-range rule: frames*(arrival + service bound)^2
-    is finite, where the bound holds every frame's |service|."""
+    """QueueConfig's one float-range rule: frames*(arrival + the policy's
+    service_bound)^2 is finite, where the bound holds every frame's |service|."""
 
     def test_gain_cap_holds_the_largest_draw(self):
         top = 1.0 - 2.0 ** -53  # the largest uniform a window can hold
@@ -109,7 +108,7 @@ class TestFloatRangeRule:
     def test_every_filled_service_is_within_the_bound(self, m, policy):
         params = SystemParams(snr_linear=10.0, n=20, m=m, theta=0.05)
         cfg = _config(params=params, policy=policy)
-        bound = _service_bound(policy, params)
+        bound = policy.service_bound(params)
         assert np.abs(_service(cfg, count=20_000)).max() <= bound
         # and at the cap itself, on the rows the rule can serve most on
         gains = np.array([[_GAIN_CAP] * m, [0.0] * m])
@@ -231,10 +230,10 @@ class TestSubChunks:
     def test_chunks_split_into_sub_chunks_match_whole(self, monkeypatch):
         # every frame traced: the run's service and mean gains, filled in
         # sub-chunks on two workers, are those of one whole-range fill
-        cfg = _config(frames=_CHUNK_FRAMES + 5_000, burn_in_frames=0)
+        cfg = _config(frames=_CHUNK_FRAMES + 5_000, burn_in_frames=0, trace_every=1)
         service, gain_mean = _service(cfg, rows=2)
         monkeypatch.setenv("BLOCKRATE_THREADS", "2")
-        trace = simulate_queue(cfg, trace_every=1).trace
+        trace = simulate_queue(cfg).trace
         np.testing.assert_array_equal(trace[:, 0], np.arange(cfg.frames))
         np.testing.assert_array_equal(trace[:, 2], service)
         np.testing.assert_array_equal(trace[:, 1], gain_mean)
@@ -455,8 +454,8 @@ class TestSimulateQueue:
     def test_matches_manual_frame_loop(self):
         # recompute every frame's service straight from its uniform window
         # and run the scalar recursion; the chunked engine must agree
-        cfg = _config(frames=400, burn_in_frames=0, arrival_bits_per_frame=30.0)
-        res = simulate_queue(cfg, trace_every=1)
+        cfg = _config(frames=400, burn_in_frames=0, arrival_bits_per_frame=30.0, trace_every=1)
+        res = simulate_queue(cfg)
         q = 0.0
         expect = np.empty(400)
         for t in range(400):
@@ -474,15 +473,15 @@ class TestSimulateQueue:
 
     def test_zero_arrival_clamped_stays_empty(self):
         cfg = _config(arrival_bits_per_frame=0.0,
-                      policy=VariableRate(epsilon=0.01, clamp_negative=True))
-        res = simulate_queue(cfg, trace_every=1)
+                      policy=VariableRate(epsilon=0.01, clamp_negative=True), trace_every=1)
+        res = simulate_queue(cfg)
         assert np.all(res.trace[:, 3] == 0.0)
         assert not res.unstable
         assert res.trend_slope == 0.0
 
     def test_burn_in_dropped(self):
-        full = simulate_queue(_config(burn_in_frames=0), trace_every=1)
-        cut = simulate_queue(_config(burn_in_frames=250), trace_every=1)
+        full = simulate_queue(_config(burn_in_frames=0, trace_every=1))
+        cut = simulate_queue(_config(burn_in_frames=250, trace_every=1))
         np.testing.assert_array_equal(cut.trace[:, 3], full.trace[250:, 3])
         kept = _histogram(full.trace[250:, 3], P2.theta)
         np.testing.assert_array_equal(cut.samples.counts, kept.counts)
@@ -492,8 +491,8 @@ class TestSimulateQueue:
         # counts every kept frame once, and the trend is fitted on the same
         # every-step-th kept frame as a fit on the whole kept trajectory
         cfg = _config(frames=2 * _CHUNK_FRAMES + 4_321, burn_in_frames=_CHUNK_FRAMES - 77,
-                      arrival_bits_per_frame=40.0)
-        res = simulate_queue(cfg, trace_every=1)
+                      arrival_bits_per_frame=40.0, trace_every=1)
+        res = simulate_queue(cfg)
         kept = res.trace[:, 3]
         assert kept.size == cfg.frames - cfg.burn_in_frames
         np.testing.assert_array_equal(res.samples.counts, _histogram(kept, P2.theta).counts)
@@ -506,8 +505,8 @@ class TestSimulateQueue:
         # chunk order, so their bits follow no BLAS build or thread count
         a = 40.0
         cfg = _config(frames=_CHUNK_FRAMES + 4_321, burn_in_frames=0,
-                      arrival_bits_per_frame=a)
-        res = simulate_queue(cfg, trace_every=1)
+                      arrival_bits_per_frame=a, trace_every=1)
+        res = simulate_queue(cfg)
         total = sumsq = 0.0
         for lo in range(0, cfg.frames, _CHUNK_FRAMES):
             s = np.ascontiguousarray(res.trace[lo:lo + _CHUNK_FRAMES, 2])
@@ -570,12 +569,12 @@ class TestSimulateQueue:
         assert res.drift_z == -math.inf  # no service variance: the drift is sure
 
     def test_trace_decimation(self):
-        cfg = _config(frames=1_000, burn_in_frames=100)
-        res = simulate_queue(cfg, trace_every=10)
+        cfg = _config(frames=1_000, burn_in_frames=100, trace_every=10)
+        res = simulate_queue(cfg)
         assert res.trace is not None and res.trace.shape == (90, 4)
         frames = res.trace[:, 0]
         np.testing.assert_array_equal(frames, np.arange(100, 1_000, 10))
-        every = simulate_queue(cfg, trace_every=1).trace
+        every = simulate_queue(dataclasses.replace(cfg, trace_every=1)).trace
         np.testing.assert_array_equal(every[:, 0], np.arange(100, 1_000))
         idx = frames.astype(int) - 100
         np.testing.assert_array_equal(res.trace, every[idx])
@@ -587,8 +586,9 @@ class TestSimulateQueue:
         # once scanned, so the traced service bits must be gathered before
         # either
         monkeypatch.setenv("BLOCKRATE_THREADS", threads)
-        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=_CHUNK_FRAMES // 2)
-        res = simulate_queue(cfg, trace_every=97)
+        cfg = _config(frames=3 * _CHUNK_FRAMES + 777, burn_in_frames=_CHUNK_FRAMES // 2,
+                      trace_every=97)
+        res = simulate_queue(cfg)
         frames = res.trace[:, 0].astype(int)
         assert frames[-1] >= 3 * _CHUNK_FRAMES
         filled = np.empty((2, cfg.frames))
@@ -603,12 +603,12 @@ class TestSimulateQueue:
 
     def test_bad_trace_every(self):
         with pytest.raises(DomainError):
-            simulate_queue(_config(), trace_every=-1)
+            simulate_queue(_config(trace_every=-1))
 
     @pytest.mark.parametrize("trace_every", [-1, 2.5, 10.0, "3", None])
     def test_trace_every_integer_rule(self, trace_every):
         with pytest.raises(DomainError, match="trace_every must be >= 0 and integral"):
-            simulate_queue(_config(), trace_every=trace_every)
+            simulate_queue(_config(trace_every=trace_every))
 
     def test_result_type(self):
         assert isinstance(simulate_queue(_config(frames=120, burn_in_frames=10)),
