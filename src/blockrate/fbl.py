@@ -25,6 +25,7 @@ constraint-set and e^{-nm*gamma} corrections) are neglected throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ _GAIN_CAP = 53 * math.log(2)
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
+    if epsilon < sys.float_info.min:
+        raise DomainError(f"epsilon = {epsilon!r} is subnormal, where Q is held to a few bits "
+                          "and Q^-1(epsilon) cannot be resolved")
 
 
 def _check_rate(rate: float) -> None:

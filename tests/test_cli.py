@@ -341,6 +341,9 @@ class TestExitCodes:
         (["--theta", "inf"], THETA_RULE + "inf"),
         # 128/theta, the tail histogram's span, overflows
         (["--theta", "1e-310", "--frames", "1000", "--burn-in", "10"], THETA_RULE + "1e-310"),
+        # Q^-1 of a subnormal epsilon is not resolved
+        (["--epsilon", "1e-310"], "epsilon = 1e-310 is subnormal, where Q is held to a few bits "
+                                  "and Q^-1(epsilon) cannot be resolved"),
     ])
     def test_rejected_before_drawing(self, argv, message, tmp_path, capsys):
         if argv[0] != "fig2":

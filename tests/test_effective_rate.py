@@ -562,6 +562,8 @@ class TestPsi:
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(DomainError):
                 log_psi(bad, samples, P1)
+        with pytest.raises(DomainError, match=r"^epsilon = 1e-310 is subnormal"):
+            effective_rate_variable(1e-310, samples, P1)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 log_psi_slopes(bad, samples, P1)

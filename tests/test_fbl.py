@@ -333,7 +333,8 @@ class TestPolicies:
         assert "0.01" in VariableRate(epsilon=0.01).describe()
         assert "clamp" in VariableRate(epsilon=0.5, clamp_negative=True).describe()
 
-    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.3, 1.5, float("nan")])
+    # a subnormal epsilon: Q is held to a few bits there, so Q^-1 is not resolved
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.3, 1.5, float("nan"), 1e-310])
     def test_variable_rate_validation(self, eps):
         with pytest.raises(DomainError):
             VariableRate(epsilon=eps)

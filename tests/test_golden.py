@@ -26,11 +26,11 @@ _S = ["--samples", "3000"]
 
 GOLDEN = {
     "fig1": (["fig1", "--m", "1,2,5", "--seed", "3"] + _S,
-             "558c64a2d942bb61fa6a5cb9a2cacaf8844308854cda8894e5c6dc6bf5fe3f17"),
+             "eb4bffdfc5d43cb0a2151ff054764fd52d187d07c4bfb04922621716b93072c0"),
     "fig1_theta0_clamp_json": (
         ["fig1", "--theta", "0", "--m", "1,3", "--epsilon-grid", "0.001,0.01,0.3",
          "--clamp-rate", "--format", "json"] + _S,
-        "5218a0f84104847becf9a65647534b0059848187a8e7c37d84b74965623a8cae"),
+        "270dd49e65d94d9917876b0f7db35bb9189a08e48e6cecdd6a7f90168d682af7"),
     "fig2": (["fig2", "--m", "1..12", "--seed", "4"] + _S,
              "145478fcd32954b63ed39b11882f00e69d2ef88c018140c92106a79d6d9b18d4"),
     "fig3": (["fig3", "--m", "1,2,5", "--theta", "0.001,0.01,0.1,1", "--seed", "5"] + _S,
